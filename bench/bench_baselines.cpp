@@ -82,11 +82,15 @@ int main() {
   for (const auto& source : sources) {
     std::vector<std::vector<double>> rel(baselines.size(), std::vector<double>(kSeeds));
     parallel_for(kSeeds, [&](std::size_t seed_index) {
-      const auto instance = source.make(9000 + static_cast<std::uint64_t>(seed_index));
-      const double mrt = solve("mrt", instance).makespan;
+      const auto& registry = SolverRegistry::global();
+      const auto instance =
+          InstanceHandle::intern(source.make(9000 + static_cast<std::uint64_t>(seed_index)));
+      const double mrt = registry.solve(SolveRequest("mrt", {}, instance)).makespan;
       for (std::size_t b = 0; b < baselines.size(); ++b) {
         rel[b][seed_index] =
-            solve(baselines[b].solver, instance, baselines[b].options).makespan / mrt;
+            registry.solve(SolveRequest(baselines[b].solver, baselines[b].options, instance))
+                .makespan /
+            mrt;
       }
     });
     for (std::size_t b = 0; b < baselines.size(); ++b) {

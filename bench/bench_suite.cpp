@@ -46,6 +46,7 @@
 #include "api/sharded_service.hpp"
 #include "api/stats_json.hpp"
 #include "graph/task_graph.hpp"
+#include "registry/solver_registry.hpp"
 #include "support/stopwatch.hpp"
 #include "support/parallel_for.hpp"
 #include "support/json.hpp"
@@ -545,13 +546,13 @@ int main(int argc, char** argv) {
 
   // The production serving path: one long-lived service, requests submitted
   // in case order, outcomes collected by ticket.
-  ServiceOptions service_options;
+  ServiceConfig service_options;
   service_options.threads = threads;
   const Stopwatch run_stopwatch;
   SchedulerService service(service_options);
   const std::vector<JobTicket> tickets = service.submit(std::move(requests));
   service.drain();
-  std::vector<JobOutcome> outcomes;
+  std::vector<SolveOutcome> outcomes;
   outcomes.reserve(tickets.size());
   for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
   const double run_wall = run_stopwatch.seconds();
@@ -561,9 +562,9 @@ int main(int argc, char** argv) {
   std::size_t cancelled_count = 0;
   for (const auto& outcome : outcomes) {
     switch (outcome.status) {
-      case BatchItemStatus::kOk: ++ok_count; break;
-      case BatchItemStatus::kError: ++error_count; break;
-      case BatchItemStatus::kCancelled: ++cancelled_count; break;
+      case SolveStatus::kOk: ++ok_count; break;
+      case SolveStatus::kError: ++error_count; break;
+      case SolveStatus::kCancelled: ++cancelled_count; break;
     }
   }
 
@@ -764,7 +765,7 @@ int main(int argc, char** argv) {
   if (error_count > 0) {
     std::cerr << "\n" << error_count << " case(s) failed:\n";
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].status == BatchItemStatus::kError) {
+      if (outcomes[i].status == SolveStatus::kError) {
         std::cerr << "  case " << i << ": " << outcomes[i].error.detail << "\n";
       }
     }

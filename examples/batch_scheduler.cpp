@@ -54,7 +54,7 @@ int main() {
   SchedulerService service;
   std::size_t streamed = 0;
   bool stream_ordered = true;
-  service.on_result([&](const JobOutcome& outcome) {
+  service.on_result([&](const SolveOutcome& outcome) {
     // Tickets are dense from 0, so delivery i must carry ticket i.
     if (outcome.ticket != streamed) stream_ordered = false;
     ++streamed;
@@ -86,8 +86,8 @@ int main() {
     const auto mrt = service.wait(tickets[static_cast<std::size_t>(3 * snapshot)]);
     const auto half = service.wait(tickets[static_cast<std::size_t>(3 * snapshot + 1)]);
     const auto lpt = service.wait(tickets[static_cast<std::size_t>(3 * snapshot + 2)]);
-    if (mrt.status != BatchItemStatus::kOk || half.status != BatchItemStatus::kOk ||
-        lpt.status != BatchItemStatus::kOk) {
+    if (mrt.status != SolveStatus::kOk || half.status != SolveStatus::kOk ||
+        lpt.status != SolveStatus::kOk) {
       std::cerr << "snapshot " << snapshot << " failed: " << mrt.error.detail << half.error.detail
                 << lpt.error.detail << "\n";
       return 1;

@@ -182,9 +182,10 @@ int main(int argc, char** argv) {
     return usage();
   }
 
+  const auto handle = InstanceHandle::intern(std::move(*instance));
   std::optional<SolverResult> result;
   try {
-    result = solve(algo, *instance, options);
+    result = SolverRegistry::global().solve(SolveRequest(algo, options, handle));
   } catch (const std::invalid_argument& err) {
     std::cerr << err.what() << "\n";
     return usage();
@@ -197,6 +198,6 @@ int main(int argc, char** argv) {
   for (const auto& [key, value] : result->stats) {
     std::cout << "  " << key << " = " << value << "\n";
   }
-  if (gantt) render_gantt(std::cout, result->schedule, *instance);
+  if (gantt) render_gantt(std::cout, result->schedule, handle.instance());
   return 0;
 }

@@ -13,10 +13,6 @@
 ///     configuration aggregate (validate() + defaults)
 ///   * api/scheduler_service.hpp  -- the long-lived single-shard service
 ///   * api/sharded_service.hpp    -- the N-shard scale-out tier
-///
-/// The pre-v2 shims (Instance/BatchJob overloads, ServiceOptions) ride along
-/// through these headers for compatibility; new code should enter through
-/// SolveRequest over an interned InstanceHandle and ServiceConfig only.
 #include "registry/request.hpp"            // IWYU pragma: export
 #include "api/scheduler_service.hpp"  // IWYU pragma: export
 #include "api/service_config.hpp"     // IWYU pragma: export

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/dual_workspace.hpp"
+#include "registry/solver_registry.hpp"
 #include "support/failpoint.hpp"
 
 namespace malsched {
@@ -41,7 +42,7 @@ DualWorkspace* thread_workspace(const std::shared_ptr<const Instance>& job_insta
   return tls_scratch.workspace.get();
 }
 
-SolveCacheConfig cache_config(const ServiceOptions& options) {
+SolveCacheConfig cache_config(const ServiceConfig& options) {
   SolveCacheConfig config;
   config.capacity = options.cache ? options.cache_capacity : 0;
   config.max_bytes = options.cache_max_bytes;
@@ -198,37 +199,19 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
   return JobTicket{id};
 }
 
-bool SchedulerService::dispatches_after(const ReadyEntry& a, const ReadyEntry& b) noexcept {
-  if (a.key != b.key) return a.key > b.key;
-  return a.id > b.id;
-}
-
 void SchedulerService::push_ready_locked(std::uint64_t id, double deadline) {
-  if (options_.queue_discipline == "edf") {
-    // Deadline-less jobs carry +inf: behind every dated job, FIFO among
-    // themselves through the ticket tiebreak in dispatches_after().
-    ready_edf_.push_back(
-        ReadyEntry{deadline > 0.0 ? deadline : std::numeric_limits<double>::infinity(), id});
-    std::push_heap(ready_edf_.begin(), ready_edf_.end(), dispatches_after);
-  } else {
-    ready_fifo_.push_back(id);
-  }
+  // The key is the merged deadline under edf. Under fifo every job, and
+  // under edf every deadline-less one, keys on +inf: behind every dated
+  // job, in ticket (submission) order among themselves.
+  const bool dated = deadline > 0.0 && options_.queue_discipline == "edf";
+  ready_.emplace(dated ? deadline : std::numeric_limits<double>::infinity(), id);
 }
 
 bool SchedulerService::pop_ready_locked(std::uint64_t& id) {
-  if (options_.queue_discipline == "edf") {
-    while (!ready_edf_.empty()) {
-      std::pop_heap(ready_edf_.begin(), ready_edf_.end(), dispatches_after);
-      id = ready_edf_.back().id;
-      ready_edf_.pop_back();
-      if (slots_[id].state == JobState::kQueued) return true;
-    }
-  } else {
-    while (!ready_fifo_.empty()) {
-      id = ready_fifo_.front();
-      ready_fifo_.pop_front();
-      if (slots_[id].state == JobState::kQueued) return true;
-    }
+  while (!ready_.empty()) {
+    id = ready_.top().second;
+    ready_.pop();
+    if (slots_[id].state == JobState::kQueued) return true;
   }
   return false;  // only stale entries (cancelled/shed/shutdown) remained
 }
@@ -389,19 +372,6 @@ std::vector<JobTicket> SchedulerService::submit(std::vector<SolveRequest> reques
     deliver_ready();
   }
   return tickets;
-}
-
-JobTicket SchedulerService::submit(BatchJob job, SubmitOptions options) {
-  auto request = job.to_request();
-  request.use_cache = options.cache;
-  return submit(std::move(request));
-}
-
-std::vector<JobTicket> SchedulerService::submit(std::vector<BatchJob> jobs,
-                                                SubmitOptions options) {
-  auto requests = intern_jobs(jobs);
-  for (auto& request : requests) request.use_cache = options.cache;
-  return submit(std::move(requests));
 }
 
 SchedulerService::Inflight* SchedulerService::find_inflight_locked(const SolveCache::Key& key) {
@@ -891,9 +861,8 @@ void SchedulerService::shutdown() {
     }
     // Every remaining ready entry is now stale (its job just turned
     // terminal) and its closure will be discarded by pool_.shutdown() below;
-    // drop the structures rather than leaving dead weight behind.
-    ready_fifo_.clear();
-    ready_edf_.clear();
+    // drop the heap rather than leaving dead weight behind.
+    ready_ = {};
   }
   done_cv_.notify_all();
   // Running solves finish (their closures already left the queue; in-flight

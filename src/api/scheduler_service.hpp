@@ -5,8 +5,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <atomic>
@@ -14,7 +16,6 @@
 #include "registry/request.hpp"
 #include "api/service_config.hpp"
 #include "api/solve_cache.hpp"
-#include "exec/batch_runner.hpp"
 #include "exec/worker_pool.hpp"
 #include "support/cancellation.hpp"
 #include "support/mutex.hpp"
@@ -134,12 +135,6 @@
 /// take-once value.
 namespace malsched {
 
-/// Pre-v2.1 name for the service configuration; ServiceConfig
-/// (api/service_config.hpp) is the one aggregate both serving tiers take,
-/// with defaults and validate(). Documented shim, same policy as the
-/// BatchJob shims -- don't extend it.
-using ServiceOptions = ServiceConfig;
-
 /// Opaque handle to one submitted job; tickets are dense and increase in
 /// submission order (ticket order IS delivery order).
 struct JobTicket {
@@ -152,10 +147,6 @@ enum class JobState {
   kRunning,    ///< a worker is solving it (or it joined an in-flight solve)
   kDone,       ///< terminal: ok / error / cancelled (see the outcome)
 };
-
-/// Pre-v2 name for the streaming payload; SolveOutcome (registry/request.hpp) is
-/// the one type batch items, bench cases, and service outcomes share.
-using JobOutcome = SolveOutcome;
 
 /// Point-in-time service counters. stats() fills the service-side fields as
 /// ONE consistent snapshot copied under the state mutex (no field-by-field
@@ -210,14 +201,6 @@ struct ServiceStats {
 /// write_service_stats() (api/stats_json.hpp), and bench_schema.json.
 void accumulate_stats(ServiceStats& total, const ServiceStats& shard);
 
-/// Pre-v2 per-submit flags; SolveRequest::use_cache carries this now.
-struct SubmitOptions {
-  /// Consult/populate the solve cache and join in-flight duplicates (no-op
-  /// when the service cache is off). Off for jobs that must measure a real
-  /// solve.
-  bool cache{true};
-};
-
 class SchedulerService {
  public:
   using ResultCallback = std::function<void(const SolveOutcome&)>;
@@ -241,13 +224,6 @@ class SchedulerService {
 
   /// Enqueues many requests atomically (their tickets are consecutive).
   std::vector<JobTicket> submit(std::vector<SolveRequest> requests)
-      MALSCHED_EXCLUDES(mutex_);
-
-  /// Pre-v2 shims: intern the job's instance (one fingerprint per call --
-  /// per distinct instance for the vector form), map SubmitOptions::cache to
-  /// SolveRequest::use_cache, and forward.
-  JobTicket submit(BatchJob job, SubmitOptions options = {}) MALSCHED_EXCLUDES(mutex_);
-  std::vector<JobTicket> submit(std::vector<BatchJob> jobs, SubmitOptions options = {})
       MALSCHED_EXCLUDES(mutex_);
 
   /// Non-blocking: the outcome if the job reached a terminal state, nullopt
@@ -318,12 +294,6 @@ class SchedulerService {
     std::uint64_t join_leader{0};       ///< leader ticket this slot coalesced on
   };
 
-  /// One pending job in the dispatch order structure (see ready_edf_).
-  struct ReadyEntry {
-    double key{0.0};  ///< absolute merged deadline; +inf for deadline-less
-    std::uint64_t id{0};
-  };
-
   /// One coalescing point: the leader's key plus everyone who joined it.
   struct Inflight {
     struct Joiner {
@@ -362,19 +332,14 @@ class SchedulerService {
   [[nodiscard]] std::optional<SolveOutcome> try_fast_path(const SolveRequest& request)
       MALSCHED_EXCLUDES(mutex_);
   void run_job(std::uint64_t id) MALSCHED_EXCLUDES(mutex_);
-  /// Pool closure body under a queue discipline: pops the next dispatchable
-  /// job from the ready structure and runs it. Closures and ready entries
-  /// are pushed 1:1 (each enqueue posts one of each), and a closure consumes
-  /// at most one live entry, so no live entry is ever stranded without a
-  /// closure to run it; entries whose slot already left kQueued (cancelled,
-  /// shed, shut down) are skipped as stale.
+  /// Pool closure body: pops the next dispatchable job from the dispatch
+  /// queue and runs it. Closures and ready entries are pushed 1:1 (each
+  /// enqueue posts one of each), and a closure consumes at most one live
+  /// entry, so no live entry is ever stranded without a closure to run it;
+  /// entries whose slot already left kQueued (cancelled, shed, shut down)
+  /// are skipped as stale.
   void run_next() MALSCHED_EXCLUDES(mutex_);
   void push_ready_locked(std::uint64_t id, double deadline) MALSCHED_REQUIRES(mutex_);
-  /// Heap order for ready_edf_: true when `a` dispatches AFTER `b`. Under
-  /// std::push_heap/pop_heap this puts the earliest deadline (then the
-  /// smallest ticket) at the front. Pure on the entries -- it never reads
-  /// guarded state, so the heap calls stay analysis-clean.
-  [[nodiscard]] static bool dispatches_after(const ReadyEntry& a, const ReadyEntry& b) noexcept;
   /// Pops the next live (still-kQueued) entry into `id`; false when only
   /// stale entries (or nothing) remained.
   [[nodiscard]] bool pop_ready_locked(std::uint64_t& id) MALSCHED_REQUIRES(mutex_);
@@ -410,16 +375,14 @@ class SchedulerService {
   /// shed_oldest scan cursor: every slot below it is known non-queued
   /// (states only move forward), so repeated sheds stay amortized O(1).
   std::uint64_t shed_hint_ MALSCHED_GUARDED_BY(mutex_){0};
-  /// Dispatch-order structures (exactly one is used, per queue_discipline;
-  /// see run_next() for the closure/entry accounting). Entries are lazily
-  /// invalidated: a job that turns terminal while queued (cancel, shed,
-  /// shutdown) leaves its entry behind and the dequeue skips it.
-  /// fifo: ticket ids in submission order.
-  std::deque<std::uint64_t> ready_fifo_ MALSCHED_GUARDED_BY(mutex_);
-  /// edf: min-heap on (deadline, ticket) -- deadline-less entries carry +inf
-  /// so they sort behind every dated one, and the ticket tiebreak keeps
-  /// equal keys in submission order.
-  std::vector<ReadyEntry> ready_edf_ MALSCHED_GUARDED_BY(mutex_);
+  /// The dispatch queue: a min-heap on (key, ticket), the key set by
+  /// push_ready_locked(); see run_next() for the closure/entry accounting.
+  /// Entries are lazily invalidated: a job that turns terminal while queued
+  /// (cancel, shed, shutdown) leaves its entry behind and the dequeue skips
+  /// it.
+  std::priority_queue<std::pair<double, std::uint64_t>,
+                      std::vector<std::pair<double, std::uint64_t>>, std::greater<>>
+      ready_ MALSCHED_GUARDED_BY(mutex_);
   /// Cache lookup/insert exceptions absorbed. Atomic, not mutex_-guarded:
   /// peek_cache() runs on the submit thread without mutex_ by design.
   std::atomic<std::uint64_t> cache_failures_{0};

@@ -8,15 +8,12 @@
 ///
 /// Both tiers construct from it identically -- `SchedulerService(config)`
 /// and `ShardedSchedulerService(config, shards)` (where `config` describes
-/// EACH shard: per-shard worker threads, per-shard cache budget). Before
-/// v2.1 these knobs lived in a growing `ServiceOptions` pile with no
-/// validation: a nonsensical combination (negative TTL, cache enabled with a
-/// zero entry budget) silently produced a service that behaved like a
-/// different configuration. ServiceConfig keeps the same fields and
-/// defaults -- `ServiceOptions` remains as a documented alias, so existing
-/// call sites compile unchanged -- and adds validate(): services call
-/// ensure_valid() at construction and reject bad configs with one readable
-/// std::invalid_argument listing EVERY violation, not just the first.
+/// EACH shard: per-shard worker threads, per-shard cache budget). A
+/// nonsensical combination (negative TTL, cache enabled with a zero entry
+/// budget) would silently produce a service that behaves like a different
+/// configuration, so services call ensure_valid() at construction and
+/// reject bad configs with one readable std::invalid_argument listing EVERY
+/// violation, not just the first.
 namespace malsched {
 
 class SolverRegistry;
@@ -67,8 +64,8 @@ struct ServiceConfig {
 
   // ---------------------------------------------------- queue discipline
   /// Order in which queued jobs are dispatched to workers:
-  ///   "fifo" submission (ticket) order -- the default, byte-identical to
-  ///          the pre-discipline service;
+  ///   "fifo" submission (ticket) order, deadlines ignored for ordering --
+  ///          the default;
   ///   "edf"  earliest absolute deadline first (the request's merged
   ///          budget/deadline, anchored at submit). Deadline-less requests
   ///          sort behind every deadline-carrying one, and ties (equal

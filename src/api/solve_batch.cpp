@@ -14,13 +14,4 @@ BatchReport solve_batch(const std::vector<SolveRequest>& requests,
   return BatchRunner(SolverRegistry::global(), options).run(requests, std::move(cancel));
 }
 
-BatchReport solve_batch(const std::vector<BatchJob>& jobs, const BatchRunnerOptions& options) {
-  return BatchRunner(SolverRegistry::global(), options).run(jobs);
-}
-
-BatchReport solve_batch(const std::vector<BatchJob>& jobs, const BatchRunnerOptions& options,
-                        CancelToken cancel) {
-  return BatchRunner(SolverRegistry::global(), options).run(jobs, std::move(cancel));
-}
-
 }  // namespace malsched

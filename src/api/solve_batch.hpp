@@ -7,16 +7,12 @@
 /// Batch entry point of the api facade: many SolveRequests, one
 /// deterministic parallel run through the global SolverRegistry.
 ///
-/// This is to BatchRunner what malsched::solve() is to
-/// SolverRegistry::solve() -- the one-liner front ends reach for. Results
-/// come back in request order with per-job error isolation; see
-/// exec/batch_runner.hpp for the full guarantees. For continuous traffic
-/// (submit over time, streaming delivery, result caching, in-flight dedup)
-/// use the long-lived front door instead: api/scheduler_service.hpp.
-///
-/// The BatchJob overloads are pre-v2 shims: they intern (fingerprint) each
-/// distinct instance before running. Intern once with InstanceHandle and
-/// pass SolveRequests to stay on the zero-re-hash path.
+/// The one-liner front ends reach for: a BatchRunner over the global
+/// registry. Results come back in request order with per-job error
+/// isolation; see exec/batch_runner.hpp for the full guarantees. For
+/// continuous traffic (submit over time, streaming delivery, result caching,
+/// in-flight dedup) use the long-lived front door instead:
+/// api/scheduler_service.hpp.
 namespace malsched {
 
 [[nodiscard]] BatchReport solve_batch(const std::vector<SolveRequest>& requests,
@@ -24,12 +20,6 @@ namespace malsched {
 
 /// As above with caller-owned cancellation.
 [[nodiscard]] BatchReport solve_batch(const std::vector<SolveRequest>& requests,
-                                      const BatchRunnerOptions& options, CancelToken cancel);
-
-/// Pre-v2 shims (interning; see the header comment).
-[[nodiscard]] BatchReport solve_batch(const std::vector<BatchJob>& jobs,
-                                      const BatchRunnerOptions& options = {});
-[[nodiscard]] BatchReport solve_batch(const std::vector<BatchJob>& jobs,
                                       const BatchRunnerOptions& options, CancelToken cancel);
 
 }  // namespace malsched

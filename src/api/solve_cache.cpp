@@ -58,8 +58,6 @@ std::size_t approx_entry_bytes(const SolveCache::Key& key, const SolverResult& r
 
 SolveCache::SolveCache(SolveCacheConfig config) : config_(std::move(config)) {}
 
-SolveCache::SolveCache(std::size_t capacity) : SolveCache(SolveCacheConfig{capacity, 0, 0.0, {}}) {}
-
 SolveCache::Key SolveCache::make_key(const std::string& solver, const SolverOptions& options,
                                      InstanceHandle instance) {
   if (!instance.valid()) throw std::invalid_argument("SolveCache: empty instance handle");
@@ -69,11 +67,6 @@ SolveCache::Key SolveCache::make_key(const std::string& solver, const SolverOpti
   key.fingerprint = key_fingerprint(key.solver, key.options, instance);
   key.instance = std::move(instance);
   return key;
-}
-
-SolveCache::Key SolveCache::make_key(const std::string& solver, const SolverOptions& options,
-                                     std::shared_ptr<const Instance> instance) {
-  return make_key(solver, options, InstanceHandle::intern(std::move(instance)));
 }
 
 bool SolveCache::same_key(const Key& a, const Key& b) {

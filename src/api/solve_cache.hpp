@@ -92,16 +92,8 @@ class SolveCache {
 
   explicit SolveCache(SolveCacheConfig config);
 
-  /// Pre-v2 convenience: entry budget only (no byte budget, no TTL).
-  explicit SolveCache(std::size_t capacity);
-
   [[nodiscard]] static Key make_key(const std::string& solver, const SolverOptions& options,
                                     InstanceHandle instance);
-
-  /// Pre-v2 shim: interns the instance NOW (one content fingerprint per
-  /// call). Prefer interning once and passing the handle.
-  [[nodiscard]] static Key make_key(const std::string& solver, const SolverOptions& options,
-                                    std::shared_ptr<const Instance> instance);
 
   /// The memoized result for `key` (nullptr on miss), refreshing its LRU
   /// position; counts a hit, and a miss unless `count_miss` is false. An

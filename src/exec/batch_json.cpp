@@ -59,8 +59,8 @@ void append_item_json(JsonWriter& writer, const BatchItem& item,
   // v2.1 typed errors: the machine-readable code for every non-ok item, the
   // human-readable detail (the pre-v2.1 "error" string) only where there is
   // message text to carry.
-  if (item.status != BatchItemStatus::kOk) writer.kv("error_code", to_string(item.error.code));
-  if (item.status == BatchItemStatus::kError) writer.kv("error", item.error.detail);
+  if (item.status != SolveStatus::kOk) writer.kv("error_code", to_string(item.error.code));
+  if (item.status == SolveStatus::kError) writer.kv("error", item.error.detail);
   if (item.result) {
     writer.key("result");
     append_result_json(writer, *item.result, options);

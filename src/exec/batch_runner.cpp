@@ -10,33 +10,6 @@
 
 namespace malsched {
 
-BatchJob::BatchJob(std::string solver_name, SolverOptions solver_options,
-                   std::shared_ptr<const Instance> task_instance)
-    : solver(std::move(solver_name)),
-      options(std::move(solver_options)),
-      instance(std::move(task_instance)) {
-  if (!instance) throw std::invalid_argument("BatchJob: null instance");
-}
-
-SolveRequest BatchJob::to_request() const {
-  return SolveRequest{solver, options, InstanceHandle::intern(instance)};
-}
-
-std::vector<SolveRequest> intern_jobs(const std::vector<BatchJob>& jobs) {
-  // Batches routinely sweep one shared instance under many solver configs;
-  // memoizing the handle by pointer keeps the shim at one fingerprint per
-  // distinct instance instead of one per job.
-  std::map<const Instance*, InstanceHandle> interned;
-  std::vector<SolveRequest> requests;
-  requests.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    auto [it, fresh] = interned.try_emplace(job.instance.get());
-    if (fresh) it->second = InstanceHandle::intern(job.instance);
-    requests.emplace_back(job.solver, job.options, it->second);
-  }
-  return requests;
-}
-
 std::vector<std::pair<std::string, double>> BatchReport::aggregate_stats() const {
   std::map<std::string, double> totals;
   for (const auto& item : items) {
@@ -48,14 +21,6 @@ std::vector<std::pair<std::string, double>> BatchReport::aggregate_stats() const
 
 BatchRunner::BatchRunner(const SolverRegistry& registry, BatchRunnerOptions options)
     : registry_(&registry), options_(options) {}
-
-BatchReport BatchRunner::run(const std::vector<BatchJob>& jobs) const {
-  return run(intern_jobs(jobs), CancelToken{});
-}
-
-BatchReport BatchRunner::run(const std::vector<BatchJob>& jobs, CancelToken cancel) const {
-  return run(intern_jobs(jobs), std::move(cancel));
-}
 
 BatchReport BatchRunner::run(const std::vector<SolveRequest>& requests) const {
   return run(requests, CancelToken{});
@@ -94,19 +59,19 @@ BatchReport BatchRunner::run(const std::vector<SolveRequest>& requests,
     BatchItem& item = report.items[i];
     item.index = i;
     if (cancel.cancelled() || aborted.cancelled()) {
-      item.status = BatchItemStatus::kCancelled;
+      item.status = SolveStatus::kCancelled;
       item.error.code = SolveErrorCode::kCancelled;
       return;
     }
     try {
       item.result = registry_->solve(requests[i]);
-      item.status = BatchItemStatus::kOk;
+      item.status = SolveStatus::kOk;
     } catch (const std::exception& err) {
-      item.status = BatchItemStatus::kError;
+      item.status = SolveStatus::kError;
       item.error = classify_solve_exception(err);
       if (options_.stop_on_error) aborted.cancel();
     } catch (...) {
-      item.status = BatchItemStatus::kError;
+      item.status = SolveStatus::kError;
       item.error = {SolveErrorCode::kSolverFailure, "non-standard exception"};
       if (options_.stop_on_error) aborted.cancel();
     }
@@ -120,9 +85,9 @@ BatchReport BatchRunner::run(const std::vector<SolveRequest>& requests,
 
   for (const auto& item : report.items) {
     switch (item.status) {
-      case BatchItemStatus::kOk: ++report.ok; break;
-      case BatchItemStatus::kError: ++report.errors; break;
-      case BatchItemStatus::kCancelled: ++report.cancelled; break;
+      case SolveStatus::kOk: ++report.ok; break;
+      case SolveStatus::kError: ++report.errors; break;
+      case SolveStatus::kCancelled: ++report.cancelled; break;
     }
   }
   report.threads = workers;

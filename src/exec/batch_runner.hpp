@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "registry/solver_options.hpp"
 #include "registry/solver_registry.hpp"
 #include "registry/solver_result.hpp"
-#include "model/instance.hpp"
 #include "model/instance_handle.hpp"
 #include "support/cancellation.hpp"
 
@@ -44,42 +42,10 @@
 /// it. The registry must outlive the runner.
 namespace malsched {
 
-/// Pre-v2 unit of batch work, kept as a thin interning shim over
-/// SolveRequest (registry/request.hpp): same (solver, options, instance) triple,
-/// but by raw shared_ptr instead of interned InstanceHandle, so every
-/// BatchJob-taking entry point must intern (re-fingerprint) on your behalf.
-/// Prefer building SolveRequests from handles you interned once -- that is
-/// the zero-re-hash path the cache and dedup layers key on. Retained for
-/// callers that predate API v2; new code should not add BatchJob overloads.
-///
-/// The instance is held by shared_ptr so many jobs can sweep one instance
-/// (different solvers/options) without duplicating it; the Instance overload
-/// wraps a freshly built instance for the common one-job-one-instance case.
-struct BatchJob {
-  BatchJob(std::string solver_name, SolverOptions solver_options, Instance task_instance)
-      : solver(std::move(solver_name)),
-        options(std::move(solver_options)),
-        instance(std::make_shared<const Instance>(std::move(task_instance))) {}
-
-  /// Shares an existing instance; throws std::invalid_argument on null.
-  BatchJob(std::string solver_name, SolverOptions solver_options,
-           std::shared_ptr<const Instance> task_instance);
-
-  /// The v2 shape of this job; interns (fingerprints) the instance NOW.
-  [[nodiscard]] SolveRequest to_request() const;
-
-  std::string solver;     ///< registry name to dispatch to
-  SolverOptions options;  ///< per-job option bag
-  std::shared_ptr<const Instance> instance;  ///< never null
-};
-
-/// Pre-v2 alias; batch items and service outcomes share SolveStatus.
-using BatchItemStatus = SolveStatus;
-
 /// Outcome of one job, at the same index as the job that produced it.
 struct BatchItem {
   std::size_t index{0};
-  BatchItemStatus status{BatchItemStatus::kCancelled};
+  SolveStatus status{SolveStatus::kCancelled};
   std::optional<SolverResult> result;  ///< engaged iff status == kOk
   /// Typed error (registry/request.hpp), shared with SolveOutcome; code != kNone
   /// iff status != kOk. `error.detail` holds the message text the pre-v2.1
@@ -140,20 +106,9 @@ class BatchRunner {
   [[nodiscard]] BatchReport run(const std::vector<SolveRequest>& requests,
                                 CancelToken cancel) const;
 
-  /// Pre-v2 shims: intern each job's instance (one fingerprint per DISTINCT
-  /// shared instance -- duplicates within the batch are memoized by
-  /// pointer), then run the request path.
-  [[nodiscard]] BatchReport run(const std::vector<BatchJob>& jobs) const;
-  [[nodiscard]] BatchReport run(const std::vector<BatchJob>& jobs, CancelToken cancel) const;
-
  private:
   const SolverRegistry* registry_;
   BatchRunnerOptions options_;
 };
-
-/// The BatchJob -> SolveRequest interning shim shared by the pre-v2
-/// overloads (runner, solve_batch): one fingerprint per distinct shared
-/// instance, duplicates memoized by pointer.
-[[nodiscard]] std::vector<SolveRequest> intern_jobs(const std::vector<BatchJob>& jobs);
 
 }  // namespace malsched

@@ -82,16 +82,6 @@ struct KnapsackScratch {
 [[nodiscard]] KnapsackSelection knapsack_fptas(std::span<const KnapsackItem> items,
                                                long long capacity, double eps);
 
-/// Dantzig greedy by profit density plus best-single-item; guarantees at
-/// least half the optimal profit. Cheap upper stage for tests and warm
-/// starts.
-[[nodiscard]] KnapsackSelection knapsack_greedy(std::span<const KnapsackItem> items,
-                                                long long capacity);
-
-/// Exhaustive search for n <= 24 (test oracle).
-[[nodiscard]] KnapsackSelection knapsack_brute_force(std::span<const KnapsackItem> items,
-                                                     long long capacity);
-
 /// Exact depth-first branch and bound with the Dantzig fractional upper
 /// bound. Memory is O(n) (no DP table), so it complements the pseudo-
 /// polynomial DP when the capacity is huge; exponential worst-case time,

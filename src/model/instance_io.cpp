@@ -41,12 +41,17 @@ Instance read_instance(std::istream& in) {
     std::string name;
     if (!(in >> name)) throw std::runtime_error("read_instance: task name missing");
     if (name == "-") name.clear();
-    std::vector<double> times(static_cast<std::size_t>(machines));
-    for (auto& t : times) {
+    // Grown as values arrive, never sized from `m` up front: the header's
+    // machine count is untrusted, and allocation must stay bounded by what
+    // the input actually holds.
+    std::vector<double> times;
+    for (int p = 0; p < machines; ++p) {
+      double t = 0.0;
       if (!(in >> t)) {
         throw std::runtime_error("read_instance: task " + std::to_string(line) +
                                  " has fewer than m time entries");
       }
+      times.push_back(t);
     }
     try {
       tasks.emplace_back(std::move(times), std::move(name));

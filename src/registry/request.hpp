@@ -21,10 +21,9 @@
 ///
 /// Registry (`SolverRegistry::solve(request)`), closed batches
 /// (`solve_batch(requests)`), and the long-lived service
-/// (`SchedulerService::submit(request)`) all accept SolveRequest directly;
-/// the pre-v2 `Instance`/`BatchJob` entry points remain as thin interning
-/// shims (each shim call re-fingerprints -- intern once and reuse the handle
-/// to stay on the zero-re-hash path).
+/// (`SchedulerService::submit(request)`) all accept SolveRequest, and only
+/// SolveRequest: InstanceHandle::intern is the one place a raw Instance
+/// becomes an identity the serving layers key on.
 namespace malsched {
 
 /// Terminal status of one request, shared by batch items and service

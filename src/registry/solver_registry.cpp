@@ -11,7 +11,6 @@
 #include "core/mrt_scheduler.hpp"
 #include "graph/graph_scheduler.hpp"
 #include "graph/task_graph.hpp"
-#include "model/lower_bounds.hpp"
 #include "sched/local_search.hpp"
 #include "sched/validate.hpp"
 #include "support/failpoint.hpp"
@@ -336,38 +335,24 @@ SolverResult SolverRegistry::solve(const SolveRequest& request,
       merge_deadlines(merge_deadlines(request.deadline_seconds,
                                       budget_deadline(request.budget_seconds)),
                       context.deadline_seconds);
-  return solve_impl(entry(request.solver), request.instance.instance(), request.options,
-                    merged, request.instance.static_lower_bound());
-}
+  const Entry& solver = entry(request.solver);
+  const Instance& instance = request.instance.instance();
+  const SolverOptions& options = request.options;
 
-SolverResult SolverRegistry::solve(const std::string& name, const Instance& instance,
-                                   const SolverOptions& options) const {
-  return solve(name, instance, options, SolveContext{});
-}
-
-SolverResult SolverRegistry::solve(const std::string& name, const Instance& instance,
-                                   const SolverOptions& options,
-                                   const SolveContext& context) const {
-  return solve_impl(entry(name), instance, options, context, makespan_lower_bound(instance));
-}
-
-SolverResult SolverRegistry::solve_impl(const Entry& solver, const Instance& instance,
-                                        const SolverOptions& options,
-                                        const SolveContext& context, double static_lb) const {
   const Stopwatch stopwatch;
   MALSCHED_FAILPOINT("solver.entry");
 
   // An already-cancelled or already-expired request fails here, before any
   // work -- the cheap exit that makes tiny solves honor deadlines too (their
   // hot loops may finish inside one check stride).
-  const CancelCheck check(context.cancel, context.deadline_seconds);
+  const CancelCheck check(merged.cancel, merged.deadline_seconds);
   check.poll();
 
   // Free-form solvers (empty declared table) skip schema validation -- the
   // forward-compat path for custom registrations without a spec.
   if (!solver.options.empty()) options.validate(solver.options);
 
-  SolverResult result = solver.fn(instance, options, context);
+  SolverResult result = solver.fn(instance, options, merged);
   result.solver = solver.name;
 
   if (options.get_bool("local_search", false)) {
@@ -377,10 +362,9 @@ SolverResult SolverRegistry::solve_impl(const Entry& solver, const Instance& ins
   }
 
   // Every solver-specific bound is certified; the area/critical-path bound
-  // always is, so the facade reports the tighter of the two. `static_lb` is
-  // that bound -- precomputed at intern() on the SolveRequest path, derived
-  // per call on the legacy one.
-  result.lower_bound = std::max(result.lower_bound, static_lb);
+  // always is, so the facade reports the tighter of the two. The handle
+  // computed that bound once, at intern().
+  result.lower_bound = std::max(result.lower_bound, request.instance.static_lower_bound());
   result.makespan = result.schedule.makespan();
   result.ratio = result.lower_bound > 0.0 ? result.makespan / result.lower_bound : 1.0;
 
@@ -394,11 +378,6 @@ SolverResult SolverRegistry::solve_impl(const Entry& solver, const Instance& ins
 
   result.wall_seconds = stopwatch.seconds();
   return result;
-}
-
-SolverResult solve(const std::string& solver, const Instance& instance,
-                   const SolverOptions& options) {
-  return SolverRegistry::global().solve(solver, instance, options);
 }
 
 }  // namespace malsched

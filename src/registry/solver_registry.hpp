@@ -169,29 +169,10 @@ class SolverRegistry {
   [[nodiscard]] SolverResult solve(const SolveRequest& request,
                                    const SolveContext& context) const;
 
-  /// Pre-v2 entry point, kept as a thin shim: dispatches directly on a raw
-  /// instance, deriving the static lower bound per call. Prefer the
-  /// SolveRequest overloads -- an interned handle derives it once and is
-  /// what every serving layer (cache, dedup, batch) keys on.
-  [[nodiscard]] SolverResult solve(const std::string& name, const Instance& instance,
-                                   const SolverOptions& options = {}) const;
-
-  /// As above with caller-provided per-call context (workspace reuse).
-  [[nodiscard]] SolverResult solve(const std::string& name, const Instance& instance,
-                                   const SolverOptions& options,
-                                   const SolveContext& context) const;
-
  private:
   [[nodiscard]] const Entry& entry(const std::string& name) const;
-  [[nodiscard]] SolverResult solve_impl(const Entry& solver, const Instance& instance,
-                                        const SolverOptions& options,
-                                        const SolveContext& context, double static_lb) const;
 
   std::map<std::string, Entry> entries_;
 };
-
-/// Convenience: dispatch through the global registry.
-[[nodiscard]] SolverResult solve(const std::string& solver, const Instance& instance,
-                                 const SolverOptions& options = {});
 
 }  // namespace malsched

@@ -1,4 +1,4 @@
-#include "sched/exact_small.hpp"
+#include "oracles/exact_small.hpp"
 
 #include <algorithm>
 #include <numeric>

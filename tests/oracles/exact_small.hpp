@@ -7,7 +7,7 @@
 
 /// Exhaustive search over allotments and list orders for tiny instances.
 ///
-/// Test oracle only: enumerating every allotment vector and every priority
+/// Test oracle, built only with the tests: enumerating every allotment vector and every priority
 /// permutation, placing greedily, yields a strong *upper bound* on the
 /// optimal contiguous makespan (and frequently the optimum itself -- when it
 /// meets the area/critical-path lower bound the tests know OPT exactly).

@@ -174,8 +174,10 @@ TEST(SolverRegistry, GlobalRegistersTheFiveSolvers) {
 }
 
 TEST(SolverRegistry, UnknownSolverNameThrows) {
-  const auto instance = small_instance();
-  EXPECT_THROW(static_cast<void>(solve("mrt-typo", instance)), std::invalid_argument);
+  const auto instance = InstanceHandle::intern(small_instance());
+  EXPECT_THROW(
+      static_cast<void>(SolverRegistry::global().solve(SolveRequest("mrt-typo", {}, instance))),
+      std::invalid_argument);
   EXPECT_THROW(static_cast<void>(SolverRegistry::global().description("nope")),
                std::invalid_argument);
 }
@@ -194,7 +196,7 @@ TEST(SolverRegistry, RejectsDuplicateAndDegenerateRegistrations) {
 TEST(SolverRegistry, ContiguityEnforcementMatchesRegistration) {
   std::vector<MalleableTask> tasks;
   tasks.emplace_back(std::vector<double>{2.0, 1.5, 1.2});
-  const Instance instance(3, std::move(tasks));
+  const auto instance = InstanceHandle::intern(Instance(3, std::move(tasks)));
   // Feasible but scattered: processors {0, 2} of 3.
   const auto scattered_fn = [](const Instance& inst, const SolverOptions&) {
     Schedule schedule(inst.machines(), inst.size());
@@ -205,44 +207,10 @@ TEST(SolverRegistry, ContiguityEnforcementMatchesRegistration) {
   registry.add("strict", "scattered solver registered as contiguous", scattered_fn);
   registry.add("relaxed", "scattered solver registered as such", scattered_fn,
                /*options=*/{}, /*contiguous=*/false);
-  EXPECT_THROW(static_cast<void>(registry.solve("strict", instance)), std::runtime_error);
-  const auto result = registry.solve("relaxed", instance);
+  EXPECT_THROW(static_cast<void>(registry.solve(SolveRequest("strict", {}, instance))),
+               std::runtime_error);
+  const auto result = registry.solve(SolveRequest("relaxed", {}, instance));
   EXPECT_TRUE(result.schedule.complete());
-}
-
-TEST(SolverRegistry, SolveRequestPathMatchesLegacyPathByteForByte) {
-  // API v2: the interned handle carries the static lower bound, and the
-  // request-path dispatch must be indistinguishable from the legacy
-  // instance-path dispatch -- schedule, certified bound, ratio, and stats.
-  const auto instance = small_instance(17);
-  const auto handle = InstanceHandle::intern(instance);
-
-  const std::vector<std::pair<std::string, std::string>> configs{
-      {"mrt", "epsilon=0.05"},
-      {"two_phase", "rigid=ffdh"},
-      {"naive", "policy=lpt-seq"},
-      {"two_shelves_32", "epsilon=0.05"},
-  };
-  for (const auto& [name, spec] : configs) {
-    const auto options = SolverOptions::from_string(spec);
-    const auto legacy = SolverRegistry::global().solve(name, instance, options);
-    const auto v2 = SolverRegistry::global().solve(SolveRequest{name, options, handle});
-    EXPECT_EQ(v2.solver, legacy.solver);
-    EXPECT_EQ(v2.makespan, legacy.makespan);
-    EXPECT_EQ(v2.lower_bound, legacy.lower_bound);
-    EXPECT_EQ(v2.ratio, legacy.ratio);
-    EXPECT_EQ(v2.stats, legacy.stats);
-    ASSERT_EQ(v2.schedule.assignments().size(), legacy.schedule.assignments().size());
-    for (std::size_t i = 0; i < v2.schedule.assignments().size(); ++i) {
-      const auto& a = v2.schedule.assignments()[i];
-      const auto& b = legacy.schedule.assignments()[i];
-      EXPECT_EQ(a.start, b.start);
-      EXPECT_EQ(a.duration, b.duration);
-      EXPECT_EQ(a.first_proc, b.first_proc);
-      EXPECT_EQ(a.num_procs, b.num_procs);
-      EXPECT_EQ(a.scattered, b.scattered);
-    }
-  }
 }
 
 TEST(SolverRegistry, SolveRequestWithEmptyHandleThrows) {
@@ -257,8 +225,36 @@ TEST(SolverRegistry, IncompleteScheduleFromSolverIsRejected) {
                  return SolverResult{"", Schedule(instance.machines(), instance.size()),
                                      0, 0, 0, 0, {}};
                });
-  EXPECT_THROW(static_cast<void>(registry.solve("broken", small_instance())),
+  EXPECT_THROW(static_cast<void>(registry.solve(
+                   SolveRequest("broken", {}, InstanceHandle::intern(small_instance())))),
                std::runtime_error);
+}
+
+TEST(SolverRegistry, RequestSolveTakesTheStaticBoundFromTheHandle) {
+  // A solver that certifies nothing still reports the area/critical-path
+  // bound: the facade reads it off the handle, which computed it once at
+  // intern(), so repeated solves of one request never re-hash the profiles.
+  SolverRegistry registry;
+  registry.add("uncertified", "sequential on processor 0; certifies no bound",
+               [](const Instance& instance, const SolverOptions&) {
+                 Schedule schedule(instance.machines(), instance.size());
+                 double t = 0.0;
+                 for (int i = 0; i < instance.size(); ++i) {
+                   schedule.assign(i, t, instance.task(i).time(1), 0, 1);
+                   t += instance.task(i).time(1);
+                 }
+                 return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
+               });
+  const auto handle = InstanceHandle::intern(small_instance(8));
+  const SolveRequest request("uncertified", {}, handle);
+  const auto hashes_before = InstanceHandle::content_hashes();
+  for (int round = 0; round < 3; ++round) {
+    const auto result = registry.solve(request);
+    EXPECT_DOUBLE_EQ(result.lower_bound, handle.static_lower_bound());
+    EXPECT_DOUBLE_EQ(result.lower_bound, makespan_lower_bound(handle.instance()));
+    EXPECT_NEAR(result.ratio, result.makespan / result.lower_bound, 1e-12);
+  }
+  EXPECT_EQ(InstanceHandle::content_hashes(), hashes_before);
 }
 
 /// Every registered solver, with the option bags the front ends use.
@@ -273,8 +269,9 @@ TEST_P(RegistrySolveTest, ReturnsValidatedScheduleWithCertifiedBound) {
     GeneratorOptions generator;
     generator.tasks = 20;
     generator.machines = 10;
-    const auto instance = generate_instance(family, generator, 11);
-    const auto result = solve(name, instance, options);
+    const auto handle = InstanceHandle::intern(generate_instance(family, generator, 11));
+    const Instance& instance = handle.instance();
+    const auto result = SolverRegistry::global().solve(SolveRequest(name, options, handle));
 
     EXPECT_EQ(result.solver, name);
     EXPECT_TRUE(result.schedule.complete());
@@ -307,7 +304,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple("graph", "strategy=ready-list")));
 
 TEST(SolverRegistry, MrtReportsBranchStatsAndIterations) {
-  const auto result = solve("mrt", small_instance());
+  const auto result = SolverRegistry::global().solve(
+      SolveRequest("mrt", {}, InstanceHandle::intern(small_instance())));
   EXPECT_GE(result.stat("iterations"), 1.0);
   // At least one construction branch fired across the search.
   double branch_total = 0.0;
@@ -319,27 +317,30 @@ TEST(SolverRegistry, MrtReportsBranchStatsAndIterations) {
 }
 
 TEST(SolverRegistry, BadSolverOptionValuesThrow) {
-  const auto instance = small_instance();
-  EXPECT_THROW(
-      static_cast<void>(solve("two_phase", instance, SolverOptions::from_string("rigid=best"))),
-      std::invalid_argument);
-  EXPECT_THROW(
-      static_cast<void>(solve("naive", instance, SolverOptions::from_string("policy=magic"))),
-      std::invalid_argument);
-  EXPECT_THROW(
-      static_cast<void>(solve("graph", instance, SolverOptions::from_string("strategy=x"))),
-      std::invalid_argument);
-  EXPECT_THROW(
-      static_cast<void>(solve("mrt", instance, SolverOptions::from_string("epsilon=tiny"))),
-      std::invalid_argument);
+  const auto instance = InstanceHandle::intern(small_instance());
+  const auto& registry = SolverRegistry::global();
+  EXPECT_THROW(static_cast<void>(registry.solve(SolveRequest(
+                   "two_phase", SolverOptions::from_string("rigid=best"), instance))),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(registry.solve(
+                   SolveRequest("naive", SolverOptions::from_string("policy=magic"), instance))),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(registry.solve(
+                   SolveRequest("graph", SolverOptions::from_string("strategy=x"), instance))),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(registry.solve(
+                   SolveRequest("mrt", SolverOptions::from_string("epsilon=tiny"), instance))),
+               std::invalid_argument);
 }
 
 TEST(SolverRegistry, TypodKeyFailsFastInsteadOfSolvingWithTheDefault) {
-  const auto instance = small_instance();
+  const auto instance = InstanceHandle::intern(small_instance());
+  const auto& registry = SolverRegistry::global();
   // The original bug: epsilom=0.02 used to solve silently with the default
   // epsilon. Now it fails fast, with the fix spelled out.
   try {
-    static_cast<void>(solve("mrt", instance, SolverOptions::from_string("epsilom=0.02")));
+    static_cast<void>(registry.solve(
+        SolveRequest("mrt", SolverOptions::from_string("epsilom=0.02"), instance)));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find("did you mean 'epsilon'?"), std::string::npos)
@@ -347,20 +348,21 @@ TEST(SolverRegistry, TypodKeyFailsFastInsteadOfSolvingWithTheDefault) {
   }
   // strict=0 restores the old pass-through behavior: the typo is ignored and
   // the solve equals the default-option one.
-  const auto escaped =
-      solve("mrt", instance, SolverOptions::from_string("epsilom=0.02,strict=0"));
-  const auto plain = solve("mrt", instance);
+  const auto escaped = registry.solve(
+      SolveRequest("mrt", SolverOptions::from_string("epsilom=0.02,strict=0"), instance));
+  const auto plain = registry.solve(SolveRequest("mrt", {}, instance));
   EXPECT_DOUBLE_EQ(escaped.makespan, plain.makespan);
   EXPECT_DOUBLE_EQ(escaped.lower_bound, plain.lower_bound);
 }
 
 TEST(SolverRegistry, OutOfRangeValuesAreRejectedBeforeDispatch) {
-  const auto instance = small_instance();
-  EXPECT_THROW(
-      static_cast<void>(solve("mrt", instance, SolverOptions::from_string("epsilon=-0.5"))),
-      std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(
-                   solve("two_phase", instance, SolverOptions::from_string("max_candidates=0"))),
+  const auto instance = InstanceHandle::intern(small_instance());
+  const auto& registry = SolverRegistry::global();
+  EXPECT_THROW(static_cast<void>(registry.solve(
+                   SolveRequest("mrt", SolverOptions::from_string("epsilon=-0.5"), instance))),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(registry.solve(SolveRequest(
+                   "two_phase", SolverOptions::from_string("max_candidates=0"), instance))),
                std::invalid_argument);
 }
 
@@ -409,22 +411,26 @@ TEST(SolverRegistry, FreeFormSolversSkipValidation) {
     }
     return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
   });
-  const auto result = registry.solve(
-      "echo", small_instance(), SolverOptions::from_string("whatever=really,epsilom=1"));
+  const auto result =
+      registry.solve(SolveRequest("echo", SolverOptions::from_string("whatever=really,epsilom=1"),
+                                  InstanceHandle::intern(small_instance())));
   EXPECT_TRUE(result.schedule.complete());
 }
 
 TEST(SolverRegistry, LocalSearchPostPassNeverDegrades) {
-  const auto instance = small_instance(17);
-  const auto base = solve("naive", instance, SolverOptions::from_string("policy=lpt-seq"));
-  const auto improved =
-      solve("naive", instance, SolverOptions::from_string("policy=lpt-seq,local_search=1"));
+  const auto instance = InstanceHandle::intern(small_instance(17));
+  const auto& registry = SolverRegistry::global();
+  const auto base =
+      registry.solve(SolveRequest("naive", SolverOptions::from_string("policy=lpt-seq"), instance));
+  const auto improved = registry.solve(SolveRequest(
+      "naive", SolverOptions::from_string("policy=lpt-seq,local_search=1"), instance));
   EXPECT_TRUE(leq(improved.makespan, base.makespan));
   EXPECT_GE(improved.stat("local_search.rounds", -1.0), 0.0);
 }
 
 TEST(SolverRegistry, ResultSummaryMentionsSolverAndNumbers) {
-  const auto result = solve("mrt", small_instance());
+  const auto result = SolverRegistry::global().solve(
+      SolveRequest("mrt", {}, InstanceHandle::intern(small_instance())));
   const auto text = result.summary();
   EXPECT_NE(text.find("mrt"), std::string::npos);
   EXPECT_NE(text.find("makespan"), std::string::npos);

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "core/canonical.hpp"
-#include "core/inefficiency.hpp"
 #include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
 #include "support/math_utils.hpp"
@@ -164,34 +163,6 @@ TEST(Canonical, ThresholdUsesMu) {
   tasks.emplace_back(sequential_profile(1.0, 10));
   const Instance instance(10, std::move(tasks));
   EXPECT_NEAR(area_threshold(instance, 2.0), kMu * 10 * 2.0, 1e-12);
-}
-
-// ------------------------------------------------------------- inefficiency
-
-TEST(Inefficiency, AtLeastOneUnderMonotonicity) {
-  const MalleableTask task(power_law_profile(8.0, 0.8, 16));
-  for (int gamma = 1; gamma <= 16; ++gamma) {
-    for (int procs = gamma; procs <= 16; ++procs) {
-      EXPECT_TRUE(geq(inefficiency_factor(task, procs, gamma), 1.0));
-    }
-  }
-}
-
-TEST(Inefficiency, ExactValueOnKnownProfile) {
-  const MalleableTask task(std::vector<double>{4.0, 2.5});
-  EXPECT_NEAR(inefficiency_factor(task, 2, 1), 5.0 / 4.0, 1e-12);
-  EXPECT_THROW(static_cast<void>(inefficiency_factor(task, 1, 2)), std::invalid_argument);
-}
-
-TEST(Inefficiency, SetAggregation) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 2.5});
-  tasks.emplace_back(std::vector<double>{2.0, 1.5});
-  const Instance instance(2, std::move(tasks));
-  const std::vector<int> ids{0, 1};
-  const std::vector<int> procs{2, 2};
-  const std::vector<int> gamma{1, 1};
-  EXPECT_NEAR(set_inefficiency(instance, ids, procs, gamma), (5.0 + 3.0) / (4.0 + 2.0), 1e-12);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
-#include "sched/exact_small.hpp"
+#include "oracles/exact_small.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"

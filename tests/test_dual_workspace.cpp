@@ -17,7 +17,7 @@
 #include "core/dual_workspace.hpp"
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
-#include "sched/exact_small.hpp"
+#include "oracles/exact_small.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -166,17 +166,17 @@ TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
   // The production fan-out: the default (workspace) mrt config must produce
   // the same schedules and bounds as the workspace=0 recomputation, on every
   // thread count.
-  std::vector<std::shared_ptr<const Instance>> instances;
+  std::vector<InstanceHandle> instances;
   Rng rng(4242);
   for (const auto family : all_workload_families()) {
     GeneratorOptions options;
     options.tasks = 20;
     options.machines = 10;
     instances.push_back(
-        std::make_shared<const Instance>(generate_instance(family, options, rng.fork_seed())));
+        InstanceHandle::intern(generate_instance(family, options, rng.fork_seed())));
   }
 
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> jobs;
   for (const auto& instance : instances) {
     jobs.push_back({"mrt", SolverOptions::from_string(""), instance});
     jobs.push_back({"mrt", SolverOptions::from_string("workspace=0"), instance});
@@ -322,11 +322,14 @@ TEST(DualWorkspace, RegistryExposesWorkspaceCounters) {
   GeneratorOptions options;
   options.tasks = 16;
   options.machines = 8;
-  const auto instance = generate_instance(WorkloadFamily::kBimodal, options, 3);
-  const auto fast = solve("mrt", instance);
+  const auto instance =
+      InstanceHandle::intern(generate_instance(WorkloadFamily::kBimodal, options, 3));
+  const auto& registry = SolverRegistry::global();
+  const auto fast = registry.solve(SolveRequest("mrt", {}, instance));
   EXPECT_GE(fast.stat("workspace.canonical_evals", -1.0), 1.0);
   EXPECT_GE(fast.stat("workspace.allocations", -1.0), 0.0);
-  const auto legacy = solve("mrt", instance, SolverOptions::from_string("workspace=0"));
+  const auto legacy =
+      registry.solve(SolveRequest("mrt", SolverOptions::from_string("workspace=0"), instance));
   EXPECT_EQ(legacy.stat("workspace.canonical_evals", -1.0), -1.0);
   EXPECT_EQ(fast.makespan, legacy.makespan);
   EXPECT_EQ(fast.lower_bound, legacy.lower_bound);

@@ -102,38 +102,45 @@ SolverRegistry edf_registry(const std::shared_ptr<PollGate>& gate,
 // ------------------------------------------------------------ edf dispatch
 
 TEST(EdfDiscipline, DispatchesEarliestDeadlineFirstUnderSaturation) {
-  const auto gate = std::make_shared<PollGate>();
-  const auto log = std::make_shared<DispatchLog>();
-  const auto registry = edf_registry(gate, log);
-  ServiceConfig config;
-  config.threads = 1;
-  config.registry = &registry;
-  config.queue_discipline = "edf";
-  SchedulerService service(config);
+  // Deadline order under edf: early (900 s) < middle (1800 s) < late
+  // (3600 s) < deadline-less; the budget gaps dwarf submit-time anchor
+  // jitter. fifo ignores deadlines for ordering: submission order.
+  const std::vector<std::pair<std::string, std::vector<int>>> cases{
+      {"edf", {12, 13, 11, 10}}, {"fifo", {10, 11, 12, 13}}};
+  for (const auto& [discipline, expected] : cases) {
+    SCOPED_TRACE(discipline);
+    const auto gate = std::make_shared<PollGate>();
+    const auto log = std::make_shared<DispatchLog>();
+    const auto registry = edf_registry(gate, log);
+    ServiceConfig config;
+    config.threads = 1;
+    config.registry = &registry;
+    config.queue_discipline = discipline;
+    SchedulerService service(config);
 
-  // Saturate the single worker so everything below queues up, then submit
-  // with budgets deliberately OUT of deadline order (and one deadline-less
-  // job first, which EDF must hold until last). Task counts 10/11/12/13
-  // tag the jobs in the dispatch log.
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(1)}));
-  gate->wait_entered();
-  SolveRequest no_deadline{"record", {}, InstanceHandle::intern(small_instance(2, 10))};
-  SolveRequest late{"record", {}, InstanceHandle::intern(small_instance(3, 11))};
-  late.budget_seconds = 3600.0;
-  SolveRequest early{"record", {}, InstanceHandle::intern(small_instance(4, 12))};
-  early.budget_seconds = 900.0;
-  SolveRequest middle{"record", {}, InstanceHandle::intern(small_instance(5, 13))};
-  middle.budget_seconds = 1800.0;
-  static_cast<void>(service.submit(std::move(no_deadline)));
-  static_cast<void>(service.submit(std::move(late)));
-  static_cast<void>(service.submit(std::move(early)));
-  static_cast<void>(service.submit(std::move(middle)));
+    // Saturate the single worker so everything below queues up, then submit
+    // with budgets deliberately OUT of deadline order (and one deadline-less
+    // job first, which EDF must hold until last). Task counts 10/11/12/13
+    // tag the jobs in the dispatch log.
+    static_cast<void>(
+        service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(1))}));
+    gate->wait_entered();
+    SolveRequest no_deadline{"record", {}, InstanceHandle::intern(small_instance(2, 10))};
+    SolveRequest late{"record", {}, InstanceHandle::intern(small_instance(3, 11))};
+    late.budget_seconds = 3600.0;
+    SolveRequest early{"record", {}, InstanceHandle::intern(small_instance(4, 12))};
+    early.budget_seconds = 900.0;
+    SolveRequest middle{"record", {}, InstanceHandle::intern(small_instance(5, 13))};
+    middle.budget_seconds = 1800.0;
+    static_cast<void>(service.submit(std::move(no_deadline)));
+    static_cast<void>(service.submit(std::move(late)));
+    static_cast<void>(service.submit(std::move(early)));
+    static_cast<void>(service.submit(std::move(middle)));
 
-  gate->open.store(true);
-  service.drain();
-  // Deadline order: early (900 s) < middle (1800 s) < late (3600 s) <
-  // deadline-less. The budget gaps dwarf submit-time anchor jitter.
-  EXPECT_EQ(log->snapshot(), (std::vector<int>{12, 13, 11, 10}));
+    gate->open.store(true);
+    service.drain();
+    EXPECT_EQ(log->snapshot(), expected);
+  }
 }
 
 TEST(EdfDiscipline, EqualDeadlinesBreakTiesByTicket) {
@@ -146,7 +153,7 @@ TEST(EdfDiscipline, EqualDeadlinesBreakTiesByTicket) {
   config.queue_discipline = "edf";
   SchedulerService service(config);
 
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(6)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(6))}));
   gate->wait_entered();
   // One shared ABSOLUTE deadline: merged keys are bit-equal, so the heap
   // must fall back to ticket order.
@@ -207,7 +214,7 @@ TEST(EdfDiscipline, ShedOldestEvictsTheOldestTicketNotTheLatestDeadline) {
   config.overload_policy = "shed_oldest";
   SchedulerService service(config);
 
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(8)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(8))}));
   gate->wait_entered();
   // The oldest queued job carries the EARLIEST deadline: shed_oldest must
   // still evict it (shedding is age-based admission control, not a deadline
@@ -236,6 +243,114 @@ TEST(EdfDiscipline, ShedOldestEvictsTheOldestTicketNotTheLatestDeadline) {
   // size 12) before the later one (3600 s, size 11) -- the shed job's stale
   // heap entry must not confuse the order.
   EXPECT_EQ(log->snapshot(), (std::vector<int>{12, 11}));
+}
+
+TEST(EdfDiscipline, DeadlineLessJobsFollowEveryDatedJobInSubmissionOrder) {
+  const auto gate = std::make_shared<PollGate>();
+  const auto log = std::make_shared<DispatchLog>();
+  const auto registry = edf_registry(gate, log);
+  ServiceConfig config;
+  config.threads = 1;
+  config.registry = &registry;
+  config.queue_discipline = "edf";
+  SchedulerService service(config);
+
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(12))}));
+  gate->wait_entered();
+  // Every deadline-less job keys on +inf: all three wait behind both dated
+  // jobs, however early they were submitted, and among themselves the
+  // ticket decides. Sizes 10..14 tag the jobs in submission order.
+  const std::vector<double> budgets{0.0, 3600.0, 0.0, 900.0, 0.0};
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const int size = 10 + static_cast<int>(i);
+    SolveRequest request{"record", {}, InstanceHandle::intern(small_instance(13 + i, size))};
+    request.budget_seconds = budgets[i];
+    static_cast<void>(service.submit(std::move(request)));
+  }
+  gate->open.store(true);
+  service.drain();
+  EXPECT_EQ(log->snapshot(), (std::vector<int>{13, 11, 10, 12, 14}));
+}
+
+TEST(EdfDiscipline, CancelledQueuedJobIsSkippedUnderEitherDiscipline) {
+  // cancel() turns a queued job terminal but leaves its heap entry behind;
+  // that stale entry must neither run nor reorder the rest, whichever
+  // discipline keyed it. The cancelled job is the one edf would run first.
+  const std::vector<std::pair<std::string, std::vector<int>>> cases{
+      {"edf", {11, 13, 10}}, {"fifo", {10, 11, 13}}};
+  for (const auto& [discipline, expected] : cases) {
+    SCOPED_TRACE(discipline);
+    const auto gate = std::make_shared<PollGate>();
+    const auto log = std::make_shared<DispatchLog>();
+    const auto registry = edf_registry(gate, log);
+    ServiceConfig config;
+    config.threads = 1;
+    config.registry = &registry;
+    config.queue_discipline = discipline;
+    SchedulerService service(config);
+
+    static_cast<void>(
+        service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(20))}));
+    gate->wait_entered();
+    const std::vector<double> budgets{0.0, 1800.0, 900.0, 3600.0};
+    std::vector<JobTicket> tickets;
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+      const int size = 10 + static_cast<int>(i);
+      SolveRequest request{"record", {}, InstanceHandle::intern(small_instance(21 + i, size))};
+      request.budget_seconds = budgets[i];
+      tickets.push_back(service.submit(std::move(request)));
+    }
+    EXPECT_TRUE(service.cancel(tickets[2]));
+
+    gate->open.store(true);
+    service.drain();
+    EXPECT_EQ(service.wait(tickets[2]).status, SolveStatus::kCancelled);
+    EXPECT_EQ(log->snapshot(), expected);
+  }
+}
+
+TEST(EdfDiscipline, ShutdownCancelsEveryQueuedJobWhateverItsDeadline) {
+  const auto gate = std::make_shared<PollGate>();
+  const auto log = std::make_shared<DispatchLog>();
+  const auto registry = edf_registry(gate, log);
+  ServiceConfig config;
+  config.threads = 1;
+  config.registry = &registry;
+  config.queue_discipline = "edf";
+  SchedulerService service(config);
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
+
+  const auto running =
+      service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(30))});
+  gate->wait_entered();
+  const std::vector<double> budgets{3600.0, 900.0, 0.0, 1800.0};
+  std::vector<JobTicket> queued;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    const int size = 10 + static_cast<int>(i);
+    SolveRequest request{"record", {}, InstanceHandle::intern(small_instance(31 + i, size))};
+    request.budget_seconds = budgets[i];
+    queued.push_back(service.submit(std::move(request)));
+  }
+
+  // shutdown() joins the gated worker, so it runs on a helper thread; the
+  // gate stays shut until every queued job is visibly cancelled, so none of
+  // them (not even the earliest deadline) can reach the worker first.
+  std::thread stopper([&service] { service.shutdown(); });
+  while (service.stats().cancelled < queued.size()) std::this_thread::yield();
+  gate->open.store(true);
+  stopper.join();
+
+  EXPECT_EQ(service.wait(running).status, SolveStatus::kOk);
+  for (const auto ticket : queued) {
+    const auto outcome = service.poll(ticket);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->status, SolveStatus::kCancelled);
+    EXPECT_EQ(outcome->error.code, SolveErrorCode::kShutdown);
+  }
+  EXPECT_TRUE(log->snapshot().empty());
+  ASSERT_EQ(streamed.size(), 1u + queued.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) EXPECT_EQ(streamed[i].ticket, i);
 }
 
 // --------------------------------------------------------------- fast path
@@ -320,7 +435,7 @@ TEST(ServiceGauges, QueueDepthHighWaterTracksTheDeepestQueue) {
   SchedulerService service(config);
 
   EXPECT_EQ(service.stats().queue_depth_high_water, 0u);
-  static_cast<void>(service.submit({"pollgate", {}, small_instance(30)}));
+  static_cast<void>(service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(30))}));
   gate->wait_entered();
   for (std::uint64_t i = 0; i < 3; ++i) {
     static_cast<void>(

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,17 +27,18 @@ Instance small_instance(std::uint64_t seed, int tasks = 16, int machines = 8) {
 }
 
 /// A mixed batch: families rotate with the seed, solvers with the index.
-std::vector<BatchJob> mixed_jobs(std::size_t count) {
+std::vector<SolveRequest> mixed_jobs(std::size_t count) {
   const std::vector<std::pair<std::string, std::string>> configs{
       {"mrt", ""},
       {"two_phase", "rigid=ffdh"},
       {"naive", "policy=lpt-seq"},
       {"two_shelves_32", ""},
   };
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> jobs;
   for (std::size_t i = 0; i < count; ++i) {
     const auto& [solver, spec] = configs[i % configs.size()];
-    jobs.push_back({solver, SolverOptions::from_string(spec), small_instance(100 + i)});
+    jobs.push_back({solver, SolverOptions::from_string(spec),
+                    InstanceHandle::intern(small_instance(100 + i))});
   }
   return jobs;
 }
@@ -65,8 +65,6 @@ SolverRegistry flaky_registry() {
 // --------------------------------------------------------------- BatchRunner
 
 TEST(BatchRunner, EmptyBatchIsANoop) {
-  // Explicit element type: `{}` would be ambiguous between the SolveRequest
-  // and the legacy BatchJob overloads.
   const auto report = BatchRunner().run(std::vector<SolveRequest>{});
   EXPECT_TRUE(report.items.empty());
   EXPECT_TRUE(report.all_ok());
@@ -75,9 +73,12 @@ TEST(BatchRunner, EmptyBatchIsANoop) {
 
 TEST(BatchRunner, ItemsComeBackInJobOrder) {
   const auto jobs = mixed_jobs(12);
+  const auto hashes_before = InstanceHandle::content_hashes();
   BatchRunnerOptions options;
   options.threads = 4;
   const auto report = BatchRunner(SolverRegistry::global(), options).run(jobs);
+  EXPECT_EQ(InstanceHandle::content_hashes(), hashes_before)
+      << "the request path must not re-fingerprint interned instances";
   ASSERT_EQ(report.items.size(), jobs.size());
   EXPECT_EQ(report.ok, jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -93,7 +94,7 @@ TEST(BatchRunner, MatchesSerialRegistryDispatch) {
   options.threads = 3;
   const auto report = BatchRunner(SolverRegistry::global(), options).run(jobs);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto direct = solve(jobs[i].solver, *jobs[i].instance, jobs[i].options);
+    const auto direct = SolverRegistry::global().solve(jobs[i]);
     ASSERT_TRUE(report.items[i].result.has_value());
     EXPECT_DOUBLE_EQ(report.items[i].result->makespan, direct.makespan);
     EXPECT_DOUBLE_EQ(report.items[i].result->lower_bound, direct.lower_bound);
@@ -125,29 +126,6 @@ TEST(BatchRunner, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchRunner, SolveRequestPathMatchesBatchJobShimByteForByte) {
-  // API v2: requests built from handles interned once must produce the same
-  // report as the legacy interning shim -- and do so without re-hashing any
-  // profile bits at run() time.
-  const auto jobs = mixed_jobs(12);
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_schedules = true;
-  const std::string reference = batch_report_json(BatchRunner().run(jobs), json);
-
-  std::vector<SolveRequest> requests;
-  for (const auto& job : jobs) {
-    requests.emplace_back(job.solver, job.options, InstanceHandle::intern(job.instance));
-  }
-  const auto hashes_before = InstanceHandle::content_hashes();
-  BatchRunnerOptions options;
-  options.threads = 4;
-  const auto report = BatchRunner(SolverRegistry::global(), options).run(requests);
-  EXPECT_EQ(InstanceHandle::content_hashes(), hashes_before)
-      << "the request path must not re-fingerprint interned instances";
-  EXPECT_EQ(batch_report_json(report, json), reference);
-}
-
 TEST(BatchRunner, RequestWithEmptyHandleIsRejectedUpFront) {
   std::vector<SolveRequest> requests(1);  // default = empty handle
   EXPECT_THROW(static_cast<void>(BatchRunner().run(requests)), std::invalid_argument);
@@ -156,10 +134,10 @@ TEST(BatchRunner, RequestWithEmptyHandleIsRejectedUpFront) {
 TEST(BatchRunner, OversubscriptionStressStaysDeterministic) {
   // Far more workers than cores (this container has few) and than jobs'
   // natural parallelism; tiny instances maximize scheduling churn.
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> jobs;
   for (std::size_t i = 0; i < 100; ++i) {
     jobs.push_back({"naive", SolverOptions::from_string("policy=lpt-seq"),
-                    small_instance(i, /*tasks=*/6, /*machines=*/4)});
+                    InstanceHandle::intern(small_instance(i, /*tasks=*/6, /*machines=*/4))});
   }
   BatchJsonOptions json;
   json.include_timing = false;
@@ -179,9 +157,9 @@ TEST(BatchRunner, OversubscriptionStressStaysDeterministic) {
 
 TEST(BatchRunner, OneThrowingSolveDoesNotPoisonTheBatch) {
   const auto registry = flaky_registry();
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> jobs;
   for (std::size_t i = 0; i < 10; ++i) {
-    jobs.push_back({i % 2 == 0 ? "seq" : "boom", {}, small_instance(i)});
+    jobs.push_back({i % 2 == 0 ? "seq" : "boom", {}, InstanceHandle::intern(small_instance(i))});
   }
   BatchRunnerOptions options;
   options.threads = 4;
@@ -192,11 +170,11 @@ TEST(BatchRunner, OneThrowingSolveDoesNotPoisonTheBatch) {
   EXPECT_FALSE(report.all_ok());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (i % 2 == 0) {
-      EXPECT_EQ(report.items[i].status, BatchItemStatus::kOk);
+      EXPECT_EQ(report.items[i].status, SolveStatus::kOk);
       ASSERT_TRUE(report.items[i].result.has_value());
       EXPECT_TRUE(report.items[i].result->schedule.complete());
     } else {
-      EXPECT_EQ(report.items[i].status, BatchItemStatus::kError);
+      EXPECT_EQ(report.items[i].status, SolveStatus::kError);
       EXPECT_EQ(report.items[i].error.code, SolveErrorCode::kSolverFailure);
       EXPECT_NE(report.items[i].error.detail.find("boom"), std::string::npos);
       EXPECT_FALSE(report.items[i].result.has_value());
@@ -205,9 +183,9 @@ TEST(BatchRunner, OneThrowingSolveDoesNotPoisonTheBatch) {
 }
 
 TEST(BatchRunner, UnknownSolverNameIsIsolatedToo) {
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"mrt", {}, small_instance(1)});
-  jobs.push_back({"no-such-solver", {}, small_instance(2)});
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"mrt", {}, InstanceHandle::intern(small_instance(1))});
+  jobs.push_back({"no-such-solver", {}, InstanceHandle::intern(small_instance(2))});
   const auto report = BatchRunner().run(jobs);
   EXPECT_EQ(report.ok, 1u);
   EXPECT_EQ(report.errors, 1u);
@@ -217,19 +195,19 @@ TEST(BatchRunner, UnknownSolverNameIsIsolatedToo) {
 
 TEST(BatchRunner, StopOnErrorCancelsTheRemainder) {
   const auto registry = flaky_registry();
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"seq", {}, small_instance(0)});
-  jobs.push_back({"boom", {}, small_instance(1)});
-  jobs.push_back({"seq", {}, small_instance(2)});
-  jobs.push_back({"seq", {}, small_instance(3)});
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(0))});
+  jobs.push_back({"boom", {}, InstanceHandle::intern(small_instance(1))});
+  jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(2))});
+  jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(3))});
   BatchRunnerOptions options;
   options.threads = 1;  // serial dispatch makes the cancellation point exact
   options.stop_on_error = true;
   const auto report = BatchRunner(registry, options).run(jobs);
-  EXPECT_EQ(report.items[0].status, BatchItemStatus::kOk);
-  EXPECT_EQ(report.items[1].status, BatchItemStatus::kError);
-  EXPECT_EQ(report.items[2].status, BatchItemStatus::kCancelled);
-  EXPECT_EQ(report.items[3].status, BatchItemStatus::kCancelled);
+  EXPECT_EQ(report.items[0].status, SolveStatus::kOk);
+  EXPECT_EQ(report.items[1].status, SolveStatus::kError);
+  EXPECT_EQ(report.items[2].status, SolveStatus::kCancelled);
+  EXPECT_EQ(report.items[3].status, SolveStatus::kCancelled);
   EXPECT_EQ(report.ok, 1u);
   EXPECT_EQ(report.errors, 1u);
   EXPECT_EQ(report.cancelled, 2u);
@@ -237,9 +215,9 @@ TEST(BatchRunner, StopOnErrorCancelsTheRemainder) {
 
 TEST(BatchRunner, StopOnErrorDoesNotFireTheCallersToken) {
   const auto registry = flaky_registry();
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"boom", {}, small_instance(0)});
-  jobs.push_back({"seq", {}, small_instance(1)});
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"boom", {}, InstanceHandle::intern(small_instance(0))});
+  jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(1))});
   BatchRunnerOptions options;
   options.threads = 1;
   options.stop_on_error = true;
@@ -257,22 +235,9 @@ TEST(BatchRunner, PreCancelledTokenSkipsEveryJob) {
   EXPECT_EQ(report.cancelled, 6u);
   EXPECT_EQ(report.ok, 0u);
   for (const auto& item : report.items) {
-    EXPECT_EQ(item.status, BatchItemStatus::kCancelled);
+    EXPECT_EQ(item.status, SolveStatus::kCancelled);
     EXPECT_FALSE(item.result.has_value());
   }
-}
-
-TEST(BatchJob, SharedInstanceIsNotCopiedAndNullIsRejected) {
-  const auto shared = std::make_shared<const Instance>(small_instance(5));
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"mrt", {}, shared});
-  jobs.push_back({"naive", SolverOptions::from_string("policy=gang"), shared});
-  EXPECT_EQ(jobs[0].instance.get(), shared.get());
-  EXPECT_EQ(jobs[1].instance.get(), shared.get());
-  const auto report = BatchRunner().run(jobs);
-  EXPECT_EQ(report.ok, 2u);
-
-  EXPECT_THROW(BatchJob("mrt", {}, std::shared_ptr<const Instance>{}), std::invalid_argument);
 }
 
 TEST(BatchRunner, CopiedTokensShareOneFlag) {
@@ -283,8 +248,10 @@ TEST(BatchRunner, CopiedTokensShareOneFlag) {
 }
 
 TEST(BatchReport, AggregateStatsSumSolverCounters) {
-  std::vector<BatchJob> jobs;
-  for (std::size_t i = 0; i < 4; ++i) jobs.push_back({"mrt", {}, small_instance(i)});
+  std::vector<SolveRequest> jobs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    jobs.push_back({"mrt", {}, InstanceHandle::intern(small_instance(i))});
+  }
   const auto report = BatchRunner().run(jobs);
   ASSERT_EQ(report.ok, jobs.size());
   double expected_iterations = 0.0;
@@ -321,9 +288,9 @@ TEST(SolveBatch, HonorsCancellation) {
 
 TEST(BatchJson, SerializesStatusErrorAndResultFields) {
   const auto registry = flaky_registry();
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"seq", {}, small_instance(0)});
-  jobs.push_back({"boom", {}, small_instance(1)});
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(0))});
+  jobs.push_back({"boom", {}, InstanceHandle::intern(small_instance(1))});
   const auto report = BatchRunner(registry).run(jobs);
   const auto text = batch_report_json(report);
   EXPECT_NE(text.find("\"status\":\"ok\""), std::string::npos);
@@ -336,8 +303,8 @@ TEST(BatchJson, SerializesStatusErrorAndResultFields) {
 }
 
 TEST(BatchJson, TimingAndScheduleTogglesChangeTheDocument) {
-  std::vector<BatchJob> jobs;
-  jobs.push_back({"mrt", {}, small_instance(0)});
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"mrt", {}, InstanceHandle::intern(small_instance(0))});
   const auto report = BatchRunner().run(jobs);
 
   BatchJsonOptions bare;

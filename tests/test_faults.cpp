@@ -291,10 +291,10 @@ TEST_F(ServiceFaults, ShutdownMidDrainLeavesNoHangAndExactCounts) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(40)});
+  const auto running = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(40))});
   std::vector<JobTicket> queued;
   for (int i = 0; i < 4; ++i) {
-    queued.push_back(service.submit({"seq", {}, small_instance(41 + i)}));
+    queued.push_back(service.submit({"seq", {}, InstanceHandle::intern(small_instance(41 + i))}));
   }
   gate->wait_entered();
 
@@ -337,7 +337,7 @@ TEST_F(Deadlines, CancelStopsARunningSolve) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto ticket = service.submit({"pollgate", {}, small_instance(50)});
+  const auto ticket = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(50))});
   gate->wait_entered();
   EXPECT_TRUE(service.cancel(ticket));  // running: fires the token
   const SolveOutcome outcome = service.wait(ticket);
@@ -373,7 +373,7 @@ TEST_F(Deadlines, QueueWaitCountsAgainstTheBudget) {
   config.registry = &registry;
   SchedulerService service(config);
 
-  const auto blocker = service.submit({"pollgate", {}, small_instance(52)});
+  const auto blocker = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(52))});
   gate->wait_entered();
   SolveRequest request{"seq", {}, InstanceHandle::intern(small_instance(53))};
   request.budget_seconds = 0.01;
@@ -443,11 +443,11 @@ TEST_F(Admission, RejectTurnsOverflowTerminalImmediately) {
   config.overload_policy = "reject";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(60)});
+  const auto running = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(60))});
   gate->wait_entered();  // worker busy; the queue is empty again
-  const auto queued_a = service.submit({"seq", {}, small_instance(61)});
-  const auto queued_b = service.submit({"seq", {}, small_instance(62)});
-  const auto refused = service.submit({"seq", {}, small_instance(63)});
+  const auto queued_a = service.submit({"seq", {}, InstanceHandle::intern(small_instance(61))});
+  const auto queued_b = service.submit({"seq", {}, InstanceHandle::intern(small_instance(62))});
+  const auto refused = service.submit({"seq", {}, InstanceHandle::intern(small_instance(63))});
 
   const auto outcome = service.poll(refused);  // terminal without dispatch
   ASSERT_TRUE(outcome.has_value());
@@ -477,11 +477,11 @@ TEST_F(Admission, ShedOldestEvictsTheOldestQueuedJob) {
   config.overload_policy = "shed_oldest";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(64)});
+  const auto running = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(64))});
   gate->wait_entered();
-  const auto oldest = service.submit({"seq", {}, small_instance(65)});
-  const auto kept = service.submit({"seq", {}, small_instance(66)});
-  const auto admitted = service.submit({"seq", {}, small_instance(67)});
+  const auto oldest = service.submit({"seq", {}, InstanceHandle::intern(small_instance(65))});
+  const auto kept = service.submit({"seq", {}, InstanceHandle::intern(small_instance(66))});
+  const auto admitted = service.submit({"seq", {}, InstanceHandle::intern(small_instance(67))});
 
   const auto shed = service.poll(oldest);  // evicted in favor of `admitted`
   ASSERT_TRUE(shed.has_value());
@@ -510,12 +510,13 @@ TEST_F(Admission, DegradeAnswersOverflowWithTheFallbackSolver) {
   config.fallback_solver = "seq";
   SchedulerService service(config);
 
-  const auto running = service.submit({"pollgate", {}, small_instance(68)});
+  const auto running = service.submit({"pollgate", {}, InstanceHandle::intern(small_instance(68))});
   gate->wait_entered();
-  const auto normal = service.submit({"slowpoll", {}, small_instance(69)});
+  const auto normal = service.submit({"slowpoll", {}, InstanceHandle::intern(small_instance(69))});
   // Past the watermark: admitted, but flagged to run "seq" instead of the
   // 10 s "slowpoll" it asked for.
-  const auto degraded = service.submit({"slowpoll", {}, small_instance(70)});
+  const auto degraded =
+      service.submit({"slowpoll", {}, InstanceHandle::intern(small_instance(70))});
   // Unblock: cancel the honest slowpoll (it would run 10 s) and release.
   EXPECT_TRUE(service.cancel(normal));
   gate->open.store(true);

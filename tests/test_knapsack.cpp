@@ -1,5 +1,5 @@
-// Tests for src/knapsack: the exact DP, the FPTAS, the dual (min) knapsack
-// and the greedy bound, cross-checked against brute force.
+// Tests for src/knapsack: the exact DP, the FPTAS and the dual (min)
+// knapsack, cross-checked against brute force.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "knapsack/knapsack.hpp"
+#include "oracles/knapsack_brute_force.hpp"
 #include "support/rng.hpp"
 
 namespace malsched {
@@ -93,19 +94,6 @@ TEST_P(KnapsackRandomTest, FptasWithinFactor) {
   }
 }
 
-TEST_P(KnapsackRandomTest, GreedyIsHalfOptimal) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) + 2000);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(1, 12));
-    const auto items = random_items(rng, n, 20, 100);
-    const long long capacity = rng.uniform_int(1, 60);
-    const auto greedy = knapsack_greedy(items, capacity);
-    const auto brute = knapsack_brute_force(items, capacity);
-    EXPECT_LE(greedy.weight, capacity);
-    EXPECT_GE(2 * greedy.profit, brute.profit);
-  }
-}
-
 TEST_P(KnapsackRandomTest, MinKnapsackMatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 3000);
   for (int trial = 0; trial < 30; ++trial) {
@@ -119,6 +107,28 @@ TEST_P(KnapsackRandomTest, MinKnapsackMatchesBruteForce) {
       EXPECT_EQ(dp->weight, *brute);
       EXPECT_GE(selection_profit(items, *dp), demand);
       EXPECT_EQ(selection_weight(items, *dp), dp->weight);
+    }
+  }
+}
+
+TEST_P(KnapsackRandomTest, MinKnapsackApproxIsExactBelowTheBudget) {
+  // min_knapsack_approx is what the two-shelf construction calls. While
+  // n * (demand + 1) stays under its DP budget it solves exactly, so the
+  // (1+eps) guarantee tightens to the optimum itself for every eps.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 5000);
+  for (const double eps : {0.5, 0.1}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const int n = static_cast<int>(rng.uniform_int(0, 11));
+      const auto items = random_items(rng, n, 20, 15);
+      const long long demand = rng.uniform_int(0, 70);
+      const auto approx = min_knapsack_approx(items, demand, eps);
+      const auto brute = brute_min_weight(items, demand);
+      ASSERT_EQ(approx.has_value(), brute.has_value()) << "eps=" << eps;
+      if (approx) {
+        EXPECT_EQ(approx->weight, *brute) << "eps=" << eps;
+        EXPECT_GE(selection_profit(items, *approx), demand);
+        EXPECT_EQ(selection_weight(items, *approx), approx->weight);
+      }
     }
   }
 }
@@ -215,6 +225,18 @@ TEST(Knapsack, BruteForceLimit) {
   EXPECT_THROW(knapsack_brute_force(items, 5), std::invalid_argument);
 }
 
+TEST(Knapsack, BruteForceRejectsNegativeInputs) {
+  // The oracle checks its own input instead of relying on the solvers'
+  // validation, so a bad item cannot slip into a cross-check unnoticed.
+  const std::vector<KnapsackItem> bad{{-1, 2}};
+  EXPECT_THROW(knapsack_brute_force(bad, 5), std::invalid_argument);
+  const std::vector<KnapsackItem> bad2{{1, -2}};
+  EXPECT_THROW(knapsack_brute_force(bad2, 5), std::invalid_argument);
+  // A negative capacity is not an input error: nothing fits.
+  const std::vector<KnapsackItem> good{{1, 2}};
+  EXPECT_EQ(knapsack_brute_force(good, -1).profit, 0);
+}
+
 TEST(MinKnapsack, ZeroDemandIsEmpty) {
   const std::vector<KnapsackItem> items{{3, 4}};
   const auto sel = min_knapsack_exact(items, 0);
@@ -239,6 +261,26 @@ TEST(MinKnapsack, ApproxKeepsHardConstraint) {
     const auto sel = min_knapsack_approx(items, demand, 0.25);
     ASSERT_TRUE(sel.has_value());
     EXPECT_GE(selection_profit(items, *sel), demand);
+  }
+}
+
+TEST(MinKnapsack, ScaledApproxKeepsHardConstraintAboveTheBudget) {
+  // Demands in the hundreds of millions push n * (demand + 1) past the exact
+  // DP budget, onto the profit-scaling path. Rounding the demand up must
+  // still cover the true demand, and no answer can undercut the optimum.
+  Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(4, 12));
+    const auto items = random_items(rng, n, 1000, 200'000'000);
+    long long total_profit = 0;
+    for (const auto& item : items) total_profit += item.profit;
+    const long long demand = rng.uniform_int(total_profit / 4, total_profit / 2);
+    ASSERT_GT(static_cast<long long>(items.size()) * (demand + 1), 1LL << 26);
+    const auto sel = min_knapsack_approx(items, demand, 0.25);
+    ASSERT_TRUE(sel.has_value());
+    EXPECT_GE(selection_profit(items, *sel), demand);
+    EXPECT_EQ(selection_weight(items, *sel), sel->weight);
+    EXPECT_GE(sel->weight, *brute_min_weight(items, demand));
   }
 }
 

@@ -267,8 +267,42 @@ TEST(InstanceIo, RejectsMissingHeader) {
 }
 
 TEST(InstanceIo, RejectsShortTaskLine) {
-  std::istringstream in("malsched-instance v1\nm 3\ntask a 1.0 0.9\n");
+  // The second input claims 2e9 machines in 40 bytes: the reader must fail
+  // on the missing values, not allocate m times per task (16 GB) first.
+  for (const char* text : {"malsched-instance v1\nm 3\ntask a 1.0 0.9\n",
+                           "malsched-instance v1\nm 2000000000\ntask a 1\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(read_instance(in), std::runtime_error) << text;
+  }
+}
+
+TEST(InstanceIo, RejectsExtraValuesOnATaskLine) {
+  // Values are read as tokens, m per task: a surplus value must surface as
+  // an error, not shift into the next task's record.
+  std::istringstream in("malsched-instance v1\nm 2\ntask a 1.0 0.6 0.5\ntask b 1.0 0.6\n");
   EXPECT_THROW(read_instance(in), std::runtime_error);
+}
+
+TEST(InstanceIo, WideProfileRoundTripsExactly) {
+  // An honest machine count in the thousands: every one of the m values per
+  // task is read back, in order, as the reader grows each profile.
+  constexpr int kMachines = 4096;
+  std::vector<MalleableTask> tasks;
+  tasks.emplace_back(amdahl_profile(9.5, 0.01, kMachines), "wide");
+  tasks.emplace_back(power_law_profile(4.0, 0.9, kMachines));
+  const Instance original(kMachines, std::move(tasks));
+
+  const Instance copy = instance_from_string(instance_to_string(original));
+
+  ASSERT_EQ(copy.machines(), kMachines);
+  ASSERT_EQ(copy.size(), original.size());
+  for (int i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(copy.task(i).name(), original.task(i).name());
+    for (int p = 1; p <= kMachines; ++p) {
+      ASSERT_DOUBLE_EQ(copy.task(i).time(p), original.task(i).time(p))
+          << "task " << i << ", p " << p;
+    }
+  }
 }
 
 TEST(InstanceIo, RejectsNonMonotoneProfile) {
@@ -355,6 +389,17 @@ TEST(InstanceHandle, InternTableHoldsWeakReferencesOnly) {
       << "a dead entry must not count as a hit";
   EXPECT_TRUE(b.valid());
   static_cast<void>(first_allocation);  // dead; only proves the scope ended
+}
+
+TEST(InstanceHandle, InternOfASharedInstanceKeepsItsAllocation) {
+  // Content nobody else has interned is adopted, not copied: the handle
+  // co-owns the caller's allocation, and the weak intern table adds no
+  // owner of its own.
+  const auto shared = std::make_shared<const Instance>(handle_instance(4.25));
+  const auto handle = InstanceHandle::intern(shared);
+  EXPECT_EQ(handle.shared().get(), shared.get());
+  EXPECT_EQ(shared.use_count(), 2);
+  EXPECT_DOUBLE_EQ(handle.static_lower_bound(), makespan_lower_bound(*shared));
 }
 
 TEST(InstanceHandle, TaskNamesContributeToTheFingerprint) {

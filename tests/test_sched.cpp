@@ -1,18 +1,18 @@
 // Tests for src/sched: schedule representation, the validator (including
 // negative cases), the contiguous list scheduler with the paper's tie rule,
-// LPT, compaction, the Gantt renderer and the brute-force oracle.
+// compaction, the Gantt renderer and the brute-force oracle.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <tuple>
 
+#include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
+#include "oracles/exact_small.hpp"
 #include "sched/compaction.hpp"
-#include "sched/exact_small.hpp"
 #include "sched/gantt.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/lpt.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sliding.hpp"
 #include "sched/validate.hpp"
@@ -247,54 +247,6 @@ TEST(ListScheduler, OrderHelpers) {
   EXPECT_EQ(by_alloted, (std::vector<int>{1, 0, 2}));
 }
 
-// ---------------------------------------------------------------------- lpt
-
-TEST(Lpt, KnownExample) {
-  // Graham's tightness example on 3 machines: LPT yields 11 while OPT = 9,
-  // meeting the 4/3 - 1/(3m) = 11/9 bound exactly.
-  const std::vector<double> jobs{5, 5, 4, 4, 3, 3, 3};
-  EXPECT_DOUBLE_EQ(lpt_makespan(jobs, 3), 11.0);
-  EXPECT_NEAR(11.0 / 9.0, lpt_guarantee(3), 1e-12);
-}
-
-TEST(Lpt, SingleMachineIsSum) {
-  const std::vector<double> jobs{1, 2, 3};
-  EXPECT_DOUBLE_EQ(lpt_makespan(jobs, 1), 6.0);
-}
-
-TEST(Lpt, TwoLowerBoundsHold) {
-  Rng rng(606);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int m = static_cast<int>(rng.uniform_int(1, 12));
-    std::vector<double> jobs(static_cast<std::size_t>(rng.uniform_int(1, 40)));
-    double total = 0.0;
-    double longest = 0.0;
-    for (auto& d : jobs) {
-      d = rng.uniform(0.1, 5.0);
-      total += d;
-      longest = std::max(longest, d);
-    }
-    const double lb = std::max(longest, total / m);
-    const double makespan = lpt_makespan(jobs, m);
-    EXPECT_TRUE(geq(makespan, lb));
-    // Any list schedule is below avg load + longest job <= 2 * lb.
-    EXPECT_TRUE(leq(makespan, total / m + longest));
-  }
-}
-
-TEST(Lpt, GuaranteeFormula) {
-  EXPECT_NEAR(lpt_guarantee(1), 1.0, 1e-12);
-  EXPECT_NEAR(lpt_guarantee(3), 4.0 / 3.0 - 1.0 / 9.0, 1e-12);
-}
-
-TEST(Lpt, RejectsBadInput) {
-  // The void casts keep [[nodiscard]] quiet on the paths that must throw.
-  EXPECT_THROW(static_cast<void>(lpt_makespan(std::vector<double>{1.0}, 0)),
-               std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(lpt_makespan(std::vector<double>{0.0}, 2)),
-               std::invalid_argument);
-}
-
 // --------------------------------------------------------------- compaction
 
 TEST(Compaction, NeverIncreasesMakespanAndStaysValid) {
@@ -372,6 +324,32 @@ TEST(BruteForce, RespectsBudget) {
   const auto instance = generate_instance(WorkloadFamily::kUniform, options, 1);
   EXPECT_FALSE(brute_force_schedule(instance, 1000).has_value());
 }
+
+class BruteForceRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BruteForceRandomTest, ReturnsAValidScheduleNoShorterThanTheLowerBound) {
+  // The oracle's answers feed the dual-approximation soundness checks, so
+  // they must themselves be feasible: complete, contiguous, and never below
+  // the area/critical-path bound that no schedule can beat.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 6100);
+  for (int trial = 0; trial < 10; ++trial) {
+    GeneratorOptions options;
+    options.tasks = static_cast<int>(rng.uniform_int(1, 4));
+    options.machines = static_cast<int>(rng.uniform_int(1, 3));
+    const auto families = all_workload_families();
+    const auto family = families[static_cast<std::size_t>(trial) % families.size()];
+    const auto seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1000));
+    const auto instance = generate_instance(family, options, seed);
+    const auto result = brute_force_schedule(instance);
+    ASSERT_TRUE(result.has_value());
+    const auto report = validate_schedule(result->schedule, instance);
+    EXPECT_TRUE(report.ok) << report.str();
+    EXPECT_DOUBLE_EQ(result->makespan, result->schedule.makespan());
+    EXPECT_TRUE(geq(result->makespan, makespan_lower_bound(instance)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BruteForceRandomTest, ::testing::Values(1, 2, 3));
 
 TEST(BruteForce, EmptyInstance) {
   const Instance instance(2, {});

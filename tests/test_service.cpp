@@ -41,19 +41,20 @@ Instance small_instance(std::uint64_t seed, int tasks = 16, int machines = 8) {
 /// use distinct instances: same-instance mrt misses legitimately report
 /// different workspace audit deltas, which the byte-compare here must not
 /// see (covered by WorkspaceReuse* below instead).
-std::vector<BatchJob> mixed_jobs_with_duplicates(std::size_t base_count) {
+std::vector<SolveRequest> mixed_jobs_with_duplicates(std::size_t base_count) {
   const std::vector<std::pair<std::string, std::string>> configs{
       {"mrt", ""},
       {"two_phase", "rigid=ffdh"},
       {"naive", "policy=lpt-seq"},
       {"two_shelves_32", ""},
   };
-  std::vector<BatchJob> jobs;
+  std::vector<SolveRequest> jobs;
   for (std::size_t i = 0; i < base_count; ++i) {
     const auto& [solver, spec] = configs[i % configs.size()];
-    jobs.push_back({solver, SolverOptions::from_string(spec), small_instance(200 + i)});
+    jobs.push_back({solver, SolverOptions::from_string(spec),
+                    InstanceHandle::intern(small_instance(200 + i))});
   }
-  // Exact duplicates of two non-mrt jobs (same shared instance, same
+  // Exact duplicates of two non-mrt jobs (same interned instance, same
   // options): deterministic cache hits once the original has completed.
   jobs.push_back({jobs[1].solver, jobs[1].options, jobs[1].instance});
   jobs.push_back({jobs[2].solver, jobs[2].options, jobs[2].instance});
@@ -62,7 +63,7 @@ std::vector<BatchJob> mixed_jobs_with_duplicates(std::size_t base_count) {
 
 /// Outcomes reshaped as a BatchReport so the byte-compare reuses the proven
 /// exec/batch_json serialization.
-BatchReport report_from(const std::vector<JobOutcome>& outcomes) {
+BatchReport report_from(const std::vector<SolveOutcome>& outcomes) {
   BatchReport report;
   for (const auto& outcome : outcomes) {
     BatchItem item;
@@ -71,9 +72,9 @@ BatchReport report_from(const std::vector<JobOutcome>& outcomes) {
     item.result = outcome.result;
     item.error = outcome.error;
     switch (item.status) {
-      case BatchItemStatus::kOk: ++report.ok; break;
-      case BatchItemStatus::kError: ++report.errors; break;
-      case BatchItemStatus::kCancelled: ++report.cancelled; break;
+      case SolveStatus::kOk: ++report.ok; break;
+      case SolveStatus::kError: ++report.errors; break;
+      case SolveStatus::kCancelled: ++report.cancelled; break;
     }
     report.items.push_back(std::move(item));
   }
@@ -149,11 +150,11 @@ TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
   const std::string reference = batch_report_json(solve_batch(jobs), json);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = threads;
     SchedulerService service(options);
-    std::vector<JobOutcome> streamed;
-    service.on_result([&streamed](const JobOutcome& outcome) {
+    std::vector<SolveOutcome> streamed;
+    service.on_result([&streamed](const SolveOutcome& outcome) {
       // Delivery is serialized by contract; no lock needed.
       streamed.push_back(outcome);
     });
@@ -174,26 +175,26 @@ TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
 TEST(SchedulerService, PollWaitStateLifecycle) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
 
-  const auto blocked = service.submit({"gate", {}, small_instance(1)});
+  const auto blocked = service.submit({"gate", {}, InstanceHandle::intern(small_instance(1))});
   gate->wait_entered();
   EXPECT_EQ(service.state(blocked), JobState::kRunning);
   EXPECT_FALSE(service.poll(blocked).has_value());
 
-  const auto queued = service.submit({"seq", {}, small_instance(2)});
+  const auto queued = service.submit({"seq", {}, InstanceHandle::intern(small_instance(2))});
   EXPECT_EQ(service.state(queued), JobState::kQueued);
 
   gate->release();
   const auto outcome = service.wait(queued);
-  EXPECT_EQ(outcome.status, BatchItemStatus::kOk);
+  EXPECT_EQ(outcome.status, SolveStatus::kOk);
   EXPECT_EQ(outcome.ticket, queued.id);
   EXPECT_EQ(service.state(queued), JobState::kDone);
   ASSERT_TRUE(service.poll(blocked).has_value() || service.wait(blocked).status ==
-                                                       BatchItemStatus::kOk);
+                                                       SolveStatus::kOk);
 
   const JobTicket bogus{999};
   EXPECT_THROW(static_cast<void>(service.poll(bogus)), std::out_of_range);
@@ -205,17 +206,17 @@ TEST(SchedulerService, PollWaitStateLifecycle) {
 TEST(SchedulerService, ErrorsAreIsolatedPerJob) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
-  const auto bad = service.submit({"boom", {}, small_instance(3)});
-  const auto good = service.submit({"seq", {}, small_instance(4)});
+  const auto bad = service.submit({"boom", {}, InstanceHandle::intern(small_instance(3))});
+  const auto good = service.submit({"seq", {}, InstanceHandle::intern(small_instance(4))});
   const auto failed = service.wait(bad);
-  EXPECT_EQ(failed.status, BatchItemStatus::kError);
+  EXPECT_EQ(failed.status, SolveStatus::kError);
   EXPECT_EQ(failed.error.code, SolveErrorCode::kSolverFailure);
   EXPECT_NE(failed.error.detail.find("boom"), std::string::npos);
-  EXPECT_EQ(service.wait(good).status, BatchItemStatus::kOk);
+  EXPECT_EQ(service.wait(good).status, SolveStatus::kOk);
   const auto stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -224,16 +225,16 @@ TEST(SchedulerService, ErrorsAreIsolatedPerJob) {
 // ------------------------------------------------------------- solve cache
 
 TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  const auto instance = std::make_shared<const Instance>(small_instance(7));
-  const BatchJob job{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
+  const auto instance = InstanceHandle::intern(small_instance(7));
+  const SolveRequest job{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
 
   const auto first = service.wait(service.submit(job));
   const auto second = service.wait(service.submit(job));
-  ASSERT_EQ(first.status, BatchItemStatus::kOk);
-  ASSERT_EQ(second.status, BatchItemStatus::kOk);
+  ASSERT_EQ(first.status, SolveStatus::kOk);
+  ASSERT_EQ(second.status, SolveStatus::kOk);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
 
@@ -256,24 +257,24 @@ TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
   EXPECT_EQ(stats.cache_entries, 1u);
 
   // Content addressing: an identical but separately generated instance hits
-  // the same entry (no shared_ptr required).
-  const BatchJob regenerated{"mrt", SolverOptions::from_string("epsilon=0.05"),
-                             small_instance(7)};
+  // the same entry (no shared handle required).
+  const SolveRequest regenerated{"mrt", SolverOptions::from_string("epsilon=0.05"),
+                                 InstanceHandle::intern(small_instance(7))};
   EXPECT_TRUE(service.wait(service.submit(regenerated)).cache_hit);
 }
 
 TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
-  const auto instance = std::make_shared<const Instance>(small_instance(9));
-  const BatchJob job{"two_phase", SolverOptions::from_string("rigid=ffdh"), instance};
+  const auto instance = InstanceHandle::intern(small_instance(9));
+  const SolveRequest job{"two_phase", SolverOptions::from_string("rigid=ffdh"), instance};
 
   {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = 1;
     SchedulerService service(options);
-    SubmitOptions no_cache;
-    no_cache.cache = false;
-    static_cast<void>(service.wait(service.submit(job, no_cache)));
-    const auto repeat = service.wait(service.submit(job, no_cache));
+    SolveRequest no_cache = job;
+    no_cache.use_cache = false;
+    static_cast<void>(service.wait(service.submit(no_cache)));
+    const auto repeat = service.wait(service.submit(no_cache));
     EXPECT_FALSE(repeat.cache_hit);
     const auto stats = service.stats();
     EXPECT_EQ(stats.cache_hits, 0u);
@@ -281,7 +282,7 @@ TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
     EXPECT_EQ(stats.cache_entries, 0u);
   }
   {
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = 1;
     options.cache = false;  // service-wide off switch
     SchedulerService service(options);
@@ -292,13 +293,13 @@ TEST(SchedulerService, CacheRespectsPerJobOptOutAndServiceSwitch) {
 }
 
 TEST(SchedulerService, CacheEvictsLeastRecentlyUsedAndCountsIt) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.cache_capacity = 2;
   SchedulerService service(options);
   const auto submit_seed = [&](std::uint64_t seed) {
     return service.wait(service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
-                                        small_instance(seed)}));
+                                        InstanceHandle::intern(small_instance(seed))}));
   };
   static_cast<void>(submit_seed(11));  // cache: {11}
   static_cast<void>(submit_seed(12));  // cache: {12, 11}
@@ -317,17 +318,17 @@ TEST(SchedulerService, CacheEvictsLeastRecentlyUsedAndCountsIt) {
 // except the workspace audit counters (per-solve deltas by contract) is
 // byte-identical to the one-shot path.
 TEST(SchedulerService, WorkspaceReuseKeepsResultsIdenticalModuloAuditCounters) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  const auto instance = std::make_shared<const Instance>(small_instance(21, 24, 12));
-  const BatchJob first{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
-  const BatchJob second{"mrt", SolverOptions::from_string("epsilon=0.02"), instance};
+  const auto instance = InstanceHandle::intern(small_instance(21, 24, 12));
+  const SolveRequest first{"mrt", SolverOptions::from_string("epsilon=0.05"), instance};
+  const SolveRequest second{"mrt", SolverOptions::from_string("epsilon=0.02"), instance};
 
   const auto first_outcome = service.wait(service.submit(first));
   const auto second_outcome = service.wait(service.submit(second));
-  ASSERT_EQ(first_outcome.status, BatchItemStatus::kOk);
-  ASSERT_EQ(second_outcome.status, BatchItemStatus::kOk);
+  ASSERT_EQ(first_outcome.status, SolveStatus::kOk);
+  ASSERT_EQ(second_outcome.status, SolveStatus::kOk);
   EXPECT_FALSE(second_outcome.cache_hit);
   EXPECT_GE(service.stats().workspace_reuses, 1u);
 
@@ -344,13 +345,13 @@ TEST(SchedulerService, WorkspaceReuseKeepsResultsIdenticalModuloAuditCounters) {
   for (const auto* pair : {&first, &second}) {
     const bool is_first = pair == &first;
     const auto& outcome = is_first ? first_outcome : second_outcome;
-    const auto direct = solve(pair->solver, *pair->instance, pair->options);
+    const auto direct = SolverRegistry::global().solve(*pair);
     auto streamed_item = report_from({outcome});
     streamed_item.items[0].result = strip_audit(*streamed_item.items[0].result);
     BatchReport direct_report;
     BatchItem item;
     item.index = outcome.ticket;
-    item.status = BatchItemStatus::kOk;
+    item.status = SolveStatus::kOk;
     item.result = strip_audit(direct);
     direct_report.items.push_back(std::move(item));
     direct_report.ok = 1;
@@ -389,7 +390,7 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
     const auto gate = std::make_shared<Gate>();
     const auto solves = std::make_shared<std::atomic<int>>(0);
     const auto registry = counting_gated_registry(gate, solves);
-    ServiceOptions options;
+    ServiceConfig options;
     options.threads = threads;
     options.registry = &registry;
     SchedulerService service(options);
@@ -425,9 +426,9 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
     BatchJsonOptions json;
     json.include_timing = false;
     json.include_schedules = true;
-    std::vector<JobOutcome> outcomes;
+    std::vector<SolveOutcome> outcomes;
     for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
-    const auto leader = std::find_if(outcomes.begin(), outcomes.end(), [](const JobOutcome& o) {
+    const auto leader = std::find_if(outcomes.begin(), outcomes.end(), [](const SolveOutcome& o) {
       return !o.dedup_join && !o.cache_hit;
     });
     ASSERT_NE(leader, outcomes.end());
@@ -435,7 +436,7 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
     leader_norm.ticket = 0;
     const auto reference = batch_report_json(report_from({leader_norm}), json);
     for (const auto& outcome : outcomes) {
-      EXPECT_EQ(outcome.status, BatchItemStatus::kOk);
+      EXPECT_EQ(outcome.status, SolveStatus::kOk);
       EXPECT_GE(outcome.worker, 0);
       auto normalized = outcome;
       normalized.ticket = 0;
@@ -448,7 +449,7 @@ TEST(SchedulerService, CacheOptOutAlsoSkipsDedup) {
   const auto gate = std::make_shared<Gate>();
   const auto solves = std::make_shared<std::atomic<int>>(0);
   const auto registry = counting_gated_registry(gate, solves);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -472,7 +473,7 @@ TEST(SchedulerService, CacheOptOutAlsoSkipsDedup) {
 // construction, cache lookups, hits, misses, dedup bookkeeping -- reads
 // profile bits again. One intern, one content hash, however many submits.
 TEST(SchedulerService, SubmitPathNeverRehashesProfilesAfterIntern) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
 
@@ -495,7 +496,7 @@ TEST(SchedulerService, SubmitPathNeverRehashesProfilesAfterIntern) {
 }
 
 TEST(SchedulerService, VectorSubmitIsAllOrNothingOnInvalidRequests) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   const auto handle = InstanceHandle::intern(small_instance(97));
@@ -508,7 +509,7 @@ TEST(SchedulerService, VectorSubmitIsAllOrNothingOnInvalidRequests) {
 }
 
 TEST(SchedulerService, ProvenanceStampsWorkerAndServingPath) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   const auto handle = InstanceHandle::intern(small_instance(96));
@@ -528,7 +529,7 @@ TEST(SchedulerService, ProvenanceStampsWorkerAndServingPath) {
 // ------------------------------------------------------- slot garbage collection
 
 TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.gc_slots = true;
   SchedulerService service(options);
@@ -538,7 +539,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
   const auto second = service.submit(
       SolveRequest{"naive", SolverOptions::from_string("policy=half-speedup"), handle});
 
-  EXPECT_EQ(service.wait(first).status, BatchItemStatus::kOk);  // observed
+  EXPECT_EQ(service.wait(first).status, SolveStatus::kOk);  // observed
   service.drain();  // delivery frontier passes both tickets
 
   // Observed AND delivered -> reclaimed: the outcome is a take-once value.
@@ -549,7 +550,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
   // Delivered but never observed -> intact until the first read...
   const auto outcome = service.poll(second);
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->status, BatchItemStatus::kOk);
+  EXPECT_EQ(outcome->status, SolveStatus::kOk);
   // ... which reclaims it too.
   EXPECT_THROW(static_cast<void>(service.poll(second)), std::logic_error);
 
@@ -557,7 +558,7 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
 }
 
 TEST(SchedulerService, GcOffKeepsOutcomesReadableForever) {
-  SchedulerService service{ServiceOptions{}};  // gc_slots defaults off
+  SchedulerService service{ServiceConfig{}};  // gc_slots defaults off
   const auto handle = InstanceHandle::intern(small_instance(63));
   const auto ticket =
       service.submit(SolveRequest{"naive", SolverOptions::from_string("policy=lpt-seq"), handle});
@@ -574,16 +575,16 @@ TEST(SchedulerService, GcOffKeepsOutcomesReadableForever) {
 TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
-  std::vector<JobOutcome> streamed;
-  service.on_result([&streamed](const JobOutcome& outcome) { streamed.push_back(outcome); });
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
 
-  const auto running = service.submit({"gate", {}, small_instance(31)});
-  const auto pending = service.submit({"seq", {}, small_instance(32)});
-  const auto doomed = service.submit({"seq", {}, small_instance(33)});
+  const auto running = service.submit({"gate", {}, InstanceHandle::intern(small_instance(31))});
+  const auto pending = service.submit({"seq", {}, InstanceHandle::intern(small_instance(32))});
+  const auto doomed = service.submit({"seq", {}, InstanceHandle::intern(small_instance(33))});
   gate->wait_entered();
 
   EXPECT_TRUE(service.cancel(doomed));  // still queued: cancels
@@ -593,7 +594,7 @@ TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   EXPECT_TRUE(service.cancel(running));
   // Cancelled outcome is observable immediately via poll ...
   ASSERT_TRUE(service.poll(doomed).has_value());
-  EXPECT_EQ(service.poll(doomed)->status, BatchItemStatus::kCancelled);
+  EXPECT_EQ(service.poll(doomed)->status, SolveStatus::kCancelled);
   // ... but enters the stream only in ticket order, after its predecessors.
   EXPECT_TRUE(streamed.empty());
 
@@ -601,11 +602,11 @@ TEST(SchedulerService, CancellationMidStreamDeliversInOrder) {
   service.drain();
   ASSERT_EQ(streamed.size(), 3u);
   EXPECT_EQ(streamed[0].ticket, running.id);
-  EXPECT_EQ(streamed[0].status, BatchItemStatus::kOk);
+  EXPECT_EQ(streamed[0].status, SolveStatus::kOk);
   EXPECT_EQ(streamed[1].ticket, pending.id);
-  EXPECT_EQ(streamed[1].status, BatchItemStatus::kOk);
+  EXPECT_EQ(streamed[1].status, SolveStatus::kOk);
   EXPECT_EQ(streamed[2].ticket, doomed.id);
-  EXPECT_EQ(streamed[2].status, BatchItemStatus::kCancelled);
+  EXPECT_EQ(streamed[2].status, SolveStatus::kCancelled);
 
   EXPECT_FALSE(service.cancel(pending));  // terminal: refused
   EXPECT_EQ(service.stats().cancelled, 1u);
@@ -638,7 +639,7 @@ TEST(SchedulerService, CancelledLeaderDeliversCancelledOutcomesToJoiners) {
   const auto entered = std::make_shared<std::atomic<bool>>(false);
   const auto open = std::make_shared<std::atomic<bool>>(false);
   const auto registry = polling_registry(entered, open);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -653,11 +654,11 @@ TEST(SchedulerService, CancelledLeaderDeliversCancelledOutcomesToJoiners) {
   }
 
   EXPECT_TRUE(service.cancel(leader));  // fires the leader's token
-  const JobOutcome leader_outcome = service.wait(leader);
-  EXPECT_EQ(leader_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome leader_outcome = service.wait(leader);
+  EXPECT_EQ(leader_outcome.status, SolveStatus::kCancelled);
   EXPECT_EQ(leader_outcome.error.code, SolveErrorCode::kCancelled);
-  const JobOutcome joined_outcome = service.wait(joiner);
-  EXPECT_EQ(joined_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome joined_outcome = service.wait(joiner);
+  EXPECT_EQ(joined_outcome.status, SolveStatus::kCancelled);
   EXPECT_TRUE(joined_outcome.dedup_join);  // coalesced, not stranded
   EXPECT_EQ(service.stats().cancelled, 2u);
   service.drain();
@@ -669,7 +670,7 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
   const auto entered = std::make_shared<std::atomic<bool>>(false);
   const auto open = std::make_shared<std::atomic<bool>>(false);
   const auto registry = polling_registry(entered, open);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 2;
   options.registry = &registry;
   SchedulerService service(options);
@@ -684,11 +685,11 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
   }
 
   EXPECT_TRUE(service.cancel(joiner));
-  const JobOutcome joined_outcome = service.wait(joiner);  // terminal NOW
-  EXPECT_EQ(joined_outcome.status, BatchItemStatus::kCancelled);
+  const SolveOutcome joined_outcome = service.wait(joiner);  // terminal NOW
+  EXPECT_EQ(joined_outcome.status, SolveStatus::kCancelled);
   open->store(true);  // release the (undisturbed) leader
-  const JobOutcome leader_outcome = service.wait(leader);
-  EXPECT_EQ(leader_outcome.status, BatchItemStatus::kOk);
+  const SolveOutcome leader_outcome = service.wait(leader);
+  EXPECT_EQ(leader_outcome.status, SolveStatus::kOk);
   const auto stats = service.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -700,12 +701,12 @@ TEST(SchedulerService, CancelDetachesAJoinerWithoutDisturbingTheLeader) {
 // return while an OFF-POOL deliverer (here: a submit-time cache hit on a
 // caller thread) still has the last streamed callback in flight.
 TEST(SchedulerService, ShutdownWaitsForAnOffPoolDelivererToFinishTheStream) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
   std::atomic<bool> in_callback{false};
   std::atomic<int> streamed{0};
-  service.on_result([&](const JobOutcome& outcome) {
+  service.on_result([&](const SolveOutcome& outcome) {
     if (outcome.cache_hit) {
       in_callback.store(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -733,23 +734,23 @@ TEST(SchedulerService, ShutdownWaitsForAnOffPoolDelivererToFinishTheStream) {
 // ServiceConfig::validate() must reject the robustness knobs' invalid
 // combinations at construction, each with a readable message.
 TEST(SchedulerService, ConfigRejectsBadRobustnessKnobs) {
-  ServiceOptions negative_depth;
+  ServiceConfig negative_depth;
   negative_depth.max_queue_depth = -1;
   EXPECT_THROW(SchedulerService{negative_depth}, std::invalid_argument);
 
-  ServiceOptions unknown_policy;
+  ServiceConfig unknown_policy;
   unknown_policy.overload_policy = "drop_everything";
   EXPECT_THROW(SchedulerService{unknown_policy}, std::invalid_argument);
 
-  ServiceOptions degrade_without_fallback;
+  ServiceConfig degrade_without_fallback;
   degrade_without_fallback.overload_policy = "degrade";
   EXPECT_THROW(SchedulerService{degrade_without_fallback}, std::invalid_argument);
 
-  ServiceOptions unregistered_fallback;
+  ServiceConfig unregistered_fallback;
   unregistered_fallback.fallback_solver = "definitely_not_registered";
   EXPECT_THROW(SchedulerService{unregistered_fallback}, std::invalid_argument);
 
-  ServiceOptions good;
+  ServiceConfig good;
   good.max_queue_depth = 4;
   good.overload_policy = "degrade";
   good.fallback_solver = "two_phase";  // registered in the global registry
@@ -760,11 +761,11 @@ TEST(SchedulerService, ConfigRejectsBadRobustnessKnobs) {
 // (rescan protocol), so cancelling a later queued ticket from the stream
 // neither deadlocks nor breaks ticket order.
 TEST(SchedulerService, CancelFromInsideTheCallbackDoesNotDeadlock) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   SchedulerService service(options);
-  std::vector<std::pair<std::uint64_t, BatchItemStatus>> streamed;
-  service.on_result([&](const JobOutcome& outcome) {
+  std::vector<std::pair<std::uint64_t, SolveStatus>> streamed;
+  service.on_result([&](const SolveOutcome& outcome) {
     streamed.emplace_back(outcome.ticket, outcome.status);
     if (outcome.ticket == 0) {
       // Tickets are dense in submission order, and the atomic three-job
@@ -773,31 +774,31 @@ TEST(SchedulerService, CancelFromInsideTheCallbackDoesNotDeadlock) {
       EXPECT_TRUE(service.cancel(JobTicket{2}));
     }
   });
-  const BatchJob job{"naive", SolverOptions::from_string("policy=lpt-seq"),
-                     std::make_shared<const Instance>(small_instance(81))};
-  static_cast<void>(service.submit({job, job, job}, SubmitOptions{false}));
+  const SolveRequest job{"naive", SolverOptions::from_string("policy=lpt-seq"),
+                         InstanceHandle::intern(small_instance(81)), /*consult_cache=*/false};
+  static_cast<void>(service.submit({job, job, job}));
   service.drain();
   ASSERT_EQ(streamed.size(), 3u);
-  EXPECT_EQ(streamed[0], (std::pair<std::uint64_t, BatchItemStatus>{0, BatchItemStatus::kOk}));
-  EXPECT_EQ(streamed[1], (std::pair<std::uint64_t, BatchItemStatus>{1, BatchItemStatus::kOk}));
+  EXPECT_EQ(streamed[0], (std::pair<std::uint64_t, SolveStatus>{0, SolveStatus::kOk}));
+  EXPECT_EQ(streamed[1], (std::pair<std::uint64_t, SolveStatus>{1, SolveStatus::kOk}));
   EXPECT_EQ(streamed[2],
-            (std::pair<std::uint64_t, BatchItemStatus>{2, BatchItemStatus::kCancelled}));
+            (std::pair<std::uint64_t, SolveStatus>{2, SolveStatus::kCancelled}));
 }
 
 TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   const auto gate = std::make_shared<Gate>();
   const auto registry = gated_registry(gate);
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.registry = &registry;
   SchedulerService service(options);
-  std::vector<JobOutcome> streamed;
-  service.on_result([&streamed](const JobOutcome& outcome) { streamed.push_back(outcome); });
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
 
-  const auto running = service.submit({"gate", {}, small_instance(41)});
+  const auto running = service.submit({"gate", {}, InstanceHandle::intern(small_instance(41))});
   std::vector<JobTicket> pending;
   for (std::uint64_t s = 0; s < 5; ++s) {
-    pending.push_back(service.submit({"seq", {}, small_instance(42 + s)}));
+    pending.push_back(service.submit({"seq", {}, InstanceHandle::intern(small_instance(42 + s))}));
   }
   gate->wait_entered();
 
@@ -812,11 +813,11 @@ TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   gate->release();
   stopper.join();
 
-  EXPECT_EQ(service.wait(running).status, BatchItemStatus::kOk);
+  EXPECT_EQ(service.wait(running).status, SolveStatus::kOk);
   for (const auto ticket : pending) {
     const auto outcome = service.poll(ticket);
     ASSERT_TRUE(outcome.has_value());
-    EXPECT_EQ(outcome->status, BatchItemStatus::kCancelled);
+    EXPECT_EQ(outcome->status, SolveStatus::kCancelled);
   }
   ASSERT_EQ(streamed.size(), 1u + pending.size());
   for (std::size_t i = 0; i < streamed.size(); ++i) EXPECT_EQ(streamed[i].ticket, i);
@@ -827,13 +828,14 @@ TEST(SchedulerService, ShutdownWithPendingJobsCancelsThemAndJoins) {
   EXPECT_EQ(stats.cancelled, 5u);
   EXPECT_EQ(stats.delivered, 6u);
 
-  EXPECT_THROW(static_cast<void>(service.submit({"seq", {}, small_instance(50)})),
-               std::runtime_error);
+  EXPECT_THROW(
+      static_cast<void>(service.submit({"seq", {}, InstanceHandle::intern(small_instance(50))})),
+      std::runtime_error);
   service.shutdown();  // idempotent
 }
 
 TEST(SchedulerService, DrainCoversEverythingSubmittedBeforeTheCall) {
-  SchedulerService service{ServiceOptions{}};
+  SchedulerService service{ServiceConfig{}};
   const auto jobs = mixed_jobs_with_duplicates(8);
   const auto tickets = service.submit(jobs);
   service.drain();
@@ -845,19 +847,19 @@ TEST(SchedulerService, DrainCoversEverythingSubmittedBeforeTheCall) {
 }
 
 TEST(SchedulerService, OnResultAfterFirstSubmitThrows) {
-  SchedulerService service{ServiceOptions{}};
+  SchedulerService service{ServiceConfig{}};
   static_cast<void>(service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
-                                    small_instance(61)}));
-  EXPECT_THROW(service.on_result([](const JobOutcome&) {}), std::logic_error);
+                                    InstanceHandle::intern(small_instance(61))}));
+  EXPECT_THROW(service.on_result([](const SolveOutcome&) {}), std::logic_error);
   service.drain();
 }
 
 // --------------------------------------------------------------- SolveCache
 
 TEST(SolveCache, ContentAddressingSurvivesRegenerationAndCatchesDifferences) {
-  const auto base = std::make_shared<const Instance>(small_instance(71));
-  const auto same_content = std::make_shared<const Instance>(small_instance(71));
-  const auto different = std::make_shared<const Instance>(small_instance(72));
+  const auto base = InstanceHandle::intern(small_instance(71));
+  const auto same_content = InstanceHandle::intern(small_instance(71));
+  const auto different = InstanceHandle::intern(small_instance(72));
   const auto options = SolverOptions::from_string("epsilon=0.05");
 
   const auto key_a = SolveCache::make_key("mrt", options, base);
@@ -868,8 +870,10 @@ TEST(SolveCache, ContentAddressingSurvivesRegenerationAndCatchesDifferences) {
   EXPECT_NE(key_a.fingerprint, key_c.fingerprint);
   EXPECT_NE(key_a.fingerprint, key_d.fingerprint);
 
-  SolveCache cache(4);
-  const auto result = solve("mrt", *base, options);
+  SolveCacheConfig config;
+  config.capacity = 4;
+  SolveCache cache(config);
+  const auto result = SolverRegistry::global().solve(SolveRequest("mrt", options, base));
   cache.insert(key_a, result);
   EXPECT_NE(cache.lookup(key_b), nullptr);  // same content, new object
   EXPECT_EQ(cache.lookup(key_c), nullptr);
@@ -889,9 +893,9 @@ TEST(SolveCache, KeyConstructionFromAHandleDoesNotRehashProfiles) {
                                           handle);
   EXPECT_EQ(InstanceHandle::content_hashes(), before);
   EXPECT_NE(key_a.fingerprint, key_b.fingerprint);  // options are part of the key
-  // The legacy shared_ptr shim is the one that interns (and so hashes).
+  // Interning is the one step that hashes.
   const auto key_c = SolveCache::make_key("mrt", SolverOptions::from_string("epsilon=0.05"),
-                                          handle.shared());
+                                          InstanceHandle::intern(handle.shared()));
   EXPECT_EQ(InstanceHandle::content_hashes(), before + 1);
   EXPECT_EQ(key_c.fingerprint, key_a.fingerprint);
 }
@@ -906,7 +910,7 @@ TEST(SolveCache, TtlExpiresEntriesAndCountsTheCause) {
 
   const auto handle = InstanceHandle::intern(small_instance(76));
   const auto key = SolveCache::make_key("mrt", {}, handle);
-  const auto result = solve("mrt", handle.instance());
+  const auto result = SolverRegistry::global().solve(SolveRequest("mrt", {}, handle));
   cache.insert(key, result);
 
   fake_now = 5.0;
@@ -935,7 +939,7 @@ TEST(SolveCache, TtlRefreshOfAnExpiredKeyReplacesTheEntry) {
   SolveCache cache(config);
   const auto handle = InstanceHandle::intern(small_instance(77));
   const auto key = SolveCache::make_key("mrt", {}, handle);
-  const auto result = solve("mrt", handle.instance());
+  const auto result = SolverRegistry::global().solve(SolveRequest("mrt", {}, handle));
   cache.insert(key, result);
   fake_now = 5.0;
   cache.insert(key, result);  // idempotent path meets an expired entry
@@ -952,8 +956,8 @@ TEST(SolveCache, ByteBudgetEvictsLruButKeepsASingleOversizedEntry) {
   const auto options = SolverOptions::from_string("policy=lpt-seq");
   const auto key_a = SolveCache::make_key("naive", options, handle_a);
   const auto key_b = SolveCache::make_key("naive", options, handle_b);
-  const auto result_a = solve("naive", handle_a.instance(), options);
-  const auto result_b = solve("naive", handle_b.instance(), options);
+  const auto result_a = SolverRegistry::global().solve(SolveRequest("naive", options, handle_a));
+  const auto result_b = SolverRegistry::global().solve(SolveRequest("naive", options, handle_b));
 
   // Measure one entry's approximate footprint with an unbounded cache.
   SolveCacheConfig probe_config;
@@ -988,7 +992,7 @@ TEST(SolveCache, ByteBudgetEvictsLruButKeepsASingleOversizedEntry) {
 }
 
 TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
-  ServiceOptions options;
+  ServiceConfig options;
   options.threads = 1;
   options.cache_max_bytes = 1;  // every second entry exceeds the budget
   SchedulerService service(options);
@@ -1007,11 +1011,13 @@ TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
 }
 
 TEST(SolveCache, ZeroCapacityDisablesEverything) {
-  SolveCache cache(0);
+  SolveCacheConfig config;
+  config.capacity = 0;
+  SolveCache cache(config);
   EXPECT_FALSE(cache.enabled());
-  const auto instance = std::make_shared<const Instance>(small_instance(73));
+  const auto instance = InstanceHandle::intern(small_instance(73));
   const auto key = SolveCache::make_key("mrt", {}, instance);
-  cache.insert(key, solve("mrt", *instance));
+  cache.insert(key, SolverRegistry::global().solve(SolveRequest("mrt", {}, instance)));
   EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);  // disabled lookups do not count

@@ -70,9 +70,9 @@ BatchReport report_from(const std::vector<SolveOutcome>& outcomes) {
     item.result = outcomes[i].result;
     item.error = outcomes[i].error;
     switch (item.status) {
-      case BatchItemStatus::kOk: ++report.ok; break;
-      case BatchItemStatus::kError: ++report.errors; break;
-      case BatchItemStatus::kCancelled: ++report.cancelled; break;
+      case SolveStatus::kOk: ++report.ok; break;
+      case SolveStatus::kError: ++report.errors; break;
+      case SolveStatus::kCancelled: ++report.cancelled; break;
     }
     report.items.push_back(std::move(item));
   }

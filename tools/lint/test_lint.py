@@ -310,7 +310,7 @@ class EngineTest(unittest.TestCase):
     def test_token_rule_ids_are_stable(self):
         self.assertEqual(
             sorted({r.id for r in TOKEN_RULES}),
-            ["cv-wait-predicate", "legacy-api", "pragma-once", "printf",
+            ["cv-wait-predicate", "pragma-once", "printf",
              "raw-mutex", "steady-clock", "unordered-iteration"])
 
 

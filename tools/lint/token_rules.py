@@ -54,41 +54,6 @@ class RawMutexRule(PatternRule):
                "support/mutex.hpp so -Wthread-safety can check the locking")
 
 
-class LegacyBatchJobRule(PatternRule):
-    id = "legacy-api"
-    doc = "BatchJob in library code outside its documented shims"
-    scope = ("src",)
-    allowlist = frozenset({
-        os.path.join("src", "registry", "request.hpp"),
-        os.path.join("src", "api", "scheduler_service.hpp"),
-        os.path.join("src", "api", "scheduler_service.cpp"),
-        os.path.join("src", "api", "solve_batch.hpp"),
-        os.path.join("src", "api", "solve_batch.cpp"),
-        os.path.join("src", "exec", "batch_runner.hpp"),
-        os.path.join("src", "exec", "batch_runner.cpp")})
-    pattern = re.compile(r"\bBatchJob\b")
-    message = ("BatchJob is a documented compatibility shim; new code takes "
-               "SolveRequest/InstanceHandle (API v2)")
-
-
-class LegacySolveRule(PatternRule):
-    id = "legacy-api"
-    doc = "legacy solve(\"name\", ...) dispatch outside the registry shims"
-    scope = ("src",)
-    allowlist = frozenset({
-        os.path.join("src", "registry", "solver_registry.hpp"),
-        os.path.join("src", "registry", "solver_registry.cpp")})
-    # Legacy solve("name", instance, options) dispatch: the lexer blanks
-    # string literals from code_lines, so a string-literal first argument
-    # leaves the distinctive `solve(,` remnant this matches. Variable-name
-    # first arguments (the v2 request form takes one SolveRequest) never
-    # produce it.
-    pattern = re.compile(r"\bsolve\s*\(\s*,")
-    message = ("string-name solve() dispatch is a documented registry shim; "
-               "build a SolveRequest over an interned InstanceHandle (API v2) "
-               "and call solve(request)")
-
-
 class PrintfRule(PatternRule):
     id = "printf"
     doc = "printf-family output in library code (snprintf is allowed)"
@@ -190,8 +155,6 @@ class CvWaitPredicateRule(FileRule):
 TOKEN_RULES = [
     SteadyClockRule(),
     RawMutexRule(),
-    LegacyBatchJobRule(),
-    LegacySolveRule(),
     PrintfRule(),
     UnorderedIterationRule(),
     PragmaOnceRule(),
