@@ -113,11 +113,11 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
     ready->ticket = id;
     release_request_payload(request);
     Slot hit;
-    hit.request = std::move(request);
+    hit.payload->request = std::move(request);
     hit.state = JobState::kDone;
-    hit.outcome = std::move(*ready);
+    hit.payload->outcome = std::move(*ready);
     slots_.push_back(std::move(hit));
-    count_terminal_locked(slots_.back().outcome);
+    count_terminal_locked(slots_.back().payload->outcome);
     born_terminal = true;
     return JobTicket{id};
   }
@@ -139,11 +139,11 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
       refused.worker = WorkerPool::current_worker();  // -1: refused off-pool
       release_request_payload(request);
       Slot slot;
-      slot.request = std::move(request);
+      slot.payload->request = std::move(request);
       slot.state = JobState::kDone;
-      slot.outcome = std::move(refused);
+      slot.payload->outcome = std::move(refused);
       slots_.push_back(std::move(slot));
-      count_terminal_locked(slots_.back().outcome);
+      count_terminal_locked(slots_.back().payload->outcome);
       ++stats_.rejected;
       born_terminal = true;
       return JobTicket{id};
@@ -157,13 +157,13 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
         if (old.state != JobState::kQueued) continue;
         shed_hint_ = victim + 1;
         old.state = JobState::kDone;
-        old.outcome.ticket = victim;
-        old.outcome.status = SolveStatus::kError;
-        old.outcome.error = {SolveErrorCode::kRejected,
-                             "shed under overload (shed_oldest) to admit ticket " +
-                                 std::to_string(id)};
-        release_request_payload(old.request);
-        count_terminal_locked(old.outcome);
+        old.payload->outcome.ticket = victim;
+        old.payload->outcome.status = SolveStatus::kError;
+        old.payload->outcome.error = {SolveErrorCode::kRejected,
+                                      "shed under overload (shed_oldest) to admit ticket " +
+                                          std::to_string(id)};
+        release_request_payload(old.payload->request);
+        count_terminal_locked(old.payload->outcome);
         ++stats_.shed;
         --queued_depth_;
         born_terminal = true;
@@ -181,7 +181,7 @@ JobTicket SchedulerService::enqueue_locked(SolveRequest request,
   }
 
   Slot queued;
-  queued.request = std::move(request);
+  queued.payload->request = std::move(request);
   queued.deadline = deadline;
   queued.degraded = degraded;
   slots_.push_back(std::move(queued));
@@ -396,7 +396,7 @@ void SchedulerService::run_job(std::uint64_t id) {
     if (slot.state != JobState::kQueued) return;  // cancelled/shed before start
     slot.state = JobState::kRunning;
     --queued_depth_;
-    request = slot.request;
+    request = slot.payload->request;
     token = slot.cancel;  // shares the flag cancel() fires
     deadline = slot.deadline;
     degraded = slot.degraded;
@@ -607,18 +607,18 @@ void SchedulerService::finish(std::uint64_t id, SolveOutcome outcome, bool reuse
   {
     const LockGuard lock(mutex_);
     Slot& slot = slots_[id];
-    slot.outcome = std::move(outcome);
+    slot.payload->outcome = std::move(outcome);
     slot.state = JobState::kDone;
-    release_request_payload(slot.request);
-    count_terminal_locked(slot.outcome);
+    release_request_payload(slot.payload->request);
+    count_terminal_locked(slot.payload->outcome);
     if (reused_workspace) ++stats_.workspace_reuses;
 
     for (std::size_t j = 0; j < joiners.size(); ++j) {
       Slot& joined = slots_[joiners[j].id];
-      joined.outcome = std::move(joined_outcomes[j]);
+      joined.payload->outcome = std::move(joined_outcomes[j]);
       joined.state = JobState::kDone;
-      release_request_payload(joined.request);
-      count_terminal_locked(joined.outcome);
+      release_request_payload(joined.payload->request);
+      count_terminal_locked(joined.payload->outcome);
     }
   }
   done_cv_.notify_all();
@@ -672,7 +672,7 @@ void SchedulerService::deliver_ready() {
         // callback gets a reference with no payload copy (terminal schedules
         // can be large) and no work under the state mutex.
         delivered_id = next_delivery_;
-        out = &slots_[next_delivery_].outcome;
+        out = &slots_[next_delivery_].payload->outcome;
         in_callback_ = delivered_id;
         ++next_delivery_;
       }
@@ -716,9 +716,7 @@ void SchedulerService::maybe_reclaim_locked(std::uint64_t id) {
   if (slot.state != JobState::kDone || slot.reclaimed || !slot.observed) return;
   if (id >= next_delivery_) return;  // not yet delivered to the stream
   if (in_callback_.has_value() && *in_callback_ == id) return;  // being read right now
-  slot.outcome.result.reset();
-  slot.outcome.error.detail.clear();
-  slot.outcome.error.detail.shrink_to_fit();
+  slot.payload.reset();
   slot.reclaimed = true;
   ++stats_.slots_reclaimed;
 }
@@ -734,7 +732,7 @@ std::optional<SolveOutcome> SchedulerService::poll(JobTicket ticket) {
                            " was already observed and reclaimed (gc_slots)");
   }
   if (slot.state != JobState::kDone) return std::nullopt;
-  std::optional<SolveOutcome> out = slot.outcome;
+  std::optional<SolveOutcome> out = slot.payload->outcome;
   slot.observed = true;
   maybe_reclaim_locked(ticket.id);
   return out;
@@ -761,7 +759,7 @@ SolveOutcome SchedulerService::wait(JobTicket ticket) {
     throw std::logic_error("SchedulerService: ticket " + std::to_string(ticket.id) +
                            " was already observed and reclaimed (gc_slots)");
   }
-  SolveOutcome out = slot.outcome;
+  SolveOutcome out = slot.payload->outcome;
   slot.observed = true;
   maybe_reclaim_locked(ticket.id);
   return out;
@@ -779,11 +777,11 @@ bool SchedulerService::cancel(JobTicket ticket) {
     if (slot.state == JobState::kDone) return false;
     if (slot.state == JobState::kQueued) {
       slot.state = JobState::kDone;
-      slot.outcome.ticket = ticket.id;
-      slot.outcome.status = SolveStatus::kCancelled;
-      slot.outcome.error.code = SolveErrorCode::kCancelled;
-      release_request_payload(slot.request);
-      count_terminal_locked(slot.outcome);
+      slot.payload->outcome.ticket = ticket.id;
+      slot.payload->outcome.status = SolveStatus::kCancelled;
+      slot.payload->outcome.error.code = SolveErrorCode::kCancelled;
+      release_request_payload(slot.payload->request);
+      count_terminal_locked(slot.payload->outcome);
       --queued_depth_;
       // The posted closure still sits in the pool queue; run_job sees the
       // terminal state and returns without touching the slot.
@@ -810,12 +808,12 @@ bool SchedulerService::cancel(JobTicket ticket) {
       }
       if (!detached) return false;
       slot.state = JobState::kDone;
-      slot.outcome.ticket = ticket.id;
-      slot.outcome.status = SolveStatus::kCancelled;
-      slot.outcome.error = {SolveErrorCode::kCancelled,
-                            "cancelled while coalesced on an in-flight solve"};
-      release_request_payload(slot.request);
-      count_terminal_locked(slot.outcome);
+      slot.payload->outcome.ticket = ticket.id;
+      slot.payload->outcome.status = SolveStatus::kCancelled;
+      slot.payload->outcome.error = {SolveErrorCode::kCancelled,
+                                     "cancelled while coalesced on an in-flight solve"};
+      release_request_payload(slot.payload->request);
+      count_terminal_locked(slot.payload->outcome);
     } else {
       // Running solo or dedup leader: fire the shared token outside the
       // lock. The solve observes it at the next check stride and surfaces
@@ -851,12 +849,12 @@ void SchedulerService::shutdown() {
       Slot& slot = slots_[id];
       if (slot.state != JobState::kQueued) continue;
       slot.state = JobState::kDone;
-      slot.outcome.ticket = id;
-      slot.outcome.status = SolveStatus::kCancelled;
-      slot.outcome.error = {SolveErrorCode::kShutdown,
-                            "service shut down before the job started"};
-      release_request_payload(slot.request);
-      count_terminal_locked(slot.outcome);
+      slot.payload->outcome.ticket = id;
+      slot.payload->outcome.status = SolveStatus::kCancelled;
+      slot.payload->outcome.error = {SolveErrorCode::kShutdown,
+                                     "service shut down before the job started"};
+      release_request_payload(slot.payload->request);
+      count_terminal_locked(slot.payload->outcome);
       --queued_depth_;
     }
     // Every remaining ready entry is now stale (its job just turned

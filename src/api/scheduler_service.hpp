@@ -102,7 +102,8 @@
 /// keeps the DualWorkspace of the last instance it solved and hands it to
 /// the registry through SolveContext, so a burst of same-instance jobs
 /// (different options -- identical options would have hit the cache or
-/// joined in flight) builds the breakpoint index once per worker.
+/// joined in flight) reuses its warmed scratch buffers. Building a
+/// workspace is O(n), so the reuse saves little.
 ///
 /// Determinism contract: every result field is byte-identical to the
 /// synchronous `solve()` path, with two audited exceptions -- wall times
@@ -129,8 +130,9 @@
 /// job turns terminal. OUTCOMES are retained for the service lifetime by
 /// default; with `gc_slots` on, a slot whose outcome has been BOTH
 /// delivered to the stream AND observed through poll()/wait() is reclaimed
-/// (payload freed, `slots_reclaimed` counted) -- the knob that keeps a
-/// truly unbounded daemon from growing without bound. Re-reading a
+/// (its request and outcome freed, `slots_reclaimed` counted; the ticket
+/// keeps a state record of about 64 bytes) -- the knob that keeps a
+/// long-running daemon's memory near that record per request. Re-reading a
 /// reclaimed ticket throws std::logic_error: with gc on, an outcome is a
 /// take-once value.
 namespace malsched {
@@ -280,12 +282,19 @@ class SchedulerService {
   [[nodiscard]] ServiceStats stats() const MALSCHED_EXCLUDES(mutex_);
 
  private:
-  struct Slot {
-    SolveRequest request;  ///< payload released at the terminal transition
-    JobState state{JobState::kQueued};
+  /// A slot's request and outcome, held out of line so that gc_slots frees
+  /// them whole: a reclaimed slot keeps only the small Slot record.
+  struct SlotPayload {
+    SolveRequest request;  ///< inputs released at the terminal transition
     SolveOutcome outcome;
+  };
+
+  struct Slot {
+    /// Null once gc_slots reclaimed the slot.
+    std::unique_ptr<SlotPayload> payload{std::make_unique<SlotPayload>()};
+    JobState state{JobState::kQueued};
     bool observed{false};   ///< a poll()/wait() returned this outcome
-    bool reclaimed{false};  ///< gc_slots freed the outcome payload
+    bool reclaimed{false};  ///< gc_slots freed the payload
     CancelToken cancel;     ///< fired by cancel() on a RUNNING solve
     double deadline{0.0};   ///< absolute steady-clock (0 = none), anchored at submit
     bool degraded{false};   ///< admitted past the watermark: runs the fallback

@@ -1,7 +1,6 @@
 #include "core/canonical_list.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -56,12 +55,7 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
   auto& avail = scratch.avail;
   detail::resize_counted(avail, static_cast<std::size_t>(machines), scratch.alloc_events);
   std::fill(avail.begin(), avail.end(), 0.0);
-  if (scratch.ready.capacity() < static_cast<std::size_t>(machines) ||
-      scratch.window.capacity() < static_cast<std::size_t>(machines)) {
-    ++scratch.alloc_events;
-    scratch.ready.reserve(static_cast<std::size_t>(machines));
-    scratch.window.reserve(static_cast<std::size_t>(machines));
-  }
+  detail::resize_counted(scratch.window, avail.size(), scratch.alloc_events);
   bool reallocation_considered = false;
   reallocated = false;
 
@@ -70,10 +64,8 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
     const int procs = allotment[static_cast<std::size_t>(task)];
     const double duration = instance.task(task).time(procs);
 
-    sliding_window_max_into(avail, procs, scratch.ready, scratch.window);
-    const auto& ready = scratch.ready;
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const double r : ready) earliest = std::min(earliest, r);
+    const auto windows = window_maxima(avail, procs, scratch.window);
+    const double earliest = windows.earliest;
     const bool starts_at_zero = approx_eq(earliest, 0.0);
 
     if (!starts_at_zero && !reallocation_considered) {
@@ -96,22 +88,7 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
     }
 
     // Paper tie rule: leftmost window when starting at 0, rightmost after.
-    int column = -1;
-    if (starts_at_zero) {
-      for (std::size_t s = 0; s < ready.size(); ++s) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    } else {
-      for (std::size_t s = ready.size(); s-- > 0;) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    }
+    const int column = tied_window(windows, starts_at_zero);
     schedule.assign(task, earliest, duration, column, procs);
     for (int j = column; j < column + procs; ++j) {
       avail[static_cast<std::size_t>(j)] = earliest + duration;

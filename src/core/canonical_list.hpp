@@ -31,12 +31,12 @@ namespace malsched {
 
 class DualWorkspace;
 
-/// Reusable buffers for the workspace-aware canonical-list path (processor
-/// availability, sliding-window maxima, and the monotone-queue ring).
+/// Reusable buffers for the workspace-aware canonical-list path: processor
+/// availability and the window kernel's buffer (sched/sliding.hpp), both
+/// grown through detail::resize_counted.
 struct CanonicalListScratch {
   std::vector<double> avail;
-  std::vector<double> ready;
-  std::vector<int> window;
+  std::vector<double> window;
   long long alloc_events{0};
 };
 

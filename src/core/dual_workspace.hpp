@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -12,31 +11,32 @@
 #include "core/two_shelf.hpp"
 #include "model/instance.hpp"
 
-/// Breakpoint-indexed scratch state for the dual-approximation hot loop.
+/// Per-solve scratch state for the dual-approximation hot loop.
 ///
-/// The canonical allotment gamma_i(d) of Section 2 is a step function of the
-/// guess d: it can only change where some profile time t_i(p) crosses the
-/// deadline, i.e. at the n*m task-profile breakpoints. A DualWorkspace
-/// precomputes, once per instance,
+/// Every dual step of the mrt search evaluates the canonical allotment
+/// gamma_i(d) of Section 2, sorts the tasks by canonical time for the
+/// canonical area and the canonical list algorithm, and runs one or more
+/// Theorem 3 branches. A DualWorkspace shares that work across the branches
+/// of a step:
 ///
-///   * a flattened structure-of-arrays index over every task profile
-///     (contiguous per-task scans without vector-of-vector hops),
-///   * per-task sorted breakpoint tables mapping a deadline straight to
-///     gamma_i(d) -- with a per-task hint pointer the lookup is O(1)
-///     amortized while the dichotomic search narrows its bracket, and
-///   * reusable scratch buffers (the canonical allotment, the shared
-///     canonical-area sort order, two-shelf partitions, knapsack DP tables,
-///     list-scheduler availability buffers) so a *rejected* dual step
-///     performs no heap allocation at all after warm-up and an accepted one
-///     allocates only the returned Schedule.
+///   * one canonical allotment per step (cached while the deadline repeats),
+///     its gamma lookups being MalleableTask::min_procs_for itself;
+///   * one decreasing-time sort per step, shared by canonical_area and the
+///     canonical list algorithm;
+///   * reusable scratch buffers (the allotment, the sort order, two-shelf
+///     partitions, knapsack DP tables, list-placement buffers) so a
+///     *rejected* dual step performs no heap allocation at all after warm-up
+///     and an accepted one allocates only the returned Schedule.
+///
+/// Construction is O(n) (profile pointers and reserved buffers); the opt-in
+/// snapped search (snap=1) builds its breakpoint domain on first use
+/// (merged_breakpoints()).
 ///
 /// Everything the workspace computes is byte-identical to the naive
-/// recomputation it replaces: the breakpoint tables are built by replaying
-/// MalleableTask::min_procs_for's exact binary-search probes on each
-/// breakpoint segment (see dual_workspace.cpp), so gamma lookups, canonical
-/// allotments, areas, and every schedule derived from them match the legacy
-/// path bit for bit (tests/test_dual_workspace.cpp enforces this across all
-/// generator families).
+/// recomputation: canonical allotments, areas, and every schedule derived
+/// from them match the workspace=0 path bit for bit
+/// (tests/test_dual_workspace.cpp enforces this across all generator
+/// families).
 ///
 /// A workspace is single-threaded mutable scratch: create one per solve (the
 /// mrt scheduler does) and never share it across threads. The referenced
@@ -48,8 +48,6 @@ namespace malsched {
 struct DualWorkspaceStats {
   long long canonical_evals{0};  ///< canonical allotments actually computed
   long long canonical_hits{0};   ///< served from the same-deadline cache
-  long long lookup_probes{0};    ///< gamma lookups answered
-  long long lookup_hits{0};      ///< ... answered by the hint pointer alone
   long long alloc_events{0};     ///< scratch buffer growths (incl. sub-scratches)
 };
 
@@ -75,18 +73,12 @@ class DualWorkspace {
 
   [[nodiscard]] const Instance& instance() const noexcept { return *instance_; }
 
-  /// Hint channels for the amortized-O(1) lookups: distinct deadline streams
-  /// (the guess d vs. the two-shelf's lambda*d) get separate hint pointers so
-  /// they do not evict each other.
-  enum Channel : int { kPrimary = 0, kSecondary = 1 };
-  static constexpr int kChannelCount = 2;
+  /// gamma lookup: instance().task(task).min_procs_for(deadline).
+  [[nodiscard]] std::optional<int> min_procs_for(int task, double deadline) const {
+    return instance_->task(task).min_procs_for(deadline);
+  }
 
-  /// gamma lookup, byte-identical to instance().task(task).min_procs_for(d)
-  /// for every deadline >= 0 (the dual search never guesses below 0).
-  [[nodiscard]] std::optional<int> min_procs_for(int task, double deadline,
-                                                 Channel channel = kPrimary);
-
-  /// t_task(procs) through the flattened profile index.
+  /// t_task(procs), read straight from the task's profile.
   [[nodiscard]] double time(int task, int procs) const {
     return profile_ptr_[static_cast<std::size_t>(task)][procs - 1];
   }
@@ -109,9 +101,10 @@ class DualWorkspace {
   }
 
   /// Merged strictly-increasing snap domain of task-profile breakpoints (the
-  /// deadlines where some gamma_i changes); built lazily on first use and
-  /// capped by an even per-task sample on very large instances -- it only
-  /// steers the snapped search, every probe re-evaluates real predicates.
+  /// deadlines where some gamma_i changes); built from the profiles on first
+  /// use and capped by an even per-task sample on very large instances -- it
+  /// only steers the snapped search, every probe re-evaluates real
+  /// predicates.
   [[nodiscard]] std::span<const double> merged_breakpoints();
 
   /// Smallest snap-domain breakpoint that Property 2 does not certify as
@@ -128,40 +121,13 @@ class DualWorkspace {
   [[nodiscard]] DualWorkspaceStats stats() const;
 
  private:
-  [[nodiscard]] std::optional<int> strict_min_procs(int task, double deadline, Channel channel);
-  [[nodiscard]] std::optional<int> exception_min_procs(int task, double deadline,
-                                                      Channel channel);
-  [[nodiscard]] std::optional<int> profile_min_procs(int task, double deadline) const;
-  void build_breakpoint_index();
-
   const Instance* instance_;
   int machines_;
   int task_count_;
 
-  // Flattened profile index: task i's profile is the contiguous run
-  // profile_ptr_[i][0 .. profile_len_[i]) inside the instance (no copy --
-  // touching n*m fresh pages would dominate construction; per-task scans
-  // are contiguous either way).
+  // Task i's profile data inside the instance (no copy): time() reads it
+  // without the bounds check of MalleableTask::time.
   std::vector<const double*> profile_ptr_;
-  std::vector<int> profile_len_;
-
-  // Breakpoint index. For a task whose per-entry deadline thresholds are
-  // strictly decreasing in p (virtually every real profile), the threshold
-  // is a three-flop pure function of the profile entry, so no table is
-  // materialized at all -- lookups evaluate it inline on the SoA profile and
-  // the hint pointer caches the last gamma. Only non-strict tasks (plateaus,
-  // tolerance-level wiggles) get explicit segment tables below: within
-  // [exc_d_[j], exc_d_[j+1]) the legacy binary search returns exc_gamma_[j].
-  // Deadlines within a breakpoint's fuzz window re-run the exact profile
-  // binary search instead of trusting either path (byte-identity without
-  // exact threshold construction).
-  std::vector<char> strict_;     ///< per task: inline-threshold fast path?
-  std::vector<int> exc_index_;   ///< per task: row in exc_begin_, or -1
-  std::vector<std::size_t> exc_begin_;
-  std::vector<double> exc_d_;
-  std::vector<double> exc_fuzz_;
-  std::vector<int> exc_gamma_;
-  std::array<std::vector<std::uint32_t>, kChannelCount> hints_;
 
   // Canonical-allotment cache and the shared per-step sort.
   CanonicalAllotment canonical_;
@@ -184,7 +150,7 @@ class DualWorkspace {
 /// Breakpoint-snapped dual search: same contract as dual_search (and the
 /// same soundness discipline -- only certificates evaluated with the real
 /// Property-2 predicate ever tighten the reported lower bound), but the
-/// guesses are steered by the workspace's breakpoint index instead of blind
+/// guesses are steered by the workspace's breakpoint domain instead of blind
 /// geometric ramping: phase 1 starts at the analytically smallest
 /// non-certified deadline (skipping every provably rejected guess), and
 /// phase 2 bisects the merged breakpoint *indices* inside the bracket before

@@ -60,11 +60,10 @@ struct MrtOptions {
   /// Evaluate every branch and keep the shortest accepted schedule instead
   /// of stopping at the first success (ablation; slower, never worse).
   bool pick_best_branch{false};
-  /// Run the search through a DualWorkspace (breakpoint-indexed gamma
-  /// lookups, one canonical allotment + sort per step shared across
-  /// branches, allocation-free rejected steps). Byte-identical schedules and
-  /// bounds to the recompute-everything path (property-tested); disable only
-  /// for A/B measurements.
+  /// Run the search through a DualWorkspace (one canonical allotment and one
+  /// sort per step shared across branches, allocation-free rejected steps).
+  /// Byte-identical schedules and bounds to the recompute-everything path
+  /// (property-tested); disable only for A/B measurements.
   bool use_workspace{true};
   /// Replace the blind geometric dual search with the breakpoint-snapped
   /// variant (requires use_workspace). Fewer rejected guesses; the guess
@@ -114,7 +113,7 @@ struct MrtResult {
 /// As above, optionally reusing a caller-owned workspace across solves of
 /// the same instance (the serving-path hook: a SchedulerService worker keeps
 /// one DualWorkspace per instance it sees, so repeated cache-miss solves
-/// skip rebuilding the breakpoint index). `reuse` is taken only when
+/// reuse its warmed scratch buffers). `reuse` is taken only when
 /// `options.use_workspace` is on AND it was built for exactly `instance`
 /// (same object); otherwise a fresh local workspace is used, so a stale
 /// pointer degrades to the one-shot path instead of corrupting the solve.

@@ -120,10 +120,10 @@ struct TwoShelfOutcome {
                                                  const TwoShelfOptions& options = {});
 
 /// Workspace-aware overload: identical outcome byte for byte, but the
-/// canonical allotment is shared through the workspace's per-step cache, the
-/// gamma^lambda lookups use the breakpoint index, and every intermediate
-/// container (partition, candidates, knapsack DP tables, First Fit loads)
-/// lives in reused scratch -- only an accepted Schedule allocates.
+/// canonical allotment is shared through the workspace's per-step cache and
+/// every intermediate container (partition, candidates, knapsack DP tables,
+/// First Fit loads) lives in reused scratch -- only an accepted Schedule
+/// allocates.
 [[nodiscard]] TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
                                                  const TwoShelfOptions& options = {});
 

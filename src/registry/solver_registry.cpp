@@ -160,7 +160,7 @@ std::vector<OptionSpec> mrt_specs() {
       OptionSpec::boolean("malleable_list", defaults.enable_malleable_list,
                           "enable the Section 3.1 malleable list fallback branch"),
       OptionSpec::boolean("workspace", defaults.use_workspace,
-                          "run through the breakpoint-indexed DualWorkspace hot path"),
+                          "share one canonical allotment and sort per dual step (DualWorkspace)"),
       OptionSpec::boolean("snap", defaults.snap_to_breakpoints,
                           "breakpoint-snapped dual search (needs workspace=1)"),
   };

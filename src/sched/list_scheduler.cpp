@@ -1,7 +1,6 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -39,6 +38,7 @@ Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
   const int machines = instance.machines();
   Schedule schedule(machines, instance.size());
   std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
+  std::vector<double> window_buffer(avail.size());
 
   for (const int task : order) {
     const int procs = allotment[static_cast<std::size_t>(task)];
@@ -60,29 +60,11 @@ Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
     }
 
     // Earliest start over all contiguous windows of width `procs`.
-    const auto ready = sliding_window_max(avail, procs);
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const double r : ready) earliest = std::min(earliest, r);
-
-    int column = -1;
-    const bool starts_at_zero = approx_eq(earliest, 0.0);
+    const auto windows = window_maxima(avail, procs, window_buffer);
+    const double earliest = windows.earliest;
     const bool leftmost =
-        placement == Placement::kContiguousLeftmost || starts_at_zero;
-    if (leftmost) {
-      for (std::size_t s = 0; s < ready.size(); ++s) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    } else {
-      for (std::size_t s = ready.size(); s-- > 0;) {
-        if (approx_eq(ready[s], earliest)) {
-          column = static_cast<int>(s);
-          break;
-        }
-      }
-    }
+        placement == Placement::kContiguousLeftmost || approx_eq(earliest, 0.0);
+    const int column = tied_window(windows, leftmost);
 
     schedule.assign(task, earliest, duration, column, procs);
     for (int j = column; j < column + procs; ++j) {

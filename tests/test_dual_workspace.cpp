@@ -1,8 +1,9 @@
-// Tests for the DualWorkspace hot path: breakpoint lookups, canonical
+// Tests for the DualWorkspace hot path: gamma lookups, canonical
 // allotments, areas, full mrt solves, and the batch pipeline must be
 // byte-identical to the naive recomputation they replace; the scratch reuse
 // must be allocation-free after warm-up; and the breakpoint-snapped dual
-// search must stay sound (certified bounds never contradict brute force).
+// search must stay sound (certified bounds never contradict brute force)
+// and keep its recorded figures.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,7 @@ void expect_same_schedule(const Schedule& a, const Schedule& b, const std::strin
   }
 }
 
-// ------------------------------------------------------- breakpoint lookups
+// ------------------------------------------------------------ gamma lookups
 
 class WorkspaceFamilyTest
     : public ::testing::TestWithParam<std::tuple<WorkloadFamily, int>> {};
@@ -139,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
   // Flat and plateaued profiles put many breakpoints on the same deadline;
-  // the segment table must still reproduce the naive search exactly.
+  // the workspace lookup must still reproduce the naive search exactly.
   std::vector<MalleableTask> tasks;
   tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
   tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
@@ -232,28 +233,6 @@ TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
   EXPECT_GT(after.canonical_hits, warmed.canonical_hits);  // branches shared the step's allotment
 }
 
-TEST(DualWorkspace, HintPointerServesNarrowingBisection) {
-  GeneratorOptions options;
-  options.tasks = 30;
-  options.machines = 16;
-  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 11);
-  DualWorkspace workspace(instance);
-  // A bisection-like narrowing sequence: after the first probes the hinted
-  // segment should answer nearly every lookup.
-  const double lb = makespan_lower_bound(instance);
-  double lo = lb;
-  double hi = 4.0 * lb;
-  for (int i = 0; i < 24; ++i) {
-    const double mid = std::sqrt(lo * hi);
-    (void)workspace.canonical(mid);
-    ((i % 2 == 0) ? hi : lo) = mid;
-  }
-  const auto stats = workspace.stats();
-  ASSERT_GT(stats.lookup_probes, 0);
-  EXPECT_GT(stats.lookup_hits * 10, stats.lookup_probes * 5)
-      << "hint hit rate below 50%: " << stats.lookup_hits << "/" << stats.lookup_probes;
-}
-
 // ------------------------------------------------------------ snapped search
 
 class SnappedSearchTest : public ::testing::TestWithParam<int> {};
@@ -315,6 +294,53 @@ TEST_P(SnappedSearchTest, CertifiedBoundNeverContradictsBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnappedSearchTest, ::testing::Values(1, 2, 3));
+
+TEST(DualWorkspace, SnappedSolvesMatchRecordedFigures) {
+  // snap=1 steers its guesses by merged_breakpoints(), which the workspace
+  // builds from the profiles on first use. These figures were recorded when
+  // the domain came from an index built up front; any drift in the domain
+  // moves the guess sequence and shows here.
+  struct Pinned {
+    int iterations;
+    double final_guess;
+    double makespan;
+    double lower_bound;
+    std::size_t domain;
+  };
+  const auto check = [](const Instance& instance, const Pinned& pinned, const char* what) {
+    MrtOptions snapped;
+    snapped.snap_to_breakpoints = true;
+    const auto result = mrt_schedule(instance, snapped);
+    EXPECT_EQ(result.iterations, pinned.iterations) << what;
+    EXPECT_EQ(result.final_guess, pinned.final_guess) << what;
+    EXPECT_EQ(result.makespan, pinned.makespan) << what;
+    EXPECT_EQ(result.lower_bound, pinned.lower_bound) << what;
+    DualWorkspace workspace(instance);
+    EXPECT_EQ(workspace.merged_breakpoints().size(), pinned.domain) << what;
+  };
+
+  // n*m = 10240 > 8192: the domain is strided, and every row is non-strict
+  // (a sequential profile's thresholds are all equal).
+  GeneratorOptions sequential;
+  sequential.tasks = 160;
+  sequential.machines = 64;
+  check(generate_instance(WorkloadFamily::kSequentialOnly, sequential, 5),
+        {1, 7.9673639115778139, 7.9673639115778139, 7.9673639115778139, 160}, "sequential-only");
+
+  // n*m = 8640 > 8192: strictly decreasing rows, sampled every other entry.
+  GeneratorOptions stairs;
+  stairs.tasks = 120;
+  stairs.machines = 72;
+  check(generate_instance(WorkloadFamily::kStairs, stairs, 3),
+        {4, 0.86481516009396886, 0.91912258593177676, 0.85959619099409501, 4320}, "stairs");
+
+  // The plateau instance of HandlesPlateauProfilesAtToleranceBoundaries.
+  std::vector<MalleableTask> tasks;
+  tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
+  tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
+  tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
+  check(Instance(4, std::move(tasks)), {1, 4.0, 4.0, 4.0, 6}, "plateau");
+}
 
 // ------------------------------------------------------------ registry keys
 

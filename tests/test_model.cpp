@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "model/instance.hpp"
 #include "model/instance_handle.hpp"
@@ -148,6 +151,22 @@ struct ModelCase {
 
 class SpeedupModelTest : public ::testing::TestWithParam<ModelCase> {};
 
+// ctest lists each case under its name plus its printed GetParam(); gtest's
+// default printer dumps the struct's bytes, padding included, which vary by
+// build. Both come from the model and the shape instead ("amdahl_0p2").
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  *os << to_string(c.model) << ' ' << c.shape;
+}
+
+std::string model_case_name(const ::testing::TestParamInfo<ModelCase>& info) {
+  std::ostringstream name;
+  name << to_string(info.param.model) << '_' << info.param.shape;
+  std::string out = name.str();
+  std::replace(out.begin(), out.end(), '-', '_');
+  std::replace(out.begin(), out.end(), '.', 'p');
+  return out;
+}
+
 TEST_P(SpeedupModelTest, ProducesValidMonotonicProfiles) {
   const auto [model, shape] = GetParam();
   for (const int m : {1, 2, 7, 32, 100}) {
@@ -172,7 +191,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{SpeedupModel::kCommOverhead, 1.0},
                       ModelCase{SpeedupModel::kStaircase, 0.0},
                       ModelCase{SpeedupModel::kLinear, 0.0},
-                      ModelCase{SpeedupModel::kSequential, 0.0}));
+                      ModelCase{SpeedupModel::kSequential, 0.0}),
+    model_case_name);
 
 TEST(SpeedupModels, AmdahlFormula) {
   const auto profile = amdahl_profile(10.0, 0.5, 4);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "model/lower_bounds.hpp"
@@ -157,6 +161,91 @@ TEST(Sliding, WindowMaxKnownCase) {
   EXPECT_EQ(maxima, (std::vector<double>{3.0, 3.0, 5.0, 5.0}));
   const auto full = sliding_window_max(values, 5);
   EXPECT_EQ(full, (std::vector<double>{5.0}));
+}
+
+// Availability-like vector of `m` entries above `floor`, with planted ties:
+// exact duplicates of the floor, near-ties inside the approx_eq tolerance
+// (x(1 +- 5e-10), +-2e-12), values just outside it, and runs of them so
+// wider windows tie too. floor == 0 plants zeros.
+std::vector<double> planted_avail(int m, double floor, Rng& rng) {
+  const double unit = std::max(floor, 1.0);
+  const std::vector<double> near{floor,
+                                 floor,
+                                 floor * (1.0 + 5e-10),
+                                 floor * (1.0 - 5e-10),
+                                 floor + 2e-12,
+                                 std::max(floor - 2e-12, 0.0),
+                                 floor + 1.5e-9 * unit,
+                                 floor + 3.5e-9 * unit,
+                                 floor + 5e-9 * unit};
+  std::vector<double> values(static_cast<std::size_t>(m));
+  for (auto& v : values) v = floor + rng.uniform(0.0, 10.0) * unit;
+  const auto pick_near = [&] {
+    return near[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(near.size()) - 1))];
+  };
+  for (int plant = 0; plant < 1 + m / 8; ++plant) {
+    const auto at = static_cast<std::size_t>(rng.uniform_int(0, m - 1));
+    const auto length = static_cast<std::size_t>(rng.uniform_int(1, std::max(1, m / 4)));
+    for (std::size_t j = at; j < std::min(values.size(), at + length); ++j) {
+      values[j] = pick_near();
+    }
+  }
+  return values;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(Sliding, WindowKernelMatchesBruteForceOnPlantedTies) {
+  // The reference takes every window's max, then their min, then the first
+  // (leftmost) or last (rightmost) window in scan order that approx_eq's it;
+  // the kernel must reproduce (earliest, column) and every window max bit
+  // for bit.
+  Rng rng(20260314);
+  for (const int m : {1, 2, 3, 7, 16, 64, 256}) {
+    for (const double floor : {0.0, 0.75, 1.0, 37.5, 1e6}) {
+      const auto values = planted_avail(m, floor, rng);
+      std::vector<double> buffer(values.size());
+      for (int width = 1; width <= m; ++width) {
+        std::vector<double> ready;
+        for (int s = 0; s + width <= m; ++s) {
+          double top = values[static_cast<std::size_t>(s)];
+          for (int j = s + 1; j < s + width; ++j) {
+            top = std::max(top, values[static_cast<std::size_t>(j)]);
+          }
+          ready.push_back(top);
+        }
+        double earliest = ready.front();
+        for (const double r : ready) earliest = std::min(earliest, r);
+        int leftmost = -1;
+        int rightmost = -1;
+        for (int s = 0; s < static_cast<int>(ready.size()); ++s) {
+          if (!approx_eq(ready[static_cast<std::size_t>(s)], earliest)) continue;
+          if (leftmost < 0) leftmost = s;
+          rightmost = s;
+        }
+
+        const auto where = [&] {
+          return "m=" + std::to_string(m) + " floor=" + std::to_string(floor) +
+                 " width=" + std::to_string(width);
+        };
+        const auto windows = window_maxima(values, width, buffer);
+        ASSERT_EQ(windows.ready.size(), ready.size()) << where();
+        for (std::size_t s = 0; s < ready.size(); ++s) {
+          ASSERT_EQ(bits(windows.ready[s]), bits(ready[s])) << where() << " s=" << s;
+        }
+        EXPECT_EQ(bits(windows.earliest), bits(earliest)) << where();
+        EXPECT_EQ(tied_window(windows, true), leftmost) << where();
+        EXPECT_EQ(tied_window(windows, false), rightmost) << where();
+
+        const auto maxima = sliding_window_max(values, width);
+        ASSERT_EQ(maxima.size(), ready.size()) << where();
+        for (std::size_t s = 0; s < ready.size(); ++s) {
+          EXPECT_EQ(bits(maxima[s]), bits(ready[s])) << where() << " s=" << s;
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- list scheduler
