@@ -97,11 +97,6 @@ struct FamilyConfig {
 std::vector<SolverConfig> all_solver_configs() {
   return {
       {"mrt", "mrt", ""},
-      // The same algorithm without the DualWorkspace fast path (recomputes
-      // canonical allotments/sorts per branch, allocates per step): the
-      // in-artifact before/after for the workspace speedup, byte-identical
-      // schedules by construction.
-      {"mrt-legacy", "mrt", "workspace=0"},
       // Breakpoint-snapped dual search (different guess sequence, fewer
       // rejected iterations; same certified-bound soundness).
       {"mrt-snapped", "mrt", "snap=1"},

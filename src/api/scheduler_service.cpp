@@ -6,41 +6,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/dual_workspace.hpp"
 #include "registry/solver_registry.hpp"
 #include "support/failpoint.hpp"
 
 namespace malsched {
 
 namespace {
-
-/// Per-worker mrt scratch: the workspace of the last instance this thread
-/// solved, plus a shared_ptr that pins that instance so the raw address
-/// comparison below can never hit a recycled allocation. Thread-local on the
-/// pool threads (each service owns its threads, so services never share
-/// scratch); reset when the thread exits.
-struct WorkerScratch {
-  std::shared_ptr<const Instance> instance;
-  std::unique_ptr<DualWorkspace> workspace;
-};
-thread_local WorkerScratch tls_scratch;
-
-DualWorkspace* thread_workspace(const std::shared_ptr<const Instance>& job_instance,
-                                const Instance& requested, bool& reused) {
-  // Defensive: the provider promises a workspace for exactly the requested
-  // instance; a solver asking about anything else gets a decline.
-  if (&requested != job_instance.get()) return nullptr;
-  if (tls_scratch.workspace != nullptr && tls_scratch.instance.get() == &requested) {
-    reused = true;
-    return tls_scratch.workspace.get();
-  }
-  // Build first, then swap the keepalive: the old workspace stays backed by
-  // the old instance until both are replaced.
-  auto fresh = std::make_unique<DualWorkspace>(requested);
-  tls_scratch.workspace = std::move(fresh);
-  tls_scratch.instance = job_instance;
-  return tls_scratch.workspace.get();
-}
 
 SolveCacheConfig cache_config(const ServiceConfig& options) {
   SolveCacheConfig config;
@@ -426,19 +397,19 @@ void SchedulerService::run_job(std::uint64_t id) {
         const LockGuard lock(mutex_);
         ++stats_.deadline_misses;  // the fallback outcome won't carry the code
       }
-      finish(id, run_fallback(request, id, stopwatch), /*reused_workspace=*/false, nullptr);
+      finish(id, run_fallback(request, id, stopwatch), nullptr);
       return;
     }
     outcome.status = SolveStatus::kError;
     outcome.error = {SolveErrorCode::kDeadlineExceeded, "deadline expired while queued"};
     outcome.wall_seconds = stopwatch.seconds();
-    finish(id, std::move(outcome), /*reused_workspace=*/false, nullptr);
+    finish(id, std::move(outcome), nullptr);
     return;
   }
 
   if (degraded) {
     // Admitted past the watermark: straight to the fallback solver.
-    finish(id, run_fallback(request, id, stopwatch), /*reused_workspace=*/false, nullptr);
+    finish(id, run_fallback(request, id, stopwatch), nullptr);
     return;
   }
 
@@ -460,7 +431,7 @@ void SchedulerService::run_job(std::uint64_t id) {
       outcome.result = *cached;  // copied outside the cache lock
       outcome.cache_hit = true;
       outcome.wall_seconds = stopwatch.seconds();
-      finish(id, std::move(outcome), /*reused_workspace=*/false, nullptr);
+      finish(id, std::move(outcome), nullptr);
       return;
     }
   }
@@ -487,16 +458,9 @@ void SchedulerService::run_job(std::uint64_t id) {
     inflight_[key->fingerprint].push_back(Inflight{*key, id, {}});
   }
 
-  bool reused_workspace = false;
   SolveContext context;
   context.cancel = &token;  // outlives the solve: local until finish()
   context.deadline_seconds = deadline;
-  const std::shared_ptr<const Instance>& instance = request.instance.shared();
-  if (options_.reuse_workspaces) {
-    context.workspace_provider = [&instance, &reused_workspace](const Instance& requested) {
-      return thread_workspace(instance, requested, reused_workspace);
-    };
-  }
   try {
     MALSCHED_FAILPOINT("service.dispatch");
     outcome.result = registry_->solve(request, context);
@@ -519,8 +483,7 @@ void SchedulerService::run_job(std::uint64_t id) {
       const LockGuard lock(mutex_);
       ++stats_.deadline_misses;  // the fallback outcome won't carry the code
     }
-    finish(id, run_fallback(request, id, stopwatch), reused_workspace,
-           use_dedup ? &*key : nullptr);
+    finish(id, run_fallback(request, id, stopwatch), use_dedup ? &*key : nullptr);
     return;
   }
   if (outcome.status == SolveStatus::kOk && use_cache) {
@@ -532,7 +495,7 @@ void SchedulerService::run_job(std::uint64_t id) {
     }
   }
   outcome.wall_seconds = stopwatch.seconds();
-  finish(id, std::move(outcome), reused_workspace, use_dedup ? &*key : nullptr);
+  finish(id, std::move(outcome), use_dedup ? &*key : nullptr);
 }
 
 SolveOutcome SchedulerService::run_fallback(const SolveRequest& request, std::uint64_t id,
@@ -562,7 +525,7 @@ SolveOutcome SchedulerService::run_fallback(const SolveRequest& request, std::ui
   return outcome;
 }
 
-void SchedulerService::finish(std::uint64_t id, SolveOutcome outcome, bool reused_workspace,
+void SchedulerService::finish(std::uint64_t id, SolveOutcome outcome,
                               const SolveCache::Key* inflight_key) {
   // Leader epilogue, phase 1: detach the coalescing point. No new joiner
   // can register once the entry is gone, and the cache insert already
@@ -611,7 +574,6 @@ void SchedulerService::finish(std::uint64_t id, SolveOutcome outcome, bool reuse
     slot.state = JobState::kDone;
     release_request_payload(slot.payload->request);
     count_terminal_locked(slot.payload->outcome);
-    if (reused_workspace) ++stats_.workspace_reuses;
 
     for (std::size_t j = 0; j < joiners.size(); ++j) {
       Slot& joined = slots_[joiners[j].id];

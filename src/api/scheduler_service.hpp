@@ -98,19 +98,14 @@
 ///    workers bypassed; normal cache accounting; `fast_path` provenance,
 ///    worker -1) and its slot is born terminal, like a submit-time hit.
 ///
-/// Cache-miss solves additionally reuse per-worker mrt scratch: each worker
-/// keeps the DualWorkspace of the last instance it solved and hands it to
-/// the registry through SolveContext, so a burst of same-instance jobs
-/// (different options -- identical options would have hit the cache or
-/// joined in flight) reuses its warmed scratch buffers. Building a
-/// workspace is O(n), so the reuse saves little.
+/// Workers keep no solver state between jobs: every mrt solve builds its
+/// own DualWorkspace (O(n)), so its `workspace.*` counters depend only on
+/// the request, never on which worker ran what before it.
 ///
 /// Determinism contract: every result field is byte-identical to the
-/// synchronous `solve()` path, with two audited exceptions -- wall times
-/// (inherently run-dependent; cache hits and dedup joins carry the original
-/// solve's result wall time), and the mrt `workspace.*` audit counters,
-/// which report per-solve deltas and so legitimately shrink when a worker
-/// reuses its workspace (that saving is what they measure).
+/// synchronous `solve()` path, with one exception -- wall times (inherently
+/// run-dependent; cache hits and dedup joins carry the original solve's
+/// result wall time).
 ///
 /// Callback rules: on_result fires on a worker thread (or inside cancel()/
 /// shutdown()/submit() -- the latter on a submit-time cache hit -- on the
@@ -172,7 +167,10 @@ struct ServiceStats {
   std::uint64_t cache_evictions_ttl{0};
   std::size_t cache_entries{0};
   std::size_t cache_bytes{0};  ///< approximate resident footprint
-  std::uint64_t workspace_reuses{0};  ///< solves that borrowed a warm workspace
+  /// Retired: workers no longer share DualWorkspaces across solves, so this
+  /// always reads 0. It stays only because the repository benchmark reads it
+  /// (`api.workspace_reuses`) and goes away at the next benchmark change.
+  std::uint64_t workspace_reuses{0};
   // Robustness counters. `rejected` and `shed` outcomes are kError and so
   // also counted under `failed`; `deadline_misses` counts both terminal
   // kDeadlineExceeded outcomes and deadline-triggered fallback retries;
@@ -359,8 +357,8 @@ class SchedulerService {
   /// caller experienced).
   [[nodiscard]] SolveOutcome run_fallback(const SolveRequest& request, std::uint64_t id,
                                           const Stopwatch& stopwatch) MALSCHED_EXCLUDES(mutex_);
-  void finish(std::uint64_t id, SolveOutcome outcome, bool reused_workspace,
-              const SolveCache::Key* inflight_key) MALSCHED_EXCLUDES(mutex_);
+  void finish(std::uint64_t id, SolveOutcome outcome, const SolveCache::Key* inflight_key)
+      MALSCHED_EXCLUDES(mutex_);
   void deliver_ready() MALSCHED_EXCLUDES(mutex_);
   Inflight* find_inflight_locked(const SolveCache::Key& key) MALSCHED_REQUIRES(mutex_);
   void maybe_reclaim_locked(std::uint64_t id) MALSCHED_REQUIRES(mutex_);

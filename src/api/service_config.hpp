@@ -33,8 +33,6 @@ struct ServiceConfig {
   /// Reclaim outcome payloads once delivered AND observed (see the service
   /// Retention contract).
   bool gc_slots{false};
-  /// Reuse per-worker DualWorkspaces across same-instance cache misses.
-  bool reuse_workspaces{true};
   /// Registry to dispatch through; nullptr = the global one. Must outlive
   /// the service and not be mutated while it runs.
   const SolverRegistry* registry{nullptr};

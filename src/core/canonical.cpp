@@ -1,9 +1,10 @@
 #include "core/canonical.hpp"
 
-#include <algorithm>
 #include <span>
+#include <vector>
 
 #include "core/dual_workspace.hpp"
+#include "sched/list_scheduler.hpp"
 #include "support/math_utils.hpp"
 
 namespace malsched {
@@ -46,8 +47,8 @@ namespace {
 
 /// Definition 1's stacking sum, shared by both canonical_area overloads:
 /// `times[i]` must equal t_i(procs[i]) and `order` must list the tasks by
-/// non-increasing time with ties on the lower index (the legacy
-/// stable_sort's order), or the fractional cut lands on the wrong task.
+/// non-increasing time with ties on the lower index (order_by_decreasing's
+/// order), or the fractional cut lands on the wrong task.
 double stacked_area(std::span<const int> order, std::span<const int> procs,
                     std::span<const double> times, int machines) {
   double area = 0.0;
@@ -71,21 +72,15 @@ double stacked_area(std::span<const int> order, std::span<const int> procs,
 double canonical_area(const Instance& instance, const CanonicalAllotment& allotment) {
   if (!allotment.feasible) return 0.0;
 
-  // Legacy path: one stable_sort per call. Ties keep the lower task index
-  // first -- the workspace path reproduces exactly this permutation (with an
-  // explicit index tie-break), so both overloads stack in the same order.
-  std::vector<int> order(static_cast<std::size_t>(instance.size()));
-  for (int i = 0; i < instance.size(); ++i) order[static_cast<std::size_t>(i)] = i;
-  std::vector<double> times(order.size());
+  // The reference order: the list scheduler's stable sort on decreasing
+  // time (ties keep the lower task index first), which the workspace
+  // reproduces with an explicit index tie-break.
+  std::vector<double> times(static_cast<std::size_t>(instance.size()));
   for (int i = 0; i < instance.size(); ++i) {
     times[static_cast<std::size_t>(i)] =
         instance.task(i).time(allotment.procs[static_cast<std::size_t>(i)]);
   }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return times[static_cast<std::size_t>(a)] > times[static_cast<std::size_t>(b)];
-  });
-
-  return stacked_area(order, allotment.procs, times, instance.machines());
+  return stacked_area(order_by_decreasing(times), allotment.procs, times, instance.machines());
 }
 
 double canonical_area(DualWorkspace& workspace, const CanonicalAllotment& allotment) {

@@ -51,13 +51,17 @@ struct CanonicalAllotment {
 /// that the prefix processor sum reaches m,
 ///   W = sum_{j<=k} w_j - (prefix_procs - m) * t_k(gamma_k),
 /// and simply the total canonical work when the sum never reaches m.
+///
+/// This form sorts afresh on every call (order_by_decreasing); it is the
+/// reference the workspace form is tested against, and what one-shot
+/// callers use.
 [[nodiscard]] double canonical_area(const Instance& instance,
                                     const CanonicalAllotment& allotment);
 
-/// Workspace-aware overload: identical value, but the decreasing-time order
-/// comes from the workspace's once-per-step sort (shared with the canonical
-/// list algorithm) instead of a fresh stable_sort per call. `allotment` must
-/// be the workspace's current canonical allotment.
+/// The dual step's form: the same value, with the decreasing-time order taken
+/// from the workspace's once-per-step sort (shared with the canonical list
+/// algorithm). `allotment` must be the workspace's current canonical
+/// allotment.
 [[nodiscard]] double canonical_area(DualWorkspace& workspace,
                                     const CanonicalAllotment& allotment);
 

@@ -42,11 +42,10 @@ int find_idle_window(const std::vector<double>& avail, int width) {
   return -1;
 }
 
-/// List scheduling with the appendix's one-shot reallocation, shared by both
-/// canonical_list_schedule overloads: the first task forced off the first
-/// level may instead be squeezed, narrower, onto processors still idle at
-/// time 0. All working storage is caller-owned so the workspace path runs
-/// allocation-free (the legacy path passes locals).
+/// List scheduling with the appendix's one-shot reallocation: the first
+/// task forced off the first level may instead be squeezed, narrower, onto
+/// processors still idle at time 0. All working storage is the workspace's
+/// scratch, so a warmed-up step runs allocation-free.
 Schedule reallocation_schedule(const Instance& instance, std::span<const int> allotment,
                                std::span<const int> order, int khat, bool& reallocated,
                                CanonicalListScratch& scratch, const CancelCheck& cancel) {
@@ -101,28 +100,8 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
 
 CanonicalListOutcome canonical_list_schedule(const Instance& instance, double deadline,
                                              const CanonicalListOptions& options) {
-  CanonicalListOutcome outcome;
-  const auto canonical = canonical_allotment(instance, deadline);
-  if (certified_infeasible(instance, canonical)) return outcome;
-
-  outcome.canonical_area = canonical_area(instance, canonical);
-  outcome.area_condition =
-      leq(outcome.canonical_area, options.mu * static_cast<double>(instance.machines()) *
-                                      deadline);
-
-  const auto& allotment = canonical.procs;
-  const auto order = order_by_decreasing_alloted_time(instance, allotment);
-
-  if (!options.use_reallocation) {
-    outcome.schedule = list_schedule(instance, allotment, order);
-    return outcome;
-  }
-
-  CanonicalListScratch scratch;
-  outcome.schedule = reallocation_schedule(instance, allotment, order,
-                                           reallocation_width(options.mu), outcome.reallocated,
-                                           scratch, options.cancel);
-  return outcome;
+  DualWorkspace workspace(instance);
+  return canonical_list_schedule(workspace, deadline, options);
 }
 
 CanonicalListOutcome canonical_list_schedule(DualWorkspace& workspace, double deadline,
@@ -137,9 +116,8 @@ CanonicalListOutcome canonical_list_schedule(DualWorkspace& workspace, double de
       leq(outcome.canonical_area, options.mu * static_cast<double>(instance.machines()) *
                                       deadline);
 
-  // The workspace order is the same permutation order_by_decreasing_alloted_time
-  // produces (decreasing t_i(gamma_i), ties on the lower index), computed at
-  // most once per dual step.
+  // Decreasing t_i(gamma_i), ties on the lower index: computed at most once
+  // per dual step and shared with canonical_area.
   const auto order = workspace.canonical_order();
   const auto& allotment = canonical.procs;
 

@@ -31,9 +31,9 @@ namespace malsched {
 
 class DualWorkspace;
 
-/// Reusable buffers for the workspace-aware canonical-list path: processor
-/// availability and the window kernel's buffer (sched/sliding.hpp), both
-/// grown through detail::resize_counted.
+/// Reusable buffers for the canonical-list placement, one per DualWorkspace:
+/// processor availability and the window kernel's buffer
+/// (sched/sliding.hpp), both grown through detail::resize_counted.
 struct CanonicalListScratch {
   std::vector<double> avail;
   std::vector<double> window;
@@ -73,16 +73,16 @@ struct CanonicalListOutcome {
 /// Width ceil((k*+1)/2) used by the reallocation rule.
 [[nodiscard]] int reallocation_width(double mu);
 
-/// Runs the algorithm for guess `deadline`.
-[[nodiscard]] CanonicalListOutcome canonical_list_schedule(
-    const Instance& instance, double deadline, const CanonicalListOptions& options = {});
-
-/// Workspace-aware overload: byte-identical outcome, but the canonical
-/// allotment, area, and priority order come from the workspace's shared
-/// per-step cache (one sort per dual step instead of one per branch) and the
-/// list loop runs out of reused scratch -- only the returned Schedule
+/// Runs the algorithm for guess `deadline`. The canonical allotment, area,
+/// and priority order come from the workspace's per-step cache (one sort
+/// per dual step, shared with canonical_area and the other branches) and
+/// the list loop runs out of reused scratch -- only the returned Schedule
 /// allocates.
 [[nodiscard]] CanonicalListOutcome canonical_list_schedule(
     DualWorkspace& workspace, double deadline, const CanonicalListOptions& options = {});
+
+/// One-shot form: builds a DualWorkspace for `instance` and forwards.
+[[nodiscard]] CanonicalListOutcome canonical_list_schedule(
+    const Instance& instance, double deadline, const CanonicalListOptions& options = {});
 
 }  // namespace malsched

@@ -86,10 +86,11 @@ std::span<const int> DualWorkspace::canonical_order() {
   }
   detail::resize_counted(order_, n, stats_.alloc_events);
   std::iota(order_.begin(), order_.end(), 0);
-  // The legacy paths use std::stable_sort on the decreasing-time key (ties
-  // keep the lower index first). std::sort with the explicit index
-  // tie-break yields that exact permutation without stable_sort's internal
-  // temporary buffer, keeping the step allocation-free.
+  // order_by_decreasing (the reference canonical_area sorts with) is a
+  // std::stable_sort on the decreasing-time key, ties keeping the lower
+  // index first. std::sort with the explicit index tie-break yields that
+  // exact permutation without stable_sort's internal temporary buffer,
+  // keeping the step allocation-free.
   std::sort(order_.begin(), order_.end(), [&](int a, int b) {
     const double ta = canonical_times_[static_cast<std::size_t>(a)];
     const double tb = canonical_times_[static_cast<std::size_t>(b)];

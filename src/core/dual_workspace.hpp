@@ -32,11 +32,13 @@
 /// snapped search (snap=1) builds its breakpoint domain on first use
 /// (merged_breakpoints()).
 ///
-/// Everything the workspace computes is byte-identical to the naive
-/// recomputation: canonical allotments, areas, and every schedule derived
-/// from them match the workspace=0 path bit for bit
-/// (tests/test_dual_workspace.cpp enforces this across all generator
-/// families).
+/// The workspace is the only implementation of the dual step: the one-shot
+/// `const Instance&` forms of mrt_dual_step, canonical_list_schedule and
+/// two_shelf_schedule build one and forward. Its canonical allotments and
+/// areas match canonical_allotment() and canonical_area(const Instance&)
+/// bit for bit, and the schedules of full solves are pinned by digests
+/// recorded while the recompute-everything path still existed
+/// (tests/test_dual_workspace.cpp, across all generator families).
 ///
 /// A workspace is single-threaded mutable scratch: create one per solve (the
 /// mrt scheduler does) and never share it across threads. The referenced

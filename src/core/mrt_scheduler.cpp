@@ -62,14 +62,20 @@ std::optional<Schedule> single_shelf_schedule(const Instance& instance,
   return schedule;
 }
 
-/// The dual step's case split, shared by the legacy and workspace overloads:
-/// the policy lambdas decide where the canonical allotment, area, and the
-/// two-shelf / canonical-list branches come from; the control flow (and
-/// therefore the outcome) is identical either way.
-template <class AreaFn, class TwoShelfFn, class ListFn>
-MrtDualOutcome dual_step_impl(const Instance& instance, const CanonicalAllotment& canonical,
-                              double deadline, const MrtOptions& options, AreaFn&& area,
-                              TwoShelfFn&& run_two_shelf, ListFn&& run_canonical_list) {
+}  // namespace
+
+MrtDualOutcome mrt_dual_step(const Instance& instance, double deadline,
+                             const MrtOptions& options) {
+  DualWorkspace workspace(instance);
+  return mrt_dual_step(workspace, deadline, options);
+}
+
+MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
+                             const MrtOptions& options) {
+  const Instance& instance = workspace.instance();
+  // One canonical allotment per step: the branches below re-request the same
+  // deadline and hit the workspace cache instead of recomputing.
+  const auto& canonical = workspace.canonical(deadline);
   MrtDualOutcome outcome;
   if (certified_infeasible(instance, canonical)) {
     outcome.branch = DualBranch::kRejected;
@@ -77,7 +83,7 @@ MrtDualOutcome dual_step_impl(const Instance& instance, const CanonicalAllotment
     return outcome;
   }
 
-  outcome.canonical_area = area(canonical);
+  outcome.canonical_area = canonical_area(workspace, canonical);
   outcome.area_condition = leq(outcome.canonical_area, area_threshold(instance, deadline));
 
   struct Attempt {
@@ -103,7 +109,7 @@ MrtDualOutcome dual_step_impl(const Instance& instance, const CanonicalAllotment
   // the other, then to the small-m malleable list algorithm.
   const auto try_two_shelf = [&] {
     if (!options.enable_two_shelf || done()) return;
-    auto result = run_two_shelf();
+    auto result = two_shelf_schedule(workspace, deadline, options.two_shelf);
     if (result.schedule) {
       const auto branch = result.used_trivial ? DualBranch::kTwoShelfTrivial
                                               : DualBranch::kTwoShelfKnapsack;
@@ -112,7 +118,7 @@ MrtDualOutcome dual_step_impl(const Instance& instance, const CanonicalAllotment
   };
   const auto try_canonical_list = [&] {
     if (!options.enable_canonical_list || done()) return;
-    auto result = run_canonical_list();
+    auto result = canonical_list_schedule(workspace, deadline, options.canonical_list);
     consider(DualBranch::kCanonicalList, std::move(result.schedule));
   };
 
@@ -140,59 +146,11 @@ MrtDualOutcome dual_step_impl(const Instance& instance, const CanonicalAllotment
   return outcome;
 }
 
-}  // namespace
-
-MrtDualOutcome mrt_dual_step(const Instance& instance, double deadline,
-                             const MrtOptions& options) {
-  const auto canonical = canonical_allotment(instance, deadline);
-  return dual_step_impl(
-      instance, canonical, deadline, options,
-      [&](const CanonicalAllotment& c) { return canonical_area(instance, c); },
-      [&] { return two_shelf_schedule(instance, deadline, options.two_shelf); },
-      [&] { return canonical_list_schedule(instance, deadline, options.canonical_list); });
-}
-
-MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
-                             const MrtOptions& options) {
-  const Instance& instance = workspace.instance();
-  // One canonical allotment per step: the branches below re-request the same
-  // deadline and hit the workspace cache instead of recomputing.
-  const auto& canonical = workspace.canonical(deadline);
-  return dual_step_impl(
-      instance, canonical, deadline, options,
-      [&](const CanonicalAllotment& c) { return canonical_area(workspace, c); },
-      [&] { return two_shelf_schedule(workspace, deadline, options.two_shelf); },
-      [&] { return canonical_list_schedule(workspace, deadline, options.canonical_list); });
-}
-
 MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options) {
-  return mrt_schedule(instance, options, nullptr);
-}
-
-MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options,
-                       DualWorkspace* reuse) {
   std::array<int, kDualBranchCount> branch_counts{};
-  // A borrowed workspace is accepted only when it was built for exactly this
-  // instance; anything else (or the legacy path) gets the usual per-solve
-  // local workspace, so a wrong hook degrades to the one-shot behavior.
-  std::optional<DualWorkspace> local;
-  DualWorkspace* workspace = nullptr;
-  if (options.use_workspace) {
-    if (reuse != nullptr && &reuse->instance() == &instance) {
-      workspace = reuse;
-    } else {
-      local.emplace(instance);
-      workspace = &*local;
-    }
-  }
-  // The shared counters keep accumulating across solves on a reused
-  // workspace; this solve reports its delta (0 warm-up allocations on reuse
-  // is the saving the hook exists to deliver).
-  const DualWorkspaceStats before = workspace ? workspace->stats() : DualWorkspaceStats{};
-
+  DualWorkspace workspace(instance);
   const DualStep step = [&](double guess) {
-    auto outcome = workspace ? mrt_dual_step(*workspace, guess, options)
-                             : mrt_dual_step(instance, guess, options);
+    auto outcome = mrt_dual_step(workspace, guess, options);
     ++branch_counts[static_cast<std::size_t>(outcome.branch)];
     DualStepResult result;
     result.schedule = std::move(outcome.schedule);
@@ -200,10 +158,11 @@ MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options,
     return result;
   };
 
-  auto search = workspace && options.snap_to_breakpoints
-                    ? dual_search_snapped(*workspace, step, options.search)
+  auto search = options.snap_to_breakpoints
+                    ? dual_search_snapped(workspace, step, options.search)
                     : dual_search(instance, step, options.search);
-  MrtResult result{std::move(search.schedule),
+  const auto stats = workspace.stats();
+  return MrtResult{std::move(search.schedule),
                    search.makespan,
                    search.certified_lower_bound,
                    search.ratio,
@@ -211,14 +170,8 @@ MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options,
                    search.iterations,
                    search.gaps,
                    branch_counts,
-                   0,
-                   0};
-  if (workspace) {
-    const auto stats = workspace->stats();
-    result.workspace_allocations = stats.alloc_events - before.alloc_events;
-    result.canonical_evals = stats.canonical_evals - before.canonical_evals;
-  }
-  return result;
+                   stats.alloc_events,
+                   stats.canonical_evals};
 }
 
 }  // namespace malsched

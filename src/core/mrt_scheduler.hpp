@@ -60,15 +60,10 @@ struct MrtOptions {
   /// Evaluate every branch and keep the shortest accepted schedule instead
   /// of stopping at the first success (ablation; slower, never worse).
   bool pick_best_branch{false};
-  /// Run the search through a DualWorkspace (one canonical allotment and one
-  /// sort per step shared across branches, allocation-free rejected steps).
-  /// Byte-identical schedules and bounds to the recompute-everything path
-  /// (property-tested); disable only for A/B measurements.
-  bool use_workspace{true};
   /// Replace the blind geometric dual search with the breakpoint-snapped
-  /// variant (requires use_workspace). Fewer rejected guesses; the guess
-  /// sequence -- hence the exact schedule -- may differ from the default
-  /// search, so this is opt-in.
+  /// variant, steered by the solve's DualWorkspace. Fewer rejected guesses;
+  /// the guess sequence -- hence the exact schedule -- may differ from the
+  /// default search, so this is opt-in.
   bool snap_to_breakpoints{false};
 };
 
@@ -81,13 +76,14 @@ struct MrtDualOutcome {
   bool area_condition{false};        ///< W <= mu*m*d
 };
 
-/// Runs the sqrt(3) dual step at `deadline`.
-[[nodiscard]] MrtDualOutcome mrt_dual_step(const Instance& instance, double deadline,
+/// Runs the sqrt(3) dual step at `deadline` on `workspace`, which shares the
+/// canonical allotment, the area sort, and the branch scratch across the
+/// branches (and, within one solve, across steps).
+[[nodiscard]] MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
                                            const MrtOptions& options = {});
 
-/// Workspace-aware overload: byte-identical outcome, with the canonical
-/// allotment, area sort, and branch scratch shared through `workspace`.
-[[nodiscard]] MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
+/// One-shot form: builds a DualWorkspace for `instance` and forwards.
+[[nodiscard]] MrtDualOutcome mrt_dual_step(const Instance& instance, double deadline,
                                            const MrtOptions& options = {});
 
 /// Full solve: dichotomic search over guesses.
@@ -101,30 +97,15 @@ struct MrtResult {
   int gaps{0};
   /// How often each branch fired across the search, indexed by DualBranch.
   std::array<int, kDualBranchCount> branch_counts{};
-  /// Workspace counters (0 on the legacy path): scratch growths across the
-  /// whole solve -- the hot loop's allocation audit -- and canonical
-  /// allotments actually computed vs. served from the per-step cache.
+  /// The solve's DualWorkspace counters, totals over the whole solve:
+  /// scratch growths (the hot loop's allocation audit) and canonical
+  /// allotments actually computed vs. served from the per-step cache. Every
+  /// solve builds its own workspace, so both are functions of (instance,
+  /// options) alone.
   long long workspace_allocations{0};
   long long canonical_evals{0};
 };
 
 [[nodiscard]] MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options = {});
-
-/// As above, optionally reusing a caller-owned workspace across solves of
-/// the same instance (the serving-path hook: a SchedulerService worker keeps
-/// one DualWorkspace per instance it sees, so repeated cache-miss solves
-/// reuse its warmed scratch buffers). `reuse` is taken only when
-/// `options.use_workspace` is on AND it was built for exactly `instance`
-/// (same object); otherwise a fresh local workspace is used, so a stale
-/// pointer degrades to the one-shot path instead of corrupting the solve.
-///
-/// Schedules, bounds, iterations, and branch counts are byte-identical to
-/// the fresh-workspace solve (every workspace lookup is byte-identical to
-/// the naive recomputation regardless of scratch warm-up). The
-/// workspace.allocations / canonical_evals counters report per-solve DELTAS
-/// of the shared counters: a reused workspace legitimately reports fewer
-/// warm-up allocations -- that saving is the point of the hook.
-[[nodiscard]] MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options,
-                                     DualWorkspace* reuse);
 
 }  // namespace malsched

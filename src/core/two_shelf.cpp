@@ -171,8 +171,8 @@ std::optional<Schedule> build_trivial_schedule(const Instance& instance,
   return schedule;
 }
 
-/// The Section-4 case analysis shared by both overloads. `canonical` must
-/// already have survived the Property-2 test.
+/// The Section-4 case analysis. `canonical` must already have survived the
+/// Property-2 test.
 TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment& canonical,
                               double deadline, const TwoShelfOptions& options,
                               TwoShelfScratch& scratch) {
@@ -275,14 +275,8 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
 
 TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
                                    const TwoShelfOptions& options) {
-  const auto canonical = canonical_allotment(instance, deadline);
-  if (certified_infeasible(instance, canonical)) {
-    TwoShelfOutcome outcome;
-    outcome.certified_reject = true;
-    return outcome;
-  }
-  TwoShelfScratch scratch;
-  return two_shelf_run(instance, canonical, deadline, options, scratch);
+  DualWorkspace workspace(instance);
+  return two_shelf_schedule(workspace, deadline, options);
 }
 
 TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,

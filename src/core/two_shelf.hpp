@@ -53,11 +53,10 @@ struct TwoShelfMigrant {
 
 }  // namespace detail
 
-/// Reusable buffers for the workspace-aware two-shelf path: one per
-/// DualWorkspace, cleared (capacity retained) on every attempt so a dual
-/// step allocates nothing here after warm-up. `alloc_events` counts the
-/// attempts on which some buffer's capacity grew (audited by the workspace
-/// overload of two_shelf_schedule).
+/// Reusable buffers for the two-shelf construction: one per DualWorkspace,
+/// cleared (capacity retained) on every attempt so a dual step allocates
+/// nothing here after warm-up. `alloc_events` counts the attempts on which
+/// some buffer's capacity grew (audited by two_shelf_schedule).
 struct TwoShelfScratch {
   std::vector<int> s1;
   std::vector<int> s2;
@@ -115,16 +114,16 @@ struct TwoShelfOutcome {
   long long knapsack_profit{0};    ///< achieved sum of gamma_i over S
 };
 
-/// Attempts to build a lambda-schedule for guess `deadline`.
-[[nodiscard]] TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
-                                                 const TwoShelfOptions& options = {});
-
-/// Workspace-aware overload: identical outcome byte for byte, but the
-/// canonical allotment is shared through the workspace's per-step cache and
-/// every intermediate container (partition, candidates, knapsack DP tables,
-/// First Fit loads) lives in reused scratch -- only an accepted Schedule
+/// Attempts to build a lambda-schedule for guess `deadline`. The canonical
+/// allotment comes from the workspace's per-step cache and every
+/// intermediate container (partition, candidates, knapsack DP tables, First
+/// Fit loads) lives in its reused scratch -- only an accepted Schedule
 /// allocates.
 [[nodiscard]] TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
+                                                 const TwoShelfOptions& options = {});
+
+/// One-shot form: builds a DualWorkspace for `instance` and forwards.
+[[nodiscard]] TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
                                                  const TwoShelfOptions& options = {});
 
 }  // namespace malsched

@@ -13,8 +13,7 @@
 ///
 /// BatchRunner spins workers up per run and tears them down at the end,
 /// which is right for a closed batch but wrong for a service that accepts
-/// work continuously: thread churn per submission, and nowhere for
-/// per-thread scratch (the mrt DualWorkspace) to survive between jobs.
+/// work continuously: it would pay thread churn per submission.
 /// WorkerPool keeps its threads for its whole lifetime; tasks posted from
 /// any thread run in post order (single FIFO queue, workers pull one task at
 /// a time -- no per-worker deques, so dispatch order is deterministic even

@@ -73,7 +73,7 @@ class InstanceHandle {
   [[nodiscard]] const Instance& instance() const;
 
   /// The owning pointer (null for an empty handle) -- for code that needs to
-  /// extend the instance's lifetime beyond the handle (worker keepalives).
+  /// extend the instance's lifetime beyond the handle.
   [[nodiscard]] const std::shared_ptr<const Instance>& shared() const noexcept {
     return instance_;
   }

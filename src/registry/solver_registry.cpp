@@ -7,7 +7,6 @@
 #include "baselines/naive.hpp"
 #include "baselines/two_phase.hpp"
 #include "baselines/two_shelves_32.hpp"
-#include "core/dual_workspace.hpp"
 #include "core/mrt_scheduler.hpp"
 #include "graph/graph_scheduler.hpp"
 #include "graph/task_graph.hpp"
@@ -29,7 +28,6 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.enable_two_shelf = options.get_bool("two_shelf", mrt.enable_two_shelf);
   mrt.enable_canonical_list = options.get_bool("canonical_list", mrt.enable_canonical_list);
   mrt.enable_malleable_list = options.get_bool("malleable_list", mrt.enable_malleable_list);
-  mrt.use_workspace = options.get_bool("workspace", mrt.use_workspace);
   mrt.snap_to_breakpoints = options.get_bool("snap", mrt.snap_to_breakpoints);
 
   // One CancelCheck copied into every branch's options: the dual loop polls
@@ -41,27 +39,15 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.search.cancel = check;
   mrt.canonical_list.cancel = check;
   mrt.two_shelf.cancel = check;
-
-  // The PR 3 reuse hook: a long-lived front end (SchedulerService worker)
-  // may offer a per-thread workspace already built for this instance; the
-  // provider is only consulted when the workspace path is on, so legacy
-  // (workspace=0) solves never pay for a build.
-  DualWorkspace* reuse = nullptr;
-  if (mrt.use_workspace && context.workspace_provider) {
-    reuse = context.workspace_provider(instance);
-  }
-  auto result = mrt_schedule(instance, mrt, reuse);
+  auto result = mrt_schedule(instance, mrt);
 
   SolverResult out{"", std::move(result.schedule), 0.0, result.lower_bound, 0.0, 0.0, {}};
   out.stats.emplace_back("iterations", result.iterations);
   out.stats.emplace_back("gaps", result.gaps);
   out.stats.emplace_back("final_guess", result.final_guess);
-  if (mrt.use_workspace) {
-    out.stats.emplace_back("workspace.allocations",
-                           static_cast<double>(result.workspace_allocations));
-    out.stats.emplace_back("workspace.canonical_evals",
-                           static_cast<double>(result.canonical_evals));
-  }
+  out.stats.emplace_back("workspace.allocations",
+                         static_cast<double>(result.workspace_allocations));
+  out.stats.emplace_back("workspace.canonical_evals", static_cast<double>(result.canonical_evals));
   for (int b = 0; b < kDualBranchCount; ++b) {
     const int count = result.branch_counts[static_cast<std::size_t>(b)];
     if (count > 0) {
@@ -159,10 +145,8 @@ std::vector<OptionSpec> mrt_specs() {
                           "enable the Section 3.2 canonical list branch"),
       OptionSpec::boolean("malleable_list", defaults.enable_malleable_list,
                           "enable the Section 3.1 malleable list fallback branch"),
-      OptionSpec::boolean("workspace", defaults.use_workspace,
-                          "share one canonical allotment and sort per dual step (DualWorkspace)"),
       OptionSpec::boolean("snap", defaults.snap_to_breakpoints,
-                          "breakpoint-snapped dual search (needs workspace=1)"),
+                          "breakpoint-snapped dual search"),
   };
 }
 
@@ -203,8 +187,7 @@ SolverRegistry make_global_registry() {
   SolverRegistry registry;
   registry.add_with_context("mrt",
                             "sqrt(3)(1+eps) dual approximation of Mounie-Rapine-Trystram",
-                            solve_mrt, mrt_specs(), /*contiguous=*/true,
-                            /*reuses_workspace=*/true);
+                            solve_mrt, mrt_specs());
   registry.add("two_phase", "Turek/Ludwig two-phase baseline (allotment selection + packing)",
                solve_two_phase, two_phase_specs());
   registry.add("naive", "practitioner anchors: half-speedup, lpt-seq, or gang", solve_naive,
@@ -230,12 +213,11 @@ void SolverRegistry::add(std::string name, std::string summary, SolverFn fn,
       std::move(name), std::move(summary),
       [fn = std::move(fn)](const Instance& instance, const SolverOptions& solver_options,
                            const SolveContext&) { return fn(instance, solver_options); },
-      std::move(options), contiguous, /*reuses_workspace=*/false);
+      std::move(options), contiguous);
 }
 
 void SolverRegistry::add_with_context(std::string name, std::string summary, ContextSolverFn fn,
-                                      std::vector<OptionSpec> options, bool contiguous,
-                                      bool reuses_workspace) {
+                                      std::vector<OptionSpec> options, bool contiguous) {
   if (name.empty()) throw std::invalid_argument("SolverRegistry: empty solver name");
   if (!fn) throw std::invalid_argument("SolverRegistry: null solver for '" + name + "'");
   if (entries_.count(name) > 0) {
@@ -260,8 +242,7 @@ void SolverRegistry::add_with_context(std::string name, std::string summary, Con
     }
   }
 
-  Entry entry{name, std::move(summary), "", std::move(fn), std::move(options), contiguous,
-              reuses_workspace};
+  Entry entry{name, std::move(summary), "", std::move(fn), std::move(options), contiguous};
 
   // The option portion of the one-liner is derived, never hand-written, so
   // description() cannot drift from the declared schema.
@@ -297,10 +278,6 @@ const std::vector<OptionSpec>& SolverRegistry::option_specs(const std::string& n
 
 std::string SolverRegistry::option_help(const std::string& name, const std::string& indent) const {
   return option_table(entry(name).options, indent);
-}
-
-bool SolverRegistry::reuses_workspace(const std::string& name) const {
-  return entry(name).reuses_workspace;
 }
 
 const SolverRegistry::Entry& SolverRegistry::entry(const std::string& name) const {

@@ -25,7 +25,7 @@
 ///   mrt               sqrt(3) dual approximation (MRT '99)   epsilon, compaction,
 ///                                                            pick_best_branch, two_shelf,
 ///                                                            canonical_list, malleable_list,
-///                                                            workspace (default 1), snap
+///                                                            snap
 ///   two_phase         Turek/Ludwig two-phase baseline        rigid=ffdh|nfdh|list,
 ///                                                            max_candidates
 ///   naive             practitioner anchors                   policy=half-speedup|lpt-seq|gang
@@ -48,29 +48,18 @@
 /// option_specs(), and option_help() are const reads of an immutable entry
 /// map and safe to call concurrently, provided no add() races with them. The
 /// built-in solver functions are stateless (pure functions of instance +
-/// options; any SolveContext scratch is caller-owned and per-thread), so
-/// concurrent solve() calls on distinct or even the same instance are safe.
+/// options; any scratch is local to the call), so concurrent solve() calls
+/// on distinct or even the same instance are safe.
 /// add() is NOT synchronized: finish registering custom solvers before
 /// sharing a registry across threads (the global registry is fully populated
 /// on first use).
 namespace malsched {
 
-class DualWorkspace;  // core/dual_workspace.hpp
-
 /// Optional per-call state a long-lived front end threads into
-/// context-aware solvers: a per-thread DualWorkspace provider (so
-/// same-instance mrt solves on one service worker reuse the breakpoint
-/// index instead of rebuilding it) and the cooperative cancellation pair --
-/// a borrowed CancelToken plus an absolute deadline -- that the dispatch
-/// turns into the CancelCheck the solver hot loops carry.
+/// context-aware solvers: the cooperative cancellation pair -- a borrowed
+/// CancelToken plus an absolute deadline -- that the dispatch turns into
+/// the CancelCheck the solver hot loops carry.
 struct SolveContext {
-  /// Returns a workspace built for exactly `instance` (building or reusing
-  /// as the provider sees fit), or nullptr to decline. Called lazily -- only
-  /// by solvers that declare `reuses_workspace`, and only when their options
-  /// actually enable the workspace path -- so non-workspace solves never pay
-  /// for a build. The returned workspace must outlive the solve and must not
-  /// be shared across threads.
-  std::function<DualWorkspace*(const Instance&)> workspace_provider;
   /// Borrowed cancellation flag (must outlive the solve); nullptr = none.
   /// Firing it makes the running solve throw CancelledError within one
   /// check stride.
@@ -88,7 +77,7 @@ class SolverRegistry {
   /// ratio, runs the optional post-pass, validates, and stamps wall time.
   using SolverFn = std::function<SolverResult(const Instance&, const SolverOptions&)>;
 
-  /// As SolverFn, with the per-call SolveContext (borrowed scratch hooks).
+  /// As SolverFn, with the per-call SolveContext (cancellation, deadline).
   using ContextSolverFn =
       std::function<SolverResult(const Instance&, const SolverOptions&, const SolveContext&)>;
 
@@ -108,10 +97,6 @@ class SolverRegistry {
     /// Whether the solver guarantees contiguous processor intervals (the
     /// paper's setting); validation enforces exactly what is promised.
     bool contiguous{true};
-    /// Whether the solver consults SolveContext::workspace_provider (only
-    /// mrt today); lets front ends skip offering scratch to solvers that
-    /// would never use it.
-    bool reuses_workspace{false};
   };
 
   /// The process-wide registry, pre-populated with the built-in solvers.
@@ -128,11 +113,9 @@ class SolverRegistry {
   void add(std::string name, std::string summary, SolverFn fn,
            std::vector<OptionSpec> options = {}, bool contiguous = true);
 
-  /// As add(), for context-aware solvers; `reuses_workspace` marks solvers
-  /// that consult SolveContext::workspace_provider.
+  /// As add(), for context-aware solvers (cancellation and deadlines).
   void add_with_context(std::string name, std::string summary, ContextSolverFn fn,
-                        std::vector<OptionSpec> options = {}, bool contiguous = true,
-                        bool reuses_workspace = false);
+                        std::vector<OptionSpec> options = {}, bool contiguous = true);
 
   [[nodiscard]] bool contains(const std::string& name) const;
 
@@ -152,9 +135,6 @@ class SolverRegistry {
   [[nodiscard]] std::string option_help(const std::string& name,
                                         const std::string& indent = "  ") const;
 
-  /// Whether the named solver consults SolveContext::workspace_provider.
-  [[nodiscard]] bool reuses_workspace(const std::string& name) const;
-
   /// API v2 entry point: dispatches `request.solver` on the interned
   /// instance, reusing the handle's precomputed static lower bound instead
   /// of re-deriving it (bit-identical -- same function, same frozen
@@ -165,7 +145,8 @@ class SolverRegistry {
   /// here (the registry memoizes nothing).
   [[nodiscard]] SolverResult solve(const SolveRequest& request) const;
 
-  /// As above with caller-provided per-call context (workspace reuse).
+  /// As above with caller-provided per-call context (cancellation and
+  /// deadline).
   [[nodiscard]] SolverResult solve(const SolveRequest& request,
                                    const SolveContext& context) const;
 

@@ -1,17 +1,23 @@
 // Tests for the DualWorkspace hot path: gamma lookups, canonical
-// allotments, areas, full mrt solves, and the batch pipeline must be
-// byte-identical to the naive recomputation they replace; the scratch reuse
-// must be allocation-free after warm-up; and the breakpoint-snapped dual
-// search must stay sound (certified bounds never contradict brute force)
-// and keep its recorded figures.
+// allotments and areas must be byte-identical to the naive recomputation;
+// full mrt solves and the batch pipeline must keep the digests recorded
+// while the recompute-everything path still existed to compare against;
+// the scratch reuse must be allocation-free after warm-up; and the
+// breakpoint-snapped dual search must stay sound (certified bounds never
+// contradict brute force) and keep its recorded figures.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
+#include "api/scheduler_service.hpp"
 #include "api/solve_batch.hpp"
 #include "registry/solver_registry.hpp"
 #include "core/canonical.hpp"
@@ -20,6 +26,7 @@
 #include "model/lower_bounds.hpp"
 #include "oracles/exact_small.hpp"
 #include "sched/validate.hpp"
+#include "support/fnv.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
@@ -27,20 +34,62 @@
 namespace malsched {
 namespace {
 
-void expect_same_schedule(const Schedule& a, const Schedule& b, const std::string& what) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks()) << what;
-  ASSERT_EQ(a.machines(), b.machines()) << what;
-  for (int t = 0; t < a.num_tasks(); ++t) {
-    ASSERT_EQ(a.is_assigned(t), b.is_assigned(t)) << what << " task " << t;
-    if (!a.is_assigned(t)) continue;
-    const auto& x = a.of(t);
-    const auto& y = b.of(t);
-    EXPECT_EQ(x.start, y.start) << what << " task " << t;
-    EXPECT_EQ(x.duration, y.duration) << what << " task " << t;
-    EXPECT_EQ(x.first_proc, y.first_proc) << what << " task " << t;
-    EXPECT_EQ(x.num_procs, y.num_procs) << what << " task " << t;
-    EXPECT_EQ(x.scattered, y.scattered) << what << " task " << t;
+/// The figures an mrt solve reports, from either entry point.
+struct SolveFigures {
+  double makespan;
+  double lower_bound;
+  double ratio;
+  double final_guess;
+  int iterations;
+  int gaps;
+  std::array<int, kDualBranchCount> branch_counts;
+};
+
+SolveFigures figures_of(const MrtResult& result) {
+  return {result.makespan,   result.lower_bound, result.ratio,        result.final_guess,
+          result.iterations, result.gaps,        result.branch_counts};
+}
+
+SolveFigures figures_of(const SolverResult& result) {
+  SolveFigures figures{result.makespan,
+                       result.lower_bound,
+                       result.ratio,
+                       result.stat("final_guess"),
+                       static_cast<int>(result.stat("iterations")),
+                       static_cast<int>(result.stat("gaps")),
+                       {}};
+  for (int b = 0; b < kDualBranchCount; ++b) {
+    figures.branch_counts[static_cast<std::size_t>(b)] =
+        static_cast<int>(result.stat("branch." + to_string(static_cast<DualBranch>(b))));
   }
+  return figures;
+}
+
+/// FNV-1a (support/fnv.hpp) over the figures and every assignment.
+std::uint64_t solve_digest(const SolveFigures& figures, const Schedule& schedule) {
+  std::uint64_t hash = fnv::kOffset;
+  const auto mix_real = [&hash](double value) { fnv::mix_bytes(hash, &value, sizeof value); };
+  const auto mix_int = [&hash](long long value) {
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(value));
+  };
+  mix_real(figures.makespan);
+  mix_real(figures.lower_bound);
+  mix_real(figures.ratio);
+  mix_real(figures.final_guess);
+  mix_int(figures.iterations);
+  mix_int(figures.gaps);
+  for (const int count : figures.branch_counts) mix_int(count);
+  for (int t = 0; t < schedule.num_tasks(); ++t) {
+    mix_int(schedule.is_assigned(t) ? 1 : 0);
+    if (!schedule.is_assigned(t)) continue;
+    const auto& assignment = schedule.of(t);
+    mix_real(assignment.start);
+    mix_real(assignment.duration);
+    mix_int(assignment.first_proc);
+    mix_int(assignment.num_procs);
+    for (const int proc : assignment.scattered) mix_int(proc);
+  }
+  return hash;
 }
 
 // ------------------------------------------------------------ gamma lookups
@@ -106,28 +155,39 @@ TEST_P(WorkspaceFamilyTest, CanonicalAllotmentAndAreaAreByteIdentical) {
   }
 }
 
-TEST_P(WorkspaceFamilyTest, MrtSolveIsByteIdenticalToLegacyPath) {
+TEST_P(WorkspaceFamilyTest, MrtSolveMatchesRecordedDigest) {
+  // Recorded while MrtOptions could still run the search without a
+  // workspace, recomputing everything per branch; on every cell of this
+  // grid both paths produced these digests.
+  static const std::map<std::pair<WorkloadFamily, int>, std::uint64_t> kRecorded{
+      {{WorkloadFamily::kUniform, 1}, 0x7f78d4ce818e997cull},
+      {{WorkloadFamily::kUniform, 2}, 0x149a7c9fa66940cdull},
+      {{WorkloadFamily::kUniform, 3}, 0x97bf2898e384fe1bull},
+      {{WorkloadFamily::kBimodal, 1}, 0x05aa3d19faea0720ull},
+      {{WorkloadFamily::kBimodal, 2}, 0xcb0a18f5ba5ad9fcull},
+      {{WorkloadFamily::kBimodal, 3}, 0x3a605fe61c4a1466ull},
+      {{WorkloadFamily::kHeavyTail, 1}, 0xbee577df62b9e9d7ull},
+      {{WorkloadFamily::kHeavyTail, 2}, 0xfabfe1c41f968008ull},
+      {{WorkloadFamily::kHeavyTail, 3}, 0x1179721dc83e5c94ull},
+      {{WorkloadFamily::kStairs, 1}, 0xe6f2ccf5a82581b9ull},
+      {{WorkloadFamily::kStairs, 2}, 0xcfdd98410aee5151ull},
+      {{WorkloadFamily::kStairs, 3}, 0x1210aef8ff79dd9cull},
+      {{WorkloadFamily::kPackedOpt1, 1}, 0x620399844bb331a4ull},
+      {{WorkloadFamily::kPackedOpt1, 2}, 0x92395feefc2ba9e7ull},
+      {{WorkloadFamily::kPackedOpt1, 3}, 0xe06968c481633912ull},
+      {{WorkloadFamily::kSequentialOnly, 1}, 0x0bedd85e4192351full},
+      {{WorkloadFamily::kSequentialOnly, 2}, 0x42d65a18d3610e15ull},
+      {{WorkloadFamily::kSequentialOnly, 3}, 0xaf3629f04ed3477dull},
+  };
   const auto [family, seed] = GetParam();
   GeneratorOptions options;
   options.tasks = 28;
   options.machines = 14;
   const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
 
-  MrtOptions legacy;
-  legacy.use_workspace = false;
-  MrtOptions fast;
-  fast.use_workspace = true;
-
-  const auto a = mrt_schedule(instance, legacy);
-  const auto b = mrt_schedule(instance, fast);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.lower_bound, b.lower_bound);
-  EXPECT_EQ(a.ratio, b.ratio);
-  EXPECT_EQ(a.final_guess, b.final_guess);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.gaps, b.gaps);
-  EXPECT_EQ(a.branch_counts, b.branch_counts);
-  expect_same_schedule(a.schedule, b.schedule, to_string(family));
+  const auto result = mrt_schedule(instance);
+  EXPECT_EQ(solve_digest(figures_of(result), result.schedule), kRecorded.at({family, seed}))
+      << to_string(family) << " seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,45 +224,34 @@ TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
 // ------------------------------------------------------------- batch solves
 
 TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
-  // The production fan-out: the default (workspace) mrt config must produce
-  // the same schedules and bounds as the workspace=0 recomputation, on every
-  // thread count.
-  std::vector<InstanceHandle> instances;
+  // The production fan-out at every thread count must reproduce the
+  // digests recorded when each of these jobs also ran without a workspace
+  // (both paths agreed at 1, 2 and 8 threads).
+  static const std::array<std::uint64_t, 6> kRecorded{
+      0x69d2dc21f81805e8ull, 0x8875b604bdfd81adull, 0xef7de37999805a8eull,
+      0x00b93cf9f88f859full, 0x0e5a6f1185d126b8ull, 0x41faa6c105b2cf54ull,
+  };
+  std::vector<SolveRequest> jobs;
   Rng rng(4242);
   for (const auto family : all_workload_families()) {
     GeneratorOptions options;
     options.tasks = 20;
     options.machines = 10;
-    instances.push_back(
-        InstanceHandle::intern(generate_instance(family, options, rng.fork_seed())));
+    jobs.push_back({"mrt", SolverOptions::from_string(""),
+                    InstanceHandle::intern(generate_instance(family, options, rng.fork_seed()))});
   }
+  ASSERT_EQ(jobs.size(), kRecorded.size());
 
-  std::vector<SolveRequest> jobs;
-  for (const auto& instance : instances) {
-    jobs.push_back({"mrt", SolverOptions::from_string(""), instance});
-    jobs.push_back({"mrt", SolverOptions::from_string("workspace=0"), instance});
-  }
-
-  std::vector<BatchReport> reports;
   for (const unsigned threads : {1u, 2u, 8u}) {
     BatchRunnerOptions options;
     options.threads = threads;
-    reports.push_back(solve_batch(jobs, options));
-  }
-  for (const auto& report : reports) {
+    const auto report = solve_batch(jobs, options);
     ASSERT_EQ(report.errors, 0);
-    for (std::size_t i = 0; i < jobs.size(); i += 2) {
-      const auto& fast = report.items[i].result;
-      const auto& naive = report.items[i + 1].result;
-      ASSERT_TRUE(fast && naive);
-      EXPECT_EQ(fast->makespan, naive->makespan) << "job " << i;
-      EXPECT_EQ(fast->lower_bound, naive->lower_bound) << "job " << i;
-      EXPECT_EQ(fast->ratio, naive->ratio) << "job " << i;
-      expect_same_schedule(fast->schedule, naive->schedule, "batch job " + std::to_string(i));
-    }
-    // Byte-identical across thread counts as well (the exec guarantee).
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(report.items[i].result->makespan, reports[0].items[i].result->makespan);
+      const auto& result = report.items[i].result;
+      ASSERT_TRUE(result);
+      EXPECT_EQ(solve_digest(figures_of(*result), result->schedule), kRecorded[i])
+          << "job " << i << " at " << threads << " threads";
     }
   }
 }
@@ -351,14 +400,24 @@ TEST(DualWorkspace, RegistryExposesWorkspaceCounters) {
   const auto instance =
       InstanceHandle::intern(generate_instance(WorkloadFamily::kBimodal, options, 3));
   const auto& registry = SolverRegistry::global();
-  const auto fast = registry.solve(SolveRequest("mrt", {}, instance));
-  EXPECT_GE(fast.stat("workspace.canonical_evals", -1.0), 1.0);
-  EXPECT_GE(fast.stat("workspace.allocations", -1.0), 0.0);
-  const auto legacy =
-      registry.solve(SolveRequest("mrt", SolverOptions::from_string("workspace=0"), instance));
-  EXPECT_EQ(legacy.stat("workspace.canonical_evals", -1.0), -1.0);
-  EXPECT_EQ(fast.makespan, legacy.makespan);
-  EXPECT_EQ(fast.lower_bound, legacy.lower_bound);
+  for (const char* spec : {"", "snap=1", "pick_best_branch=1", "two_shelf=0,canonical_list=0"}) {
+    const auto result =
+        registry.solve(SolveRequest("mrt", SolverOptions::from_string(spec), instance));
+    EXPECT_GE(result.stat("workspace.canonical_evals", -1.0), 1.0) << spec;
+    EXPECT_GE(result.stat("workspace.allocations", -1.0), 0.0) << spec;
+  }
+
+  // There is no path without a workspace to select any more: the option
+  // that once selected it is unknown, in the registry and through the
+  // service.
+  const SolveRequest legacy("mrt", SolverOptions{}.set("workspace", "0"), instance);
+  EXPECT_THROW(static_cast<void>(registry.solve(legacy)), std::invalid_argument);
+  ServiceConfig config;
+  config.threads = 1;
+  SchedulerService service(config);
+  const auto outcome = service.wait(service.submit(legacy));
+  EXPECT_EQ(outcome.status, SolveStatus::kError);
+  EXPECT_EQ(outcome.error.code, SolveErrorCode::kInvalidOption);
 }
 
 }  // namespace

@@ -35,11 +35,10 @@ Instance small_instance(std::uint64_t seed, int tasks = 16, int machines = 8) {
   return generate_instance(families[seed % families.size()], options, seed);
 }
 
-/// Mixed-solver requests plus exact-duplicate tails (cache-hit material),
-/// seeded away from the other suites so the process-wide intern table never
-/// aliases their content. mrt requests use distinct instances: same-instance
-/// mrt misses legitimately report different workspace audit deltas, which
-/// the byte-compare must not see.
+/// Mixed-solver requests, one same-instance mrt pair that differs only in
+/// epsilon (two cache misses on one instance), and exact-duplicate tails
+/// (cache-hit material), seeded away from the other suites so the
+/// process-wide intern table never aliases their content.
 std::vector<SolveRequest> mixed_requests(std::size_t base_count) {
   const std::vector<std::pair<std::string, std::string>> configs{
       {"mrt", ""},
@@ -53,6 +52,9 @@ std::vector<SolveRequest> mixed_requests(std::size_t base_count) {
     requests.emplace_back(solver, SolverOptions::from_string(spec),
                           InstanceHandle::intern(small_instance(7100 + i)));
   }
+  const auto pair_instance = InstanceHandle::intern(small_instance(7100 + base_count));
+  requests.emplace_back("mrt", SolverOptions::from_string("epsilon=0.05"), pair_instance);
+  requests.emplace_back("mrt", SolverOptions::from_string("epsilon=0.02"), pair_instance);
   requests.emplace_back(requests[1].solver, requests[1].options, requests[1].instance);
   requests.emplace_back(requests[2].solver, requests[2].options, requests[2].instance);
   return requests;
