@@ -6,27 +6,23 @@
 #include <utility>
 
 #include "support/failpoint.hpp"
-#include "support/fnv.hpp"
+#include "support/word_hash.hpp"
 
 namespace malsched {
 
 namespace {
 
-using fnv::mix_bytes;
-using fnv::mix_u64;
-
-/// FNV-1a over the key's CHEAP parts: the instance fingerprint (already
-/// computed at intern) and the two identity strings. Profile bits are never
-/// touched here -- that is the whole point of the interned handle.
+/// WordHash (support/word_hash.hpp) over the key's CHEAP parts: the two
+/// identity strings and the instance fingerprint (already computed at
+/// intern). Profile bits are never touched here -- that is the whole point
+/// of the interned handle.
 std::uint64_t key_fingerprint(const std::string& solver, const std::string& options,
                               const InstanceHandle& instance) {
-  std::uint64_t hash = fnv::kOffset;
-  mix_u64(hash, solver.size());
-  mix_bytes(hash, solver.data(), solver.size());
-  mix_u64(hash, options.size());
-  mix_bytes(hash, options.data(), options.size());
-  mix_u64(hash, instance.fingerprint());
-  return hash;
+  WordHash hash;
+  hash.add_bytes(solver);
+  hash.add_bytes(options);
+  hash.add_word(instance.fingerprint());
+  return hash.finish();
 }
 
 double steady_seconds() {

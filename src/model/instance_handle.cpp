@@ -8,15 +8,12 @@
 #include <vector>
 
 #include "model/lower_bounds.hpp"
-#include "support/fnv.hpp"
 #include "support/mutex.hpp"
+#include "support/word_hash.hpp"
 
 namespace malsched {
 
 namespace {
-
-using fnv::mix_bytes;
-using fnv::mix_u64;
 
 /// One intern() == one tick; the submit-path "zero re-hash" contract is
 /// asserted against this counter in the tests. Atomic rather than
@@ -26,25 +23,23 @@ using fnv::mix_u64;
 /// tests take.
 std::atomic<std::uint64_t> hash_count{0};
 
-/// Canonical content fingerprint. Field order is fixed; every double
-/// contributes its BIT pattern (std::bit_cast -- the serving stack promises
-/// byte-identical results, so 0.0 and -0.0 must not alias), and strings
-/// contribute length + bytes so "ab"+"c" cannot alias "a"+"bc".
+/// Canonical content fingerprint (WordHash, support/word_hash.hpp). Word
+/// order is fixed: m, n, then per task the profile length, every profile
+/// double's BIT pattern (the serving stack promises byte-identical results,
+/// so 0.0 and -0.0 must not alias), and the name as length + packed bytes.
+/// The length words keep {4,3},{2} apart from {4},{3,2} and "ab"+"c" apart
+/// from "a"+"bc".
 std::uint64_t content_fingerprint(const Instance& instance) {
   hash_count.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t hash = fnv::kOffset;
-  mix_u64(hash, static_cast<std::uint64_t>(instance.machines()));
-  mix_u64(hash, static_cast<std::uint64_t>(instance.size()));
+  WordHash hash;
+  hash.add_word(static_cast<std::uint64_t>(instance.machines()));
+  hash.add_word(static_cast<std::uint64_t>(instance.size()));
   for (const auto& task : instance.tasks()) {
-    const auto& profile = task.profile();
-    mix_u64(hash, profile.size());
-    for (const double time : profile) {
-      mix_u64(hash, std::bit_cast<std::uint64_t>(time));
-    }
-    mix_u64(hash, task.name().size());
-    mix_bytes(hash, task.name().data(), task.name().size());
+    hash.add_word(task.profile().size());
+    hash.add_doubles(task.profile());
+    hash.add_bytes(task.name());
   }
-  return hash;
+  return hash.finish();
 }
 
 /// Exact content equality (profiles compared bit for bit, names included):

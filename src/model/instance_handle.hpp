@@ -20,10 +20,17 @@
 ///  * **Frozen content.** The handle owns the instance as
 ///    `shared_ptr<const Instance>`; nothing downstream can mutate it, so the
 ///    fingerprint and lower bound stay valid for the handle's lifetime.
-///  * **Content fingerprint.** 64-bit FNV-1a over machines, every task
-///    profile BIT pattern (0.0 and -0.0 must not alias -- the serving stack
-///    promises byte-identical results), and task names. Two handles interned
-///    from separately built but identical instances carry the same
+///  * **Content fingerprint.** A 64-bit WordHash (support/word_hash.hpp:
+///    four xxHash64-style lanes and a full avalanche) over a fixed word
+///    order: m, n, then for each task its profile length, the BIT pattern of
+///    each profile double (0.0 and -0.0 must not alias -- the serving stack
+///    promises byte-identical results), its name length and its name bytes
+///    packed little-endian into zero-padded words. The length words keep
+///    differently split profiles and names apart. Defined on bit patterns
+///    and packed bytes, the value is the same on every compiler, build type
+///    and host, so another process can route by it; shards route by
+///    `fingerprint % shards`, which the avalanche splits evenly. Two handles
+///    interned from separately built but identical instances carry the same
 ///    fingerprint; operator== confirms with a deep compare behind it
 ///    (collision safety), short-circuited by pointer equality for handles
 ///    sharing one intern.
@@ -71,12 +78,6 @@ class InstanceHandle {
 
   /// The frozen instance; throws std::logic_error on an empty handle.
   [[nodiscard]] const Instance& instance() const;
-
-  /// The owning pointer (null for an empty handle) -- for code that needs to
-  /// extend the instance's lifetime beyond the handle.
-  [[nodiscard]] const std::shared_ptr<const Instance>& shared() const noexcept {
-    return instance_;
-  }
 
   /// Content fingerprint, computed once at intern(); 0 for an empty handle.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }

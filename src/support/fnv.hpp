@@ -3,9 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 
-/// 64-bit FNV-1a, shared by every content-hashing site in the tree (the
-/// InstanceHandle content fingerprint and the SolveCache key fingerprint)
-/// so the constants and mixing order cannot drift apart between them.
+/// 64-bit FNV-1a, for digests only: the recorded digests of the tests,
+/// bench_load and perfbench's answer digests are computed with it, so its
+/// constants and mixing order must not change. Fingerprints use WordHash
+/// (support/word_hash.hpp).
 namespace malsched::fnv {
 
 inline constexpr std::uint64_t kOffset = 14695981039346656037ull;

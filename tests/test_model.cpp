@@ -374,7 +374,7 @@ TEST(InstanceHandle, InternComputesFingerprintAndBoundExactlyOnce) {
   // Reading identity off the handle never re-hashes; copies share it.
   const InstanceHandle copy = handle;
   EXPECT_EQ(copy.fingerprint(), handle.fingerprint());
-  EXPECT_EQ(copy.shared().get(), handle.shared().get());
+  EXPECT_EQ(&copy.instance(), &handle.instance());
   EXPECT_EQ(InstanceHandle::content_hashes(), before + 1);
 }
 
@@ -385,7 +385,7 @@ TEST(InstanceHandle, ContentIdentitySurvivesSeparateInterns) {
   const auto c = InstanceHandle::intern(handle_instance(2.0));    // different
   // v2.1 process-wide intern table: the second intern of live equal content
   // shares the first allocation instead of making its own.
-  EXPECT_EQ(a.shared().get(), b.shared().get());
+  EXPECT_EQ(&a.instance(), &b.instance());
   EXPECT_GE(InstanceHandle::intern_table_hits(), hits_before + 1);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_TRUE(a == b);
@@ -400,7 +400,7 @@ TEST(InstanceHandle, InternTableHoldsWeakReferencesOnly) {
   const void* first_allocation = nullptr;
   {
     const auto a = InstanceHandle::intern(probe);
-    first_allocation = a.shared().get();
+    first_allocation = &a.instance();
     EXPECT_GE(InstanceHandle::intern_table_size(), 1u);
   }
   const auto hits_before = InstanceHandle::intern_table_hits();
@@ -417,7 +417,7 @@ TEST(InstanceHandle, InternOfASharedInstanceKeepsItsAllocation) {
   // owner of its own.
   const auto shared = std::make_shared<const Instance>(handle_instance(4.25));
   const auto handle = InstanceHandle::intern(shared);
-  EXPECT_EQ(handle.shared().get(), shared.get());
+  EXPECT_EQ(&handle.instance(), shared.get());
   EXPECT_EQ(shared.use_count(), 2);
   EXPECT_DOUBLE_EQ(handle.static_lower_bound(), makespan_lower_bound(*shared));
 }
@@ -432,6 +432,25 @@ TEST(InstanceHandle, TaskNamesContributeToTheFingerprint) {
   const auto other = InstanceHandle::intern(Instance(3, std::move(renamed)));
   EXPECT_NE(base.fingerprint(), other.fingerprint());
   EXPECT_FALSE(base == other);
+
+  // Word-stream boundaries: the same doubles split {4,3},{2} or {4},{3,2},
+  // and the same bytes split "ab"+"c" or "a"+"bc", must not alias. The
+  // length word before each profile and each name keeps them apart.
+  const auto split = [](std::vector<double> first, std::vector<double> second,
+                        std::string first_name, std::string second_name) {
+    std::vector<MalleableTask> tasks;
+    tasks.emplace_back(std::move(first), std::move(first_name));
+    tasks.emplace_back(std::move(second), std::move(second_name));
+    return InstanceHandle::intern(Instance(1, std::move(tasks)));
+  };
+  const auto profiles_43_2 = split({4.0, 3.0}, {2.0}, "", "");
+  const auto profiles_4_32 = split({4.0}, {3.0, 2.0}, "", "");
+  EXPECT_NE(profiles_43_2.fingerprint(), profiles_4_32.fingerprint());
+  EXPECT_FALSE(profiles_43_2 == profiles_4_32);
+  const auto names_ab_c = split({4.0}, {2.0}, "ab", "c");
+  const auto names_a_bc = split({4.0}, {2.0}, "a", "bc");
+  EXPECT_NE(names_ab_c.fingerprint(), names_a_bc.fingerprint());
+  EXPECT_FALSE(names_ab_c == names_a_bc);
 }
 
 TEST(InstanceHandle, EmptyHandleAndNullInternAreRejected) {

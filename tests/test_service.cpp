@@ -884,10 +884,27 @@ TEST(SolveCache, KeyConstructionFromAHandleDoesNotRehashProfiles) {
   EXPECT_EQ(InstanceHandle::content_hashes(), before);
   EXPECT_NE(key_a.fingerprint, key_b.fingerprint);  // options are part of the key
   // Interning is the one step that hashes.
-  const auto key_c = SolveCache::make_key("mrt", SolverOptions::from_string("epsilon=0.05"),
-                                          InstanceHandle::intern(handle.shared()));
+  const auto key_c = SolveCache::make_key(
+      "mrt", SolverOptions::from_string("epsilon=0.05"),
+      InstanceHandle::intern(std::make_shared<const Instance>(handle.instance())));
   EXPECT_EQ(InstanceHandle::content_hashes(), before + 1);
   EXPECT_EQ(key_c.fingerprint, key_a.fingerprint);
+}
+
+TEST(SolveCache, InstanceAndKeyFingerprintsArePinned) {
+  // Fingerprints route shards and key caches, and a router in another
+  // process must compute the same ones: the hash is defined on bit patterns
+  // and packed bytes, so these values hold on every compiler, build type and
+  // host. A change here changes routing; pin the new values on purpose.
+  std::vector<MalleableTask> tasks;
+  tasks.emplace_back(std::vector<double>{6.0, 3.5, 2.75, 2.5}, "alpha");
+  tasks.emplace_back(std::vector<double>{1.0, 1.0, 1.0, 1.0}, "a task with a long name");
+  tasks.emplace_back(std::vector<double>{0.5, 0.375, 0.25, 0.25, 0.25});
+  const auto handle = InstanceHandle::intern(Instance(4, std::move(tasks)));
+  EXPECT_EQ(handle.fingerprint(), 0x8c86115fcac6a559ull);
+  EXPECT_EQ(SolveCache::make_key("mrt", SolverOptions::from_string("epsilon=0.05"), handle)
+                .fingerprint,
+            0x0b7581f232389784ull);
 }
 
 TEST(SolveCache, TtlExpiresEntriesAndCountsTheCause) {

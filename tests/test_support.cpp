@@ -1,5 +1,5 @@
 // Unit and property tests for src/support: rng, statistics, table,
-// parallel_for, json, math utilities.
+// parallel_for, json, math utilities, word hash.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
+#include "support/word_hash.hpp"
 
 namespace malsched {
 namespace {
@@ -151,6 +152,29 @@ TEST(Rng, PermutationNotIdentityUsually) {
   int fixed = 0;
   for (std::size_t i = 0; i < perm.size(); ++i) fixed += perm[i] == i;
   EXPECT_LT(fixed, 10);
+}
+
+// ---------------------------------------------------------------- word_hash
+
+TEST(WordHash, BytesEnterAsLengthThenLittleEndianWords) {
+  WordHash bytes;
+  bytes.add_bytes("abcdefghij");
+  WordHash words;
+  words.add_word(10);
+  words.add_word(0x6867666564636261ull);  // "abcdefgh"
+  words.add_word(0x6a69ull);              // "ij", zero-padded
+  EXPECT_EQ(bytes.finish(), words.finish());
+
+  // Every word counts, a zero word and a sign bit included.
+  WordHash empty;
+  WordHash zero;
+  zero.add_word(0);
+  EXPECT_NE(empty.finish(), zero.finish());
+  WordHash positive;
+  positive.add_doubles(std::vector<double>{0.0});
+  WordHash negative;
+  negative.add_doubles(std::vector<double>{-0.0});
+  EXPECT_NE(positive.finish(), negative.finish());
 }
 
 // ------------------------------------------------------------------ summary
