@@ -97,9 +97,6 @@ struct FamilyConfig {
 std::vector<SolverConfig> all_solver_configs() {
   return {
       {"mrt", "mrt", ""},
-      // Breakpoint-snapped dual search (different guess sequence, fewer
-      // rejected iterations; same certified-bound soundness).
-      {"mrt-snapped", "mrt", "snap=1"},
       // mrt through the service solve cache: on the repeated family every
       // seed after the first is a content-hash hit (deterministically so at
       // --threads 1, which is how the committed trajectory artifacts are

@@ -9,8 +9,14 @@
 
 namespace malsched {
 
-double dual_ramp_start(const Instance& instance) {
-  const double static_lb = makespan_lower_bound(instance);
+namespace {
+
+/// The phase-1 ramp seed: the static lower bound when positive, otherwise
+/// the smallest profile time (and 1.0 for an empty instance). The guard
+/// matters because a zero seed can never escape the `hi *= 2` ramp -- a
+/// degenerate empty instance with a picky step used to burn the whole
+/// iteration budget at guess 0 and throw.
+double dual_ramp_start(const Instance& instance, double static_lb) {
   if (static_lb > 0.0) return static_lb;
   double smallest = std::numeric_limits<double>::infinity();
   for (const auto& task : instance.tasks()) {
@@ -18,6 +24,8 @@ double dual_ramp_start(const Instance& instance) {
   }
   return std::isfinite(smallest) ? smallest : 1.0;
 }
+
+}  // namespace
 
 DualSearchResult dual_search(const Instance& instance, const DualStep& step,
                              const DualSearchOptions& options) {
@@ -53,7 +61,7 @@ DualSearchResult dual_search(const Instance& instance, const DualStep& step,
   // where `hi *= 2.0` could never escape 0.0; for every non-degenerate
   // instance it equals static_lb, leaving the guess sequence untouched.
   double lo = static_lb;
-  double hi = dual_ramp_start(instance);
+  double hi = dual_ramp_start(instance, static_lb);
   bool have_hi = false;
   while (iterations < options.max_iterations && !have_hi) {
     options.cancel.poll();

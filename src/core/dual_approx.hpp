@@ -53,18 +53,16 @@ struct DualSearchResult {
   int gaps;                           ///< uncertified rejections encountered
 };
 
-/// Runs exponential ramp-up followed by geometric bisection. `step` must
-/// accept for every sufficiently large guess (all algorithms in this library
-/// do: at d = sum of sequential times a trivial schedule fits); throws
-/// std::runtime_error if no guess is accepted within the iteration budget.
+/// Runs exponential ramp-up from the static lower bound followed by
+/// geometric bisection -- the library's one dual-search loop (mrt and
+/// two_shelves_32 both drive it). The guesses ignore where the canonical
+/// allotment changes: the first guess is accepted outright on many
+/// instances, and steering by breakpoints measured slower on the
+/// benchmark's mixed pools. `step` must accept for every sufficiently large
+/// guess (all algorithms in this library do: at d = sum of sequential times
+/// a trivial schedule fits); throws std::runtime_error if no guess is
+/// accepted within the iteration budget.
 [[nodiscard]] DualSearchResult dual_search(const Instance& instance, const DualStep& step,
                                            const DualSearchOptions& options = {});
-
-/// The phase-1 ramp seed: the static lower bound when positive, otherwise
-/// the smallest profile time (and 1.0 for an empty instance). The guard
-/// matters because a zero seed can never escape the `hi *= 2` ramp -- a
-/// degenerate empty instance with a picky step used to burn the whole
-/// iteration budget at guess 0 and throw. Shared with dual_search_snapped.
-[[nodiscard]] double dual_ramp_start(const Instance& instance);
 
 }  // namespace malsched

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/canonical.hpp"
 #include "core/canonical_list.hpp"
-#include "core/dual_approx.hpp"
 #include "core/two_shelf.hpp"
 #include "model/instance.hpp"
 
@@ -28,9 +26,7 @@
 ///     *rejected* dual step performs no heap allocation at all after warm-up
 ///     and an accepted one allocates only the returned Schedule.
 ///
-/// Construction is O(n) (profile pointers and reserved buffers); the opt-in
-/// snapped search (snap=1) builds its breakpoint domain on first use
-/// (merged_breakpoints()).
+/// Construction is O(n): profile pointers and reserved buffers.
 ///
 /// The workspace is the only implementation of the dual step: the one-shot
 /// `const Instance&` forms of mrt_dual_step, canonical_list_schedule and
@@ -75,11 +71,6 @@ class DualWorkspace {
 
   [[nodiscard]] const Instance& instance() const noexcept { return *instance_; }
 
-  /// gamma lookup: instance().task(task).min_procs_for(deadline).
-  [[nodiscard]] std::optional<int> min_procs_for(int task, double deadline) const {
-    return instance_->task(task).min_procs_for(deadline);
-  }
-
   /// t_task(procs), read straight from the task's profile.
   [[nodiscard]] double time(int task, int procs) const {
     return profile_ptr_[static_cast<std::size_t>(task)][procs - 1];
@@ -101,20 +92,6 @@ class DualWorkspace {
   [[nodiscard]] std::span<const double> canonical_times() const {
     return {canonical_times_.data(), canonical_times_.size()};
   }
-
-  /// Merged strictly-increasing snap domain of task-profile breakpoints (the
-  /// deadlines where some gamma_i changes); built from the profiles on first
-  /// use and capped by an even per-task sample on very large instances -- it
-  /// only steers the snapped search, every probe re-evaluates real
-  /// predicates.
-  [[nodiscard]] std::span<const double> merged_breakpoints();
-
-  /// Smallest snap-domain breakpoint that Property 2 does not certify as
-  /// infeasible (canonical allotment fits m processors, canonical work fits
-  /// m*d), found by bisecting merged_breakpoints() with the *real*
-  /// certificate predicate -- so points below it that were probed are
-  /// genuinely certified rejections.
-  [[nodiscard]] double first_plausible_deadline();
 
   [[nodiscard]] TwoShelfScratch& two_shelf_scratch() noexcept { return two_shelf_scratch_; }
   [[nodiscard]] CanonicalListScratch& list_scratch() noexcept { return list_scratch_; }
@@ -139,28 +116,9 @@ class DualWorkspace {
   std::vector<int> order_;
   std::vector<double> canonical_times_;
 
-  // Lazily built snap domain + Property-2 prefilter (-1 = not yet computed).
-  bool merged_built_{false};
-  std::vector<double> merged_;
-  double first_plausible_{-1.0};
-
   TwoShelfScratch two_shelf_scratch_;
   CanonicalListScratch list_scratch_;
   DualWorkspaceStats stats_;
 };
-
-/// Breakpoint-snapped dual search: same contract as dual_search (and the
-/// same soundness discipline -- only certificates evaluated with the real
-/// Property-2 predicate ever tighten the reported lower bound), but the
-/// guesses are steered by the workspace's breakpoint domain instead of blind
-/// geometric ramping: phase 1 starts at the analytically smallest
-/// non-certified deadline (skipping every provably rejected guess), and
-/// phase 2 bisects the merged breakpoint *indices* inside the bracket before
-/// finishing geometrically. Schedules differ from dual_search only through
-/// the different guess sequence; the certified bound stays sound and the
-/// final bracket still satisfies hi <= (1+epsilon)*lo.
-[[nodiscard]] DualSearchResult dual_search_snapped(DualWorkspace& workspace,
-                                                   const DualStep& step,
-                                                   const DualSearchOptions& options = {});
 
 }  // namespace malsched

@@ -158,9 +158,7 @@ MrtResult mrt_schedule(const Instance& instance, const MrtOptions& options) {
     return result;
   };
 
-  auto search = options.snap_to_breakpoints
-                    ? dual_search_snapped(workspace, step, options.search)
-                    : dual_search(instance, step, options.search);
+  auto search = dual_search(instance, step, options.search);
   const auto stats = workspace.stats();
   return MrtResult{std::move(search.schedule),
                    search.makespan,

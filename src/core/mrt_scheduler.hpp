@@ -50,6 +50,9 @@ inline constexpr int kDualBranchCount = 7;
 struct MrtOptions {
   TwoShelfOptions two_shelf{};
   CanonicalListOptions canonical_list{};
+  /// Termination, step budget and cancellation of the one dual search
+  /// (dual_search: ramp from the static lower bound, then geometric
+  /// bisection); its guess sequence is not an option.
   DualSearchOptions search{};
   /// Slide tasks earlier after construction (never hurts the bound).
   bool use_compaction{true};
@@ -60,11 +63,6 @@ struct MrtOptions {
   /// Evaluate every branch and keep the shortest accepted schedule instead
   /// of stopping at the first success (ablation; slower, never worse).
   bool pick_best_branch{false};
-  /// Replace the blind geometric dual search with the breakpoint-snapped
-  /// variant, steered by the solve's DualWorkspace. Fewer rejected guesses;
-  /// the guess sequence -- hence the exact schedule -- may differ from the
-  /// default search, so this is opt-in.
-  bool snap_to_breakpoints{false};
 };
 
 /// Result of one dual step at a fixed guess (exposed for tests/benches).

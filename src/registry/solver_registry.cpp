@@ -28,7 +28,6 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.enable_two_shelf = options.get_bool("two_shelf", mrt.enable_two_shelf);
   mrt.enable_canonical_list = options.get_bool("canonical_list", mrt.enable_canonical_list);
   mrt.enable_malleable_list = options.get_bool("malleable_list", mrt.enable_malleable_list);
-  mrt.snap_to_breakpoints = options.get_bool("snap", mrt.snap_to_breakpoints);
 
   // One CancelCheck copied into every branch's options: the dual loop polls
   // per guess, the canonical-list placement and knapsack branch-and-bound
@@ -145,8 +144,6 @@ std::vector<OptionSpec> mrt_specs() {
                           "enable the Section 3.2 canonical list branch"),
       OptionSpec::boolean("malleable_list", defaults.enable_malleable_list,
                           "enable the Section 3.1 malleable list fallback branch"),
-      OptionSpec::boolean("snap", defaults.snap_to_breakpoints,
-                          "breakpoint-snapped dual search"),
   };
 }
 

@@ -24,8 +24,7 @@
 ///   ----------------  -------------------------------------  -----------------------------
 ///   mrt               sqrt(3) dual approximation (MRT '99)   epsilon, compaction,
 ///                                                            pick_best_branch, two_shelf,
-///                                                            canonical_list, malleable_list,
-///                                                            snap
+///                                                            canonical_list, malleable_list
 ///   two_phase         Turek/Ludwig two-phase baseline        rigid=ffdh|nfdh|list,
 ///                                                            max_candidates
 ///   naive             practitioner anchors                   policy=half-speedup|lpt-seq|gang

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "core/dual_approx.hpp"
 #include "core/mrt_scheduler.hpp"
@@ -183,25 +184,36 @@ TEST(DualSearch, EscapesZeroStaticLowerBound) {
   // accepts larger guesses exhausted the whole iteration budget and threw.
   const Instance instance(2, {});
   ASSERT_EQ(makespan_lower_bound(instance), 0.0);
-  EXPECT_EQ(dual_ramp_start(instance), 1.0);  // empty-profile fallback seed
 
   int steps = 0;
+  double first_guess = 0.0;
   const DualStep step = [&](double guess) {
-    ++steps;
+    if (steps++ == 0) first_guess = guess;
     DualStepResult result;
     if (guess >= 5.0) result.schedule = Schedule(2, 0);
     return result;
   };
   const auto result = dual_search(instance, step, {});
+  EXPECT_EQ(first_guess, 1.0);  // empty-profile fallback seed
   EXPECT_GE(result.final_guess, 5.0);
   EXPECT_LE(result.final_guess, 5.0 * 1.03);
   EXPECT_LE(steps, 16);  // 1, 2, 4, 8 ramp plus the geometric bisection
 }
 
 TEST(DualSearch, RampStartEqualsStaticBoundOnRegularInstances) {
-  // The guard must not perturb the guess sequence of any real instance.
+  // The guard must not perturb the guess sequence of any real instance:
+  // the first guess is the static lower bound itself.
   const auto instance = packed_instance(8, 3);
-  EXPECT_EQ(dual_ramp_start(instance), makespan_lower_bound(instance));
+  std::vector<double> guesses;
+  const DualStep step = [&](double guess) {
+    guesses.push_back(guess);
+    DualStepResult result;
+    result.schedule = Schedule(instance.machines(), 0);
+    return result;
+  };
+  static_cast<void>(dual_search(instance, step, {}));
+  ASSERT_FALSE(guesses.empty());
+  EXPECT_EQ(guesses.front(), makespan_lower_bound(instance));
 }
 
 TEST(DualSearch, RejectsBadEpsilon) {

@@ -1,10 +1,12 @@
-// Tests for the DualWorkspace hot path: gamma lookups, canonical
-// allotments and areas must be byte-identical to the naive recomputation;
-// full mrt solves and the batch pipeline must keep the digests recorded
-// while the recompute-everything path still existed to compare against;
-// the scratch reuse must be allocation-free after warm-up; and the
-// breakpoint-snapped dual search must stay sound (certified bounds never
-// contradict brute force) and keep its recorded figures.
+// Tests for the DualWorkspace hot path: gamma lookups must match a linear
+// scan of the profile at every tolerance boundary; canonical allotments and
+// areas must be byte-identical to the naive recomputation; full mrt solves
+// and the batch pipeline must keep the digests recorded while the
+// recompute-everything path still existed to compare against; the scratch
+// reuse must be allocation-free after warm-up; full solves' certified
+// bounds must never contradict brute force and must bracket the final guess
+// within (1+eps); the dual search must keep its recorded figures; and the
+// registry must refuse the options of deleted paths.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/scheduler_service.hpp"
@@ -94,20 +98,29 @@ std::uint64_t solve_digest(const SolveFigures& figures, const Schedule& schedule
 
 // ------------------------------------------------------------ gamma lookups
 
+/// gamma_i(d) by definition: the fewest processors whose time is within
+/// `deadline` under the library tolerance, scanning the whole profile.
+std::optional<int> linear_min_procs_for(const MalleableTask& task, double deadline) {
+  for (int p = 1; p <= task.max_procs(); ++p) {
+    if (leq(task.time(p), deadline)) return p;
+  }
+  return std::nullopt;
+}
+
 class WorkspaceFamilyTest
     : public ::testing::TestWithParam<std::tuple<WorkloadFamily, int>> {};
 
-TEST_P(WorkspaceFamilyTest, GammaLookupMatchesProfileBinarySearch) {
+TEST_P(WorkspaceFamilyTest, GammaLookupMatchesLinearScan) {
   const auto [family, seed] = GetParam();
   GeneratorOptions options;
   options.tasks = 24;
   options.machines = 12;
   const auto instance = generate_instance(family, options, static_cast<std::uint64_t>(seed));
-  DualWorkspace workspace(instance);
 
   // Deadlines probing every breakpoint exactly, one ulp to each side, and a
-  // few scales in between: the workspace must agree with the naive binary
-  // search everywhere, including at the tolerance boundary.
+  // few scales in between: the binary search the canonical allotment uses
+  // must agree with the linear scan everywhere, including at the tolerance
+  // boundary.
   std::vector<double> deadlines{0.0};
   for (const auto& task : instance.tasks()) {
     for (const double t : task.profile()) {
@@ -122,12 +135,9 @@ TEST_P(WorkspaceFamilyTest, GammaLookupMatchesProfileBinarySearch) {
   }
   for (const double d : deadlines) {
     for (int i = 0; i < instance.size(); ++i) {
-      const auto naive = instance.task(i).min_procs_for(d);
-      const auto fast = workspace.min_procs_for(i, d);
-      ASSERT_EQ(naive.has_value(), fast.has_value()) << "task " << i << " d " << d;
-      if (naive) {
-        EXPECT_EQ(*naive, *fast) << "task " << i << " d " << d;
-      }
+      const auto& task = instance.task(i);
+      EXPECT_EQ(task.min_procs_for(d), linear_min_procs_for(task, d))
+          << "task " << i << " d " << d;
     }
   }
 }
@@ -200,22 +210,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
   // Flat and plateaued profiles put many breakpoints on the same deadline;
-  // the workspace lookup must still reproduce the naive search exactly.
+  // the binary search must still reproduce the linear scan exactly.
   std::vector<MalleableTask> tasks;
   tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
   tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
   tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
   const Instance instance(4, std::move(tasks));
-  DualWorkspace workspace(instance);
   for (int i = 0; i < instance.size(); ++i) {
+    const auto& task = instance.task(i);
     for (const double base : {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 2.0, 4.0, 8.0, 16.0}) {
       for (const double d : {std::nextafter(base, 0.0), base, std::nextafter(base, 100.0)}) {
-        const auto naive = instance.task(i).min_procs_for(d);
-        const auto fast = workspace.min_procs_for(i, d);
-        ASSERT_EQ(naive.has_value(), fast.has_value()) << "task " << i << " d " << d;
-        if (naive) {
-          EXPECT_EQ(*naive, *fast) << "task " << i << " d " << d;
-        }
+        EXPECT_EQ(task.min_procs_for(d), linear_min_procs_for(task, d))
+            << "task " << i << " d " << d;
       }
     }
   }
@@ -282,44 +288,11 @@ TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
   EXPECT_GT(after.canonical_hits, warmed.canonical_hits);  // branches shared the step's allotment
 }
 
-// ------------------------------------------------------------ snapped search
+// ------------------------------------------------------ certified bounds
 
-class SnappedSearchTest : public ::testing::TestWithParam<int> {};
+class CertifiedBoundTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SnappedSearchTest, StaysSoundAndWithinTheGuarantee) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 131);
-  long long default_iterations = 0;
-  long long snapped_iterations = 0;
-  for (int trial = 0; trial < 8; ++trial) {
-    GeneratorOptions options;
-    options.tasks = 18;
-    options.machines = 10;
-    const auto instance =
-        generate_instance(WorkloadFamily::kUniform, options, rng.fork_seed());
-
-    MrtOptions plain;
-    MrtOptions snapped;
-    snapped.snap_to_breakpoints = true;
-    const auto a = mrt_schedule(instance, plain);
-    const auto b = mrt_schedule(instance, snapped);
-    default_iterations += a.iterations;
-    snapped_iterations += b.iterations;
-
-    const auto report = validate_schedule(b.schedule, instance);
-    ASSERT_TRUE(report.ok) << report.str();
-    EXPECT_GE(b.lower_bound, makespan_lower_bound(instance) - 1e-12);
-    EXPECT_TRUE(leq(b.makespan, kSqrt3 * (1.0 + plain.search.epsilon) * b.lower_bound * 1.02))
-        << "ratio " << b.ratio;
-    EXPECT_EQ(b.gaps, 0);
-    // Both searches bracket the same optimum within (1+eps) of each other.
-    EXPECT_TRUE(leq(b.final_guess, a.final_guess * (1.0 + plain.search.epsilon) * 1.01));
-  }
-  // The analytic Property-2 prefilter skips the ramp's certified rejections;
-  // across a batch the snapped search must not need more dual steps.
-  EXPECT_LE(snapped_iterations, default_iterations + 4);
-}
-
-TEST_P(SnappedSearchTest, CertifiedBoundNeverContradictsBruteForce) {
+TEST_P(CertifiedBoundTest, CertifiedBoundNeverContradictsBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
   for (int trial = 0; trial < 6; ++trial) {
     GeneratorOptions options;
@@ -332,9 +305,7 @@ TEST_P(SnappedSearchTest, CertifiedBoundNeverContradictsBruteForce) {
     const auto brute = brute_force_schedule(instance);
     ASSERT_TRUE(brute.has_value());
 
-    MrtOptions snapped;
-    snapped.snap_to_breakpoints = true;
-    const auto result = mrt_schedule(instance, snapped);
+    const auto result = mrt_schedule(instance);
     // The certified bound claims OPT >= lower_bound; brute force exhibits a
     // schedule of length brute->makespan, so the claim must stay below it.
     EXPECT_TRUE(leq(result.lower_bound, brute->makespan))
@@ -342,53 +313,74 @@ TEST_P(SnappedSearchTest, CertifiedBoundNeverContradictsBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SnappedSearchTest, ::testing::Values(1, 2, 3));
+TEST_P(CertifiedBoundTest, BracketClosesWithinEpsilon) {
+  // The two halves of the sqrt(3)(1+eps) guarantee, checked apart: every
+  // accepted schedule is within sqrt(3) of its guess, and the search stops
+  // on its (1+eps) rule, not its iteration budget, with the final guess
+  // bracketed by the certified bound.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 131);
+  for (int trial = 0; trial < 8; ++trial) {
+    GeneratorOptions options;
+    options.tasks = 18;
+    options.machines = 10;
+    const auto instance =
+        generate_instance(WorkloadFamily::kUniform, options, rng.fork_seed());
 
-TEST(DualWorkspace, SnappedSolvesMatchRecordedFigures) {
-  // snap=1 steers its guesses by merged_breakpoints(), which the workspace
-  // builds from the profiles on first use. These figures were recorded when
-  // the domain came from an index built up front; any drift in the domain
-  // moves the guess sequence and shows here.
+    const MrtOptions mrt;
+    const auto result = mrt_schedule(instance, mrt);
+    const auto report = validate_schedule(result.schedule, instance);
+    ASSERT_TRUE(report.ok) << report.str();
+    ASSERT_EQ(result.gaps, 0);
+    EXPECT_LT(result.iterations, mrt.search.max_iterations);
+    EXPECT_GE(result.lower_bound, makespan_lower_bound(instance));
+    EXPECT_TRUE(leq(result.makespan, kSqrt3 * result.final_guess))
+        << "makespan " << result.makespan << " guess " << result.final_guess;
+    EXPECT_TRUE(leq(result.lower_bound, result.final_guess))
+        << "certified " << result.lower_bound << " guess " << result.final_guess;
+    EXPECT_TRUE(leq(result.final_guess, (1.0 + mrt.search.epsilon) * result.lower_bound))
+        << "certified " << result.lower_bound << " guess " << result.final_guess;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CertifiedBoundTest, ::testing::Values(1, 2, 3));
+
+TEST(DualWorkspace, DualSearchMatchesRecordedFigures) {
+  // Recorded before the breakpoint-snapped search was deleted, on the
+  // instances that pinned it: a strided-size sequential-only instance
+  // (n*m = 10240), a stairs instance (n*m = 8640) and the plateau instance
+  // of HandlesPlateauProfilesAtToleranceBoundaries. Any change to the guess
+  // sequence of the one search moves these figures.
   struct Pinned {
     int iterations;
     double final_guess;
     double makespan;
     double lower_bound;
-    std::size_t domain;
   };
   const auto check = [](const Instance& instance, const Pinned& pinned, const char* what) {
-    MrtOptions snapped;
-    snapped.snap_to_breakpoints = true;
-    const auto result = mrt_schedule(instance, snapped);
+    const auto result = mrt_schedule(instance);
     EXPECT_EQ(result.iterations, pinned.iterations) << what;
     EXPECT_EQ(result.final_guess, pinned.final_guess) << what;
     EXPECT_EQ(result.makespan, pinned.makespan) << what;
     EXPECT_EQ(result.lower_bound, pinned.lower_bound) << what;
-    DualWorkspace workspace(instance);
-    EXPECT_EQ(workspace.merged_breakpoints().size(), pinned.domain) << what;
   };
 
-  // n*m = 10240 > 8192: the domain is strided, and every row is non-strict
-  // (a sequential profile's thresholds are all equal).
   GeneratorOptions sequential;
   sequential.tasks = 160;
   sequential.machines = 64;
   check(generate_instance(WorkloadFamily::kSequentialOnly, sequential, 5),
-        {1, 7.9673639115778139, 7.9673639115778139, 7.9673639115778139, 160}, "sequential-only");
+        {1, 7.9673639115778139, 7.9673639115778139, 7.9673639115778139}, "sequential-only");
 
-  // n*m = 8640 > 8192: strictly decreasing rows, sampled every other entry.
   GeneratorOptions stairs;
   stairs.tasks = 120;
   stairs.machines = 72;
   check(generate_instance(WorkloadFamily::kStairs, stairs, 3),
-        {4, 0.86481516009396886, 0.91912258593177676, 0.85959619099409501, 4320}, "stairs");
+        {9, 0.86331140036387688, 0.91561436348159664, 0.85864902108876007}, "stairs");
 
-  // The plateau instance of HandlesPlateauProfilesAtToleranceBoundaries.
   std::vector<MalleableTask> tasks;
   tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
   tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
   tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
-  check(Instance(4, std::move(tasks)), {1, 4.0, 4.0, 4.0, 6}, "plateau");
+  check(Instance(4, std::move(tasks)), {1, 4.0, 4.0, 4.0}, "plateau");
 }
 
 // ------------------------------------------------------------ registry keys
@@ -400,24 +392,26 @@ TEST(DualWorkspace, RegistryExposesWorkspaceCounters) {
   const auto instance =
       InstanceHandle::intern(generate_instance(WorkloadFamily::kBimodal, options, 3));
   const auto& registry = SolverRegistry::global();
-  for (const char* spec : {"", "snap=1", "pick_best_branch=1", "two_shelf=0,canonical_list=0"}) {
+  for (const char* spec : {"", "pick_best_branch=1", "two_shelf=0,canonical_list=0"}) {
     const auto result =
         registry.solve(SolveRequest("mrt", SolverOptions::from_string(spec), instance));
     EXPECT_GE(result.stat("workspace.canonical_evals", -1.0), 1.0) << spec;
     EXPECT_GE(result.stat("workspace.allocations", -1.0), 0.0) << spec;
   }
 
-  // There is no path without a workspace to select any more: the option
-  // that once selected it is unknown, in the registry and through the
-  // service.
-  const SolveRequest legacy("mrt", SolverOptions{}.set("workspace", "0"), instance);
-  EXPECT_THROW(static_cast<void>(registry.solve(legacy)), std::invalid_argument);
+  // There is no path without a workspace and no second dual search to
+  // select any more: the options that once selected them are unknown, in
+  // the registry and through the service.
   ServiceConfig config;
   config.threads = 1;
   SchedulerService service(config);
-  const auto outcome = service.wait(service.submit(legacy));
-  EXPECT_EQ(outcome.status, SolveStatus::kError);
-  EXPECT_EQ(outcome.error.code, SolveErrorCode::kInvalidOption);
+  for (const auto& [key, value] : {std::pair{"workspace", "0"}, std::pair{"snap", "1"}}) {
+    const SolveRequest legacy("mrt", SolverOptions{}.set(key, value), instance);
+    EXPECT_THROW(static_cast<void>(registry.solve(legacy)), std::invalid_argument) << key;
+    const auto outcome = service.wait(service.submit(legacy));
+    EXPECT_EQ(outcome.status, SolveStatus::kError) << key;
+    EXPECT_EQ(outcome.error.code, SolveErrorCode::kInvalidOption) << key;
+  }
 }
 
 }  // namespace
