@@ -1,6 +1,7 @@
 #include "core/canonical_list.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,7 +34,7 @@ namespace {
 
 /// Leftmost window of `width` processors that are all still idle at time 0,
 /// or -1 when none exists.
-int find_idle_window(const std::vector<double>& avail, int width) {
+int find_idle_window(std::span<const double> avail, int width) {
   int run = 0;
   for (int j = 0; j < static_cast<int>(avail.size()); ++j) {
     run = avail[static_cast<std::size_t>(j)] == 0.0 ? run + 1 : 0;
@@ -51,10 +52,11 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
                                CanonicalListScratch& scratch, const CancelCheck& cancel) {
   const int machines = instance.machines();
   Schedule schedule(machines, instance.size());
-  auto& avail = scratch.avail;
-  detail::resize_counted(avail, static_cast<std::size_t>(machines), scratch.alloc_events);
-  std::fill(avail.begin(), avail.end(), 0.0);
-  detail::resize_counted(scratch.window, avail.size(), scratch.alloc_events);
+  detail::resize_counted(scratch.tree, AvailabilityTree::storage_size(machines),
+                         scratch.alloc_events);
+  detail::resize_counted(scratch.window, static_cast<std::size_t>(machines),
+                         scratch.alloc_events);
+  AvailabilityTree avail(scratch.tree, machines);
   bool reallocation_considered = false;
   reallocated = false;
 
@@ -62,36 +64,27 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
     cancel.tick();
     const int procs = allotment[static_cast<std::size_t>(task)];
     const double duration = instance.task(task).time(procs);
+    const auto window = earliest_window(avail, procs, /*always_leftmost=*/false, scratch.window);
 
-    const auto windows = window_maxima(avail, procs, scratch.window);
-    const double earliest = windows.earliest;
-    const bool starts_at_zero = approx_eq(earliest, 0.0);
-
-    if (!starts_at_zero && !reallocation_considered) {
+    if (!approx_eq(window.start, 0.0) && !reallocation_considered) {
       reallocation_considered = true;  // the rule applies only to the first such task
       const int width = std::min(procs, khat);
-      const int idle =
-          static_cast<int>(std::count(avail.begin(), avail.end(), 0.0));
-      const int column = find_idle_window(avail, width);
+      const auto leaves = avail.leaves();
+      const int idle = static_cast<int>(std::count(leaves.begin(), leaves.end(), 0.0));
+      const int column = find_idle_window(leaves, width);
       if (idle >= khat && column >= 0) {
         // Work monotonicity bounds the squeezed time by (procs/width)*t(procs)
         // <= 2*t(procs) since width >= ceil(procs/2) whenever procs <= k*+1.
         const double squeezed = instance.task(task).time(width);
         schedule.assign(task, 0.0, squeezed, column, width);
-        for (int j = column; j < column + width; ++j) {
-          avail[static_cast<std::size_t>(j)] = squeezed;
-        }
+        avail.fill(column, width, squeezed);
         reallocated = true;
         continue;
       }
     }
 
-    // Paper tie rule: leftmost window when starting at 0, rightmost after.
-    const int column = tied_window(windows, starts_at_zero);
-    schedule.assign(task, earliest, duration, column, procs);
-    for (int j = column; j < column + procs; ++j) {
-      avail[static_cast<std::size_t>(j)] = earliest + duration;
-    }
+    schedule.assign(task, window.start, duration, window.column, procs);
+    avail.fill(window.column, procs, window.start + duration);
   }
   return schedule;
 }

@@ -31,11 +31,13 @@ namespace malsched {
 
 class DualWorkspace;
 
-/// Reusable buffers for the canonical-list placement, one per DualWorkspace:
-/// processor availability and the window kernel's buffer
-/// (sched/sliding.hpp), both grown through detail::resize_counted.
+/// Reusable buffers for the canonical-list placement, one per DualWorkspace,
+/// both grown through detail::resize_counted (sched/sliding.hpp has their
+/// users): the storage of the AvailabilityTree, 2*bit_ceil(m) doubles whose
+/// leaves are the processor availabilities, and the window kernel's buffer
+/// of m doubles for tasks wider than one processor.
 struct CanonicalListScratch {
-  std::vector<double> avail;
+  std::vector<double> tree;
   std::vector<double> window;
   long long alloc_events{0};
 };

@@ -1,28 +1,32 @@
 #include "sched/compaction.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace malsched {
 
 Schedule compact_schedule(const Schedule& schedule, const Instance& instance) {
-  std::vector<int> order(static_cast<std::size_t>(schedule.num_tasks()));
-  std::iota(order.begin(), order.end(), 0);
-  // Equal starts keep the lower task index first -- the same permutation the
-  // previous stable_sort produced, without its temporary buffer (this runs
-  // on every accepted dual-search step).
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double sa = schedule.of(a).start;
-    const double sb = schedule.of(b).start;
-    if (sa != sb) return sa < sb;
-    return a < b;
-  });
+  const auto& assignments = schedule.assignments();
+  // Flat (start, task) keys: their lexicographic order keeps the lower task
+  // index first among equal starts.
+  std::vector<std::pair<double, int>> by_start(assignments.size());
+  for (std::size_t task = 0; task < assignments.size(); ++task) {
+    if (assignments[task].task == -1) {
+      throw std::logic_error("compact_schedule: task " + std::to_string(task) +
+                             " not assigned");
+    }
+    by_start[task] = {assignments[task].start, static_cast<int>(task)};
+  }
+  std::sort(by_start.begin(), by_start.end());
 
   Schedule compacted(schedule.machines(), schedule.num_tasks());
   std::vector<double> avail(static_cast<std::size_t>(schedule.machines()), 0.0);
-  for (const int task : order) {
-    const auto& assignment = schedule.of(task);
+  for (const auto& key : by_start) {
+    const int task = key.second;
+    const auto& assignment = assignments[static_cast<std::size_t>(task)];
     double start = 0.0;
     assignment.for_each_processor(
         [&](int p) { start = std::max(start, avail[static_cast<std::size_t>(p)]); });

@@ -13,9 +13,10 @@
 /// bench_ablation).
 namespace malsched {
 
-/// Returns a schedule where every task, in order of original start time,
-/// begins as early as its processors allow. Processor assignments (and hence
-/// contiguity) are unchanged.
+/// Returns a schedule where every task, in order of original start time
+/// (equal starts: the lower task index first), begins as early as its
+/// processors allow. Processor assignments (and hence contiguity) are
+/// unchanged. Throws std::logic_error when a task is unassigned.
 [[nodiscard]] Schedule compact_schedule(const Schedule& schedule, const Instance& instance);
 
 }  // namespace malsched

@@ -16,6 +16,12 @@
 /// earliest feasible windows the task goes to the *leftmost* processors when
 /// it can start at time 0 and to the *rightmost* ones otherwise ("this
 /// convention asserts the contiguous nature of the schedule").
+///
+/// Cost per task of a contiguous placement (sched/sliding.hpp): O(log m) to
+/// place a sequential task, read off a min tree over processor
+/// availability; O(m) for a wider one, through the window kernel; and
+/// O(width + log m) to record the placement in the tree. kScattered sorts
+/// the processors by availability for every task, O(m log m).
 namespace malsched {
 
 /// Placement discipline for the generic list scheduler.

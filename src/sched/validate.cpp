@@ -28,12 +28,15 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
     return report;
   }
 
+  // Read in place: the loop below fails the report on any unassigned task,
+  // so every later read finds a placement.
+  const auto& assignments = schedule.assignments();
   for (int i = 0; i < instance.size(); ++i) {
-    if (!schedule.is_assigned(i)) {
+    const auto& assignment = assignments[static_cast<std::size_t>(i)];
+    if (assignment.task == -1) {
       report.fail("task " + std::to_string(i) + " is not scheduled");
       continue;
     }
-    const auto& assignment = schedule.of(i);
     const int procs = assignment.procs();
     if (procs < 1 || procs > instance.machines()) {
       report.fail("task " + std::to_string(i) + ": processor count " + std::to_string(procs) +
@@ -70,16 +73,15 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
   // (processor, task) incidence lives in one flat bucket-sorted array.
   const auto machines = static_cast<std::size_t>(instance.machines());
   std::vector<std::size_t> bucket_end(machines + 1, 0);
-  for (int i = 0; i < instance.size(); ++i) {
-    schedule.of(i).for_each_processor(
-        [&](int p) { ++bucket_end[static_cast<std::size_t>(p) + 1]; });
+  for (const auto& assignment : assignments) {
+    assignment.for_each_processor([&](int p) { ++bucket_end[static_cast<std::size_t>(p) + 1]; });
   }
   for (std::size_t p = 0; p < machines; ++p) bucket_end[p + 1] += bucket_end[p];
   std::vector<int> on_proc(bucket_end.back());
   {
     std::vector<std::size_t> cursor(bucket_end.begin(), bucket_end.end() - 1);
     for (int i = 0; i < instance.size(); ++i) {
-      schedule.of(i).for_each_processor(
+      assignments[static_cast<std::size_t>(i)].for_each_processor(
           [&](int p) { on_proc[cursor[static_cast<std::size_t>(p)]++] = i; });
     }
   }
@@ -87,11 +89,12 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
     const auto begin = on_proc.begin() + static_cast<std::ptrdiff_t>(bucket_end[p]);
     const auto end = on_proc.begin() + static_cast<std::ptrdiff_t>(bucket_end[p + 1]);
     std::sort(begin, end, [&](int a, int b) {
-      return schedule.of(a).start < schedule.of(b).start;
+      return assignments[static_cast<std::size_t>(a)].start <
+             assignments[static_cast<std::size_t>(b)].start;
     });
     for (auto it = begin; it != end && it + 1 != end; ++it) {
-      const auto& prev = schedule.of(*it);
-      const auto& next = schedule.of(*(it + 1));
+      const auto& prev = assignments[static_cast<std::size_t>(*it)];
+      const auto& next = assignments[static_cast<std::size_t>(*(it + 1))];
       if (!leq(prev.end(), next.start)) {
         report.fail("tasks " + std::to_string(prev.task) + " and " + std::to_string(next.task) +
                     " overlap on processor " + std::to_string(p));

@@ -1,17 +1,27 @@
 // Tests for the two list algorithms of Section 3: the Malleable List
 // Algorithm (Theorem 1) and the Canonical List Algorithm (Theorem 2 with the
-// appendix's reallocation rule).
+// appendix's reallocation rule), and recorded digests of the contiguous list
+// placements at the benchmark's scale.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/canonical.hpp"
 #include "core/canonical_list.hpp"
 #include "core/malleable_list.hpp"
+#include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/validate.hpp"
+#include "support/fnv.hpp"
 #include "support/math_utils.hpp"
+#include "support/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace malsched {
@@ -176,6 +186,97 @@ TEST(CanonicalList, ReallocationFiresOnEngineeredInstance) {
   // The squeezed task still meets the sqrt(3) bound.
   EXPECT_TRUE(leq(outcome.schedule->makespan(), kSqrt3));
 }
+
+// ---------------------------------------------- placements at bench scale
+
+/// FNV-1a (support/fnv.hpp) over every assignment of `schedule`, mixed into
+/// `hash`.
+void mix_schedule(std::uint64_t& hash, const Schedule& schedule) {
+  for (const auto& assignment : schedule.assignments()) {
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.task));
+    fnv::mix_bytes(hash, &assignment.start, sizeof assignment.start);
+    fnv::mix_bytes(hash, &assignment.duration, sizeof assignment.duration);
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.first_proc));
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.num_procs));
+  }
+}
+
+struct PlacementDigests {
+  std::uint64_t canonical_list;  ///< canonical_list_schedule at both deadlines
+  std::uint64_t paper_rule;      ///< list_schedule, Placement::kContiguousPaperRule
+  std::uint64_t leftmost;        ///< list_schedule, Placement::kContiguousLeftmost
+};
+
+class PlacementScaleTest
+    : public ::testing::TestWithParam<std::tuple<WorkloadFamily, int, int>> {};
+
+TEST_P(PlacementScaleTest, SchedulesMatchRecordedDigests) {
+  // Benchmark-sized instances (solve-large draws 1000-2000 tasks x 256
+  // machines; 100 machines keeps m off a power of two). The canonical list
+  // runs at 1.2 and 1.5 times the static lower bound, where every one of
+  // these instances is accepted; list_schedule places the canonical
+  // allotment at 1.2x in canonical-list priority order, then a seeded
+  // allotment of 1-16 processors in a seeded order, so wide windows are
+  // placed too. Recorded before processor availability moved into a min
+  // tree; a placement change at scale fails here.
+  static const std::map<WorkloadFamily, PlacementDigests> kRecorded{
+      {WorkloadFamily::kSequentialOnly,
+       {0xc61a3157736d6a21ull, 0x418451f7b42ce8ceull, 0xb72c9074462f6059ull}},
+      {WorkloadFamily::kUniform,
+       {0x5dc040588608788dull, 0xec039c25659f2004ull, 0xfd0d260a9beecab8ull}},
+      {WorkloadFamily::kHeavyTail,
+       {0xd7e1b16882cccdb9ull, 0xa35c4bca0b27b441ull, 0xe13c1edd390c20edull}},
+      {WorkloadFamily::kBimodal,
+       {0x5998c5bcd5158548ull, 0x73225ccadf68bdd2ull, 0x5d8165db3e5a5c42ull}},
+      {WorkloadFamily::kStairs,
+       {0x1efe4250dc587186ull, 0x295619575ba39d1eull, 0x19c8aede4038cc07ull}},
+  };
+  const auto [family, tasks, machines] = GetParam();
+  GeneratorOptions options;
+  options.tasks = tasks;
+  options.machines = machines;
+  const auto instance = generate_instance(family, options, 1);
+  const double lb = makespan_lower_bound(instance);
+
+  PlacementDigests digests{fnv::kOffset, fnv::kOffset, fnv::kOffset};
+  for (const double factor : {1.2, 1.5}) {
+    const auto outcome = canonical_list_schedule(instance, lb * factor);
+    ASSERT_TRUE(outcome.schedule.has_value()) << to_string(family) << " x" << factor;
+    mix_schedule(digests.canonical_list, *outcome.schedule);
+  }
+
+  const auto allotment = canonical_allotment(instance, lb * 1.2).procs;
+  Rng rng(static_cast<std::uint64_t>(tasks) * 31 + static_cast<std::uint64_t>(machines));
+  std::vector<int> seeded_allotment(allotment.size());
+  for (auto& p : seeded_allotment) p = static_cast<int>(rng.uniform_int(1, 16));
+  std::vector<int> seeded_order(allotment.size());
+  const auto perm = rng.permutation(seeded_order.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) seeded_order[i] = static_cast<int>(perm[i]);
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> runs{
+      {allotment, order_by_decreasing_alloted_time(instance, allotment)},
+      {seeded_allotment, seeded_order}};
+  for (const auto& [procs, order] : runs) {
+    const auto paper = list_schedule(instance, procs, order, Placement::kContiguousPaperRule);
+    const auto leftmost = list_schedule(instance, procs, order, Placement::kContiguousLeftmost);
+    ASSERT_TRUE(is_valid_schedule(paper, instance)) << to_string(family);
+    ASSERT_TRUE(is_valid_schedule(leftmost, instance)) << to_string(family);
+    mix_schedule(digests.paper_rule, paper);
+    mix_schedule(digests.leftmost, leftmost);
+  }
+
+  const auto& recorded = kRecorded.at(family);
+  EXPECT_EQ(digests.canonical_list, recorded.canonical_list) << to_string(family);
+  EXPECT_EQ(digests.paper_rule, recorded.paper_rule) << to_string(family);
+  EXPECT_EQ(digests.leftmost, recorded.leftmost) << to_string(family);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchmarkScale, PlacementScaleTest,
+    ::testing::Values(std::make_tuple(WorkloadFamily::kSequentialOnly, 1500, 256),
+                      std::make_tuple(WorkloadFamily::kUniform, 1500, 256),
+                      std::make_tuple(WorkloadFamily::kHeavyTail, 1500, 256),
+                      std::make_tuple(WorkloadFamily::kBimodal, 512, 100),
+                      std::make_tuple(WorkloadFamily::kStairs, 512, 100)));
 
 }  // namespace
 }  // namespace malsched

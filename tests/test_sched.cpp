@@ -1,6 +1,7 @@
 // Tests for src/sched: schedule representation, the validator (including
-// negative cases), the contiguous list scheduler with the paper's tie rule,
-// compaction, the Gantt renderer and the brute-force oracle.
+// negative cases), the window kernel and the availability tree, the
+// contiguous list scheduler with the paper's tie rule, compaction, the Gantt
+// renderer and the brute-force oracle.
 
 #include <gtest/gtest.h>
 
@@ -248,6 +249,83 @@ TEST(Sliding, WindowKernelMatchesBruteForceOnPlantedTies) {
   }
 }
 
+TEST(Sliding, AvailabilityTreeMatchesLinearScanUnderFills) {
+  // The tree starts idle, takes a planted availability vector one point fill
+  // at a time, then random point and range fills (exact and near ties of the
+  // current minimum, a new minimum, or fresh values). After every fill its
+  // leaves, earliest() and tied_leaf() must equal a linear scan bit for bit:
+  // the min, then the first (last) leaf that approx_eq's it.
+  Rng rng(20261018);
+  for (const int m : {1, 2, 3, 5, 7, 16, 31, 64, 100, 255, 256, 257}) {
+    for (const double floor : {0.0, 1.0, 37.5, 1e6}) {
+      const auto planted = planted_avail(m, floor, rng);
+      std::vector<double> storage(AvailabilityTree::storage_size(m));
+      AvailabilityTree tree(storage, m);
+      std::vector<double> values(static_cast<std::size_t>(m), 0.0);
+      int fills = 0;
+      const auto check = [&] {
+        const auto where = [&] {
+          return "m=" + std::to_string(m) + " floor=" + std::to_string(floor) +
+                 " fill=" + std::to_string(fills);
+        };
+        double earliest = values.front();
+        for (const double v : values) earliest = std::min(earliest, v);
+        int leftmost = -1;
+        int rightmost = -1;
+        for (int s = 0; s < m; ++s) {
+          if (!approx_eq(values[static_cast<std::size_t>(s)], earliest)) continue;
+          if (leftmost < 0) leftmost = s;
+          rightmost = s;
+        }
+        const auto leaves = tree.leaves();
+        ASSERT_EQ(leaves.size(), values.size()) << where();
+        for (std::size_t j = 0; j < values.size(); ++j) {
+          ASSERT_EQ(bits(leaves[j]), bits(values[j])) << where() << " leaf " << j;
+        }
+        ASSERT_EQ(bits(tree.earliest()), bits(earliest)) << where();
+        ASSERT_EQ(tree.tied_leaf(true), leftmost) << where();
+        ASSERT_EQ(tree.tied_leaf(false), rightmost) << where();
+      };
+      const auto fill = [&](int first, int width, double time) {
+        tree.fill(first, width, time);
+        std::fill_n(values.begin() + first, width, time);
+        ++fills;
+      };
+
+      check();
+      if (HasFatalFailure()) return;
+      for (int j = 0; j < m; ++j) {
+        fill(j, 1, planted[static_cast<std::size_t>(j)]);
+        check();
+        if (HasFatalFailure()) return;
+      }
+      for (int round = 0; round < 2 * m + 8; ++round) {
+        double earliest = values.front();
+        for (const double v : values) earliest = std::min(earliest, v);
+        const double unit = std::max(earliest, 1.0);
+        const std::vector<double> times{earliest,
+                                        earliest * (1.0 + 5e-10),
+                                        earliest * (1.0 - 5e-10),
+                                        earliest + 2e-12,
+                                        earliest + 1.5e-9 * unit,
+                                        earliest + 3.5e-9 * unit,
+                                        earliest + 5e-9 * unit,
+                                        earliest * 0.5,
+                                        earliest + rng.uniform(0.0, 10.0) * unit};
+        const double time = times[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(times.size()) - 1))];
+        const int width = rng.uniform_int(0, 1) == 0
+                              ? 1
+                              : static_cast<int>(rng.uniform_int(1, std::max(1, m / 3)));
+        const int first = static_cast<int>(rng.uniform_int(0, m - width));
+        fill(first, width, time);
+        check();
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- list scheduler
 
 TEST(ListScheduler, PaperTieRuleLeftmostAtZeroRightmostLater) {
@@ -368,6 +446,29 @@ TEST(Compaction, ClosesArtificialGap) {
   loose.assign(1, 5.0, 1.0, 0, 1);  // pointless idle gap
   const auto tight = compact_schedule(loose, instance);
   EXPECT_DOUBLE_EQ(tight.makespan(), 2.0);
+}
+
+TEST(Compaction, EqualStartsKeepTheLowerTaskFirst) {
+  // Both tasks claim processor 0 at time 0; compaction takes equal starts
+  // in task order, so task 0 keeps time 0 and task 1 follows it.
+  std::vector<MalleableTask> tasks;
+  tasks.emplace_back(sequential_profile(1.0, 1), "a");
+  tasks.emplace_back(sequential_profile(2.0, 1), "b");
+  const Instance instance(1, std::move(tasks));
+  Schedule stacked(1, 2);
+  stacked.assign(1, 0.0, 2.0, 0, 1);
+  stacked.assign(0, 0.0, 1.0, 0, 1);
+  const auto compacted = compact_schedule(stacked, instance);
+  EXPECT_DOUBLE_EQ(compacted.of(0).start, 0.0);
+  EXPECT_DOUBLE_EQ(compacted.of(1).start, 1.0);
+}
+
+TEST(Compaction, RejectsAnUnassignedTask) {
+  const auto instance = tiny_instance();
+  Schedule partial(3, 3);
+  partial.assign(0, 0.0, 2.0, 0, 2);
+  partial.assign(2, 2.0, 1.0, 0, 1);
+  EXPECT_THROW(static_cast<void>(compact_schedule(partial, instance)), std::logic_error);
 }
 
 // -------------------------------------------------------------------- gantt
