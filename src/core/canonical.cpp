@@ -74,7 +74,7 @@ double canonical_area(const Instance& instance, const CanonicalAllotment& allotm
 
   // The reference order: the list scheduler's stable sort on decreasing
   // time (ties keep the lower task index first), which the workspace
-  // reproduces with an explicit index tie-break.
+  // reproduces with its radix kernel (support/radix_sort.hpp).
   std::vector<double> times(static_cast<std::size_t>(instance.size()));
   for (int i = 0; i < instance.size(); ++i) {
     times[static_cast<std::size_t>(i)] =

@@ -32,7 +32,8 @@ struct CanonicalAllotment {
   long long total_procs{0};
 };
 
-/// Computes the canonical allotment (binary search per task, O(n log m)).
+/// Computes the canonical allotment: MalleableTask::min_procs_for per task,
+/// O(1) for a sequential task and O(log m) otherwise.
 [[nodiscard]] CanonicalAllotment canonical_allotment(const Instance& instance, double deadline);
 
 /// Property 2 rejection test: if OPT <= d then total canonical work <= m*d.

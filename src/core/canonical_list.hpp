@@ -76,10 +76,10 @@ struct CanonicalListOutcome {
 [[nodiscard]] int reallocation_width(double mu);
 
 /// Runs the algorithm for guess `deadline`. The canonical allotment, area,
-/// and priority order come from the workspace's per-step cache (one sort
-/// per dual step, shared with canonical_area and the other branches) and
-/// the list loop runs out of reused scratch -- only the returned Schedule
-/// allocates.
+/// and priority order come from the workspace's per-step cache (one radix
+/// sort of the canonical times per dual step, shared with canonical_area
+/// and the other branches) and the list loop runs out of reused scratch --
+/// only the returned Schedule allocates.
 [[nodiscard]] CanonicalListOutcome canonical_list_schedule(
     DualWorkspace& workspace, double deadline, const CanonicalListOptions& options = {});
 

@@ -1,7 +1,5 @@
 #include "core/dual_workspace.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace malsched {
@@ -18,6 +16,7 @@ DualWorkspace::DualWorkspace(const Instance& instance)
   canonical_.procs.reserve(n);
   order_.reserve(n);
   canonical_times_.reserve(n);
+  sort_entries_.reserve(2 * n);
 }
 
 const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
@@ -60,22 +59,18 @@ std::span<const int> DualWorkspace::canonical_order() {
 
   const auto n = static_cast<std::size_t>(task_count_);
   detail::resize_counted(canonical_times_, n, stats_.alloc_events);
+  detail::resize_counted(sort_entries_, 2 * n, stats_.alloc_events);
+  const std::span<KeyedIndex> entries(sort_entries_.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     canonical_times_[i] = time(static_cast<int>(i), canonical_.procs[i]);
+    entries[i] = {descending_key(canonical_times_[i]), static_cast<int>(i)};
   }
+  // Decreasing time, ties keeping the lower index first: the permutation
+  // order_by_decreasing's stable sort (the reference canonical_area uses)
+  // gives, from the kernel's stable sort of the entries in index order.
+  sort_by_key(entries, {sort_entries_.data() + n, n});
   detail::resize_counted(order_, n, stats_.alloc_events);
-  std::iota(order_.begin(), order_.end(), 0);
-  // order_by_decreasing (the reference canonical_area sorts with) is a
-  // std::stable_sort on the decreasing-time key, ties keeping the lower
-  // index first. std::sort with the explicit index tie-break yields that
-  // exact permutation without stable_sort's internal temporary buffer,
-  // keeping the step allocation-free.
-  std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-    const double ta = canonical_times_[static_cast<std::size_t>(a)];
-    const double tb = canonical_times_[static_cast<std::size_t>(b)];
-    if (ta != tb) return ta > tb;
-    return a < b;
-  });
+  for (std::size_t i = 0; i < n; ++i) order_[i] = entries[i].index;
   order_generation_ = generation_;
   return {order_.data(), order_.size()};
 }

@@ -8,6 +8,7 @@
 #include "core/canonical_list.hpp"
 #include "core/two_shelf.hpp"
 #include "model/instance.hpp"
+#include "support/radix_sort.hpp"
 
 /// Per-solve scratch state for the dual-approximation hot loop.
 ///
@@ -18,9 +19,11 @@
 /// of a step:
 ///
 ///   * one canonical allotment per step (cached while the deadline repeats),
-///     its gamma lookups being MalleableTask::min_procs_for itself;
-///   * one decreasing-time sort per step, shared by canonical_area and the
-///     canonical list algorithm;
+///     its gamma lookups being MalleableTask::min_procs_for itself, which
+///     answers a sequential task from t(1) without searching its profile;
+///   * one decreasing-time order per step, shared by canonical_area and the
+///     canonical list algorithm: a stable radix sort of the canonical times
+///     (support/radix_sort.hpp; a comparison sort below its cutoff);
 ///   * reusable scratch buffers (the allotment, the sort order, two-shelf
 ///     partitions, knapsack DP tables, list-placement buffers) so a
 ///     *rejected* dual step performs no heap allocation at all after warm-up
@@ -82,9 +85,11 @@ class DualWorkspace {
   /// by the next canonical() call with a different deadline.
   [[nodiscard]] const CanonicalAllotment& canonical(double deadline);
 
-  /// Task order by non-increasing t_i(gamma_i) for the *current* canonical
-  /// allotment -- the one sort per dual step that canonical_area and the
-  /// canonical list algorithm share. Requires a feasible canonical().
+  /// Task order by non-increasing t_i(gamma_i), ties on the lower index, for
+  /// the *current* canonical allotment -- the one sort per dual step that
+  /// canonical_area and the canonical list algorithm share, equal to
+  /// order_by_decreasing of the canonical times. Requires a feasible
+  /// canonical().
   [[nodiscard]] std::span<const int> canonical_order();
 
   /// t_i(gamma_i) keys matching canonical_order(). Requires canonical_order()
@@ -115,6 +120,8 @@ class DualWorkspace {
   std::uint64_t order_generation_{static_cast<std::uint64_t>(-1)};
   std::vector<int> order_;
   std::vector<double> canonical_times_;
+  // The sort's (key, task) entries, then as many of its scratch.
+  std::vector<KeyedIndex> sort_entries_;
 
   TwoShelfScratch two_shelf_scratch_;
   CanonicalListScratch list_scratch_;

@@ -1,5 +1,6 @@
 #include "model/malleable_task.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,32 +17,51 @@ bool non_increasing(double previous, double current) noexcept {
   return current <= previous * (1.0 + kRelEps) + kAbsEps;
 }
 
-}  // namespace
-
-std::optional<std::string> MalleableTask::validate(const std::vector<double>& times) {
+/// The validation pass of validate() and the constructor. `times` is
+/// checked as given; when `stored` is non-null, stored[p] receives the
+/// running minimum of times[0..p] in the same pass. `stored` may alias
+/// `times`: each step reads times[p] before it writes stored[p] and keeps
+/// times[p-1] itself.
+std::optional<std::string> check_profile(const std::vector<double>& times, double* stored) {
   if (times.empty()) return "profile is empty";
   for (std::size_t i = 0; i < times.size(); ++i) {
     if (!(times[i] > 0.0) || !std::isfinite(times[i])) {
       return "t(" + std::to_string(i + 1) + ") is not a positive finite number";
     }
   }
+  double previous = times[0];
+  double running_min = previous;
   for (std::size_t p = 1; p < times.size(); ++p) {
-    if (!non_increasing(times[p - 1], times[p])) {
+    const double current = times[p];
+    if (!non_increasing(previous, current)) {
       return "t(p) increases at p=" + std::to_string(p + 1);
     }
-    const double work_prev = static_cast<double>(p) * times[p - 1];
-    const double work_cur = static_cast<double>(p + 1) * times[p];
+    const double work_prev = static_cast<double>(p) * previous;
+    const double work_cur = static_cast<double>(p + 1) * current;
     if (!non_increasing(work_cur, work_prev)) {  // i.e. work_prev <= work_cur required
       return "work p*t(p) decreases at p=" + std::to_string(p + 1) +
              " (super-linear speedup violates monotonicity)";
     }
+    running_min = std::min(running_min, current);
+    if (stored != nullptr) stored[p] = running_min;
+    previous = current;
   }
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<std::string> MalleableTask::validate(const std::vector<double>& times) {
+  return check_profile(times, nullptr);
+}
+
 MalleableTask::MalleableTask(std::vector<double> times, std::string name)
     : times_(std::move(times)), name_(std::move(name)) {
-  if (const auto problem = validate(times_)) {
+  // The slack above admits a profile that creeps upwards by up to kRelEps
+  // per step; storing its running minimum makes the stored t exactly
+  // non-increasing, which min_procs_for's search and the lower bounds'
+  // use of t(m) rely on.
+  if (const auto problem = check_profile(times_, times_.data())) {
     throw std::invalid_argument("MalleableTask: " + *problem +
                                 (name_.empty() ? std::string{} : " (task " + name_ + ")"));
   }
@@ -58,10 +78,13 @@ double MalleableTask::time(int procs) const {
 double MalleableTask::work(int procs) const { return static_cast<double>(procs) * time(procs); }
 
 std::optional<int> MalleableTask::min_procs_for(double deadline) const {
+  // At the guesses that decide a dual search most tasks are sequential:
+  // t(1) <= deadline answers from the profile's first cache line.
+  if (leq(times_.front(), deadline)) return 1;
   // t is non-increasing, so the feasible processor counts form a suffix;
-  // binary search the first p with t(p) <= deadline.
+  // binary search the first p in [2, m] with t(p) <= deadline.
   if (!leq(times_.back(), deadline)) return std::nullopt;
-  int lo = 1;
+  int lo = 2;
   int hi = max_procs();
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;

@@ -16,12 +16,18 @@ namespace malsched {
 ///   * w(p) = p * t(p) is non-decreasing -- no super-linear speedup
 ///     (Brent's lemma; the parallel overhead only grows with p).
 ///
+/// Both are checked with the library's relative slack (kRelEps), so a
+/// profile may rise by that much per step and still be accepted; the task
+/// stores the running minimum of the given times, which makes the stored t
+/// exactly non-increasing. Profiles that already are come out unchanged.
+///
 /// Processor counts are 1-based: `time(1)` is the sequential time and
 /// `time(max_procs())` the fully parallel one.
 class MalleableTask {
  public:
   /// Builds a task from `times[p-1] = t(p)`; throws std::invalid_argument if
-  /// the profile is empty, non-positive, or violates monotonicity.
+  /// the profile is empty, non-positive, or violates monotonicity. Stores
+  /// t(p) as min(times[0..p-1]), in the validation pass.
   explicit MalleableTask(std::vector<double> times, std::string name = {});
 
   /// Validates a raw profile; returns a diagnostic instead of throwing.
@@ -48,9 +54,11 @@ class MalleableTask {
     return speedup(procs) / static_cast<double>(procs);
   }
 
-  /// Smallest p with t(p) <= deadline, or std::nullopt when even max_procs()
-  /// processors cannot meet it. This is the *canonical number of processors*
-  /// of the paper when deadline is the dual guess.
+  /// Smallest p with t(p) <= deadline (under the library tolerance), or
+  /// std::nullopt when even max_procs() processors cannot meet it. This is
+  /// the *canonical number of processors* of the paper when deadline is the
+  /// dual guess. t(1) is tested first, so a sequential answer reads only the
+  /// profile's first element; otherwise t(m), then a binary search of [2, m].
   [[nodiscard]] std::optional<int> min_procs_for(double deadline) const;
 
   /// Optional human-readable label (used by the Gantt renderer).

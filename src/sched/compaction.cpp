@@ -1,31 +1,36 @@
 #include "sched/compaction.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "support/radix_sort.hpp"
 
 namespace malsched {
 
 Schedule compact_schedule(const Schedule& schedule, const Instance& instance) {
   const auto& assignments = schedule.assignments();
-  // Flat (start, task) keys: their lexicographic order keeps the lower task
-  // index first among equal starts.
-  std::vector<std::pair<double, int>> by_start(assignments.size());
-  for (std::size_t task = 0; task < assignments.size(); ++task) {
+  const std::size_t n = assignments.size();
+  // (start, task) entries in task order, then as many of the sort's
+  // scratch: the stable sort keeps the lower task index first among equal
+  // starts, -0.0 and +0.0 being equal.
+  std::vector<KeyedIndex> entries(2 * n);
+  for (std::size_t task = 0; task < n; ++task) {
     if (assignments[task].task == -1) {
       throw std::logic_error("compact_schedule: task " + std::to_string(task) +
                              " not assigned");
     }
-    by_start[task] = {assignments[task].start, static_cast<int>(task)};
+    entries[task] = {ascending_key(assignments[task].start), static_cast<int>(task)};
   }
-  std::sort(by_start.begin(), by_start.end());
+  const std::span<KeyedIndex> by_start(entries.data(), n);
+  sort_by_key(by_start, {entries.data() + n, n});
 
   Schedule compacted(schedule.machines(), schedule.num_tasks());
   std::vector<double> avail(static_cast<std::size_t>(schedule.machines()), 0.0);
-  for (const auto& key : by_start) {
-    const int task = key.second;
+  for (const auto& entry : by_start) {
+    const int task = entry.index;
     const auto& assignment = assignments[static_cast<std::size_t>(task)];
     double start = 0.0;
     assignment.for_each_processor(

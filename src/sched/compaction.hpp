@@ -14,9 +14,11 @@
 namespace malsched {
 
 /// Returns a schedule where every task, in order of original start time
-/// (equal starts: the lower task index first), begins as early as its
-/// processors allow. Processor assignments (and hence contiguity) are
-/// unchanged. Throws std::logic_error when a task is unassigned.
+/// (equal starts, -0.0 and +0.0 included: the lower task index first),
+/// begins as early as its processors allow. The start order is one stable
+/// sort by support/radix_sort.hpp's kernel. Processor assignments (and
+/// hence contiguity) are unchanged. Throws std::logic_error when a task is
+/// unassigned.
 [[nodiscard]] Schedule compact_schedule(const Schedule& schedule, const Instance& instance);
 
 }  // namespace malsched

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "core/canonical.hpp"
 #include "core/mmu.hpp"
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
@@ -139,6 +141,26 @@ TEST(MrtScheduler, SingleTaskInstance) {
   const auto result = mrt_schedule(instance);
   // One task: optimum is t(m) (monotone) and the scheduler must find it.
   EXPECT_NEAR(result.makespan, 1.75, 1e-9);
+}
+
+TEST(MrtScheduler, CreepingSingleTaskKeepsItsBoundBelowTheMakespan) {
+  // t(p) = 1 + (p-1)*0.9e-9 rises by less than the validation slack per
+  // step. Read as given, t(64) would put the critical-path bound above
+  // t(1) = 1, reject d = 1 and certify a bound above the delivered
+  // makespan; the stored running minimum keeps all three consistent.
+  std::vector<double> creeping(64);
+  for (std::size_t p = 0; p < creeping.size(); ++p) {
+    creeping[p] = 1.0 + static_cast<double>(p) * 0.9e-9;
+  }
+  std::vector<MalleableTask> tasks;
+  tasks.emplace_back(creeping, "creeping");
+  const Instance instance(64, std::move(tasks));
+  EXPECT_EQ(instance.task(0).min_procs_for(1.0), 1);
+  EXPECT_FALSE(certified_infeasible(instance, canonical_allotment(instance, 1.0)));
+
+  const auto result = mrt_schedule(instance);
+  EXPECT_EQ(result.makespan, 1.0);
+  EXPECT_LE(result.lower_bound, result.makespan);
 }
 
 TEST(MrtScheduler, BranchNamesAreDistinct) {

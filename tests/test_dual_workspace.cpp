@@ -1,12 +1,14 @@
 // Tests for the DualWorkspace hot path: gamma lookups must match a linear
-// scan of the profile at every tolerance boundary; canonical allotments and
-// areas must be byte-identical to the naive recomputation; full mrt solves
-// and the batch pipeline must keep the digests recorded while the
-// recompute-everything path still existed to compare against; the scratch
-// reuse must be allocation-free after warm-up; full solves' certified
-// bounds must never contradict brute force and must bracket the final guess
-// within (1+eps); the dual search must keep its recorded figures; and the
-// registry must refuse the options of deleted paths.
+// scan of the profile at every tolerance boundary, creeping profiles
+// included; canonical allotments and areas must be byte-identical to the
+// naive recomputation; full mrt solves and the batch pipeline must keep the
+// digests recorded while the recompute-everything path still existed to
+// compare against, and above the radix sort's cutoff the digests recorded
+// with the comparison sorts; the scratch reuse must be allocation-free after
+// warm-up; full solves' certified bounds must never contradict brute force
+// and must bracket the final guess within (1+eps); the dual search must keep
+// its recorded figures; and the registry must refuse the options of deleted
+// paths.
 
 #include <gtest/gtest.h>
 
@@ -29,9 +31,11 @@
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
 #include "oracles/exact_small.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/validate.hpp"
 #include "support/fnv.hpp"
 #include "support/math_utils.hpp"
+#include "support/radix_sort.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -100,11 +104,15 @@ std::uint64_t solve_digest(const SolveFigures& figures, const Schedule& schedule
 
 /// gamma_i(d) by definition: the fewest processors whose time is within
 /// `deadline` under the library tolerance, scanning the whole profile.
-std::optional<int> linear_min_procs_for(const MalleableTask& task, double deadline) {
-  for (int p = 1; p <= task.max_procs(); ++p) {
-    if (leq(task.time(p), deadline)) return p;
+std::optional<int> linear_min_procs_for(const std::vector<double>& profile, double deadline) {
+  for (std::size_t p = 0; p < profile.size(); ++p) {
+    if (leq(profile[p], deadline)) return static_cast<int>(p) + 1;
   }
   return std::nullopt;
+}
+
+std::optional<int> linear_min_procs_for(const MalleableTask& task, double deadline) {
+  return linear_min_procs_for(task.profile(), deadline);
 }
 
 class WorkspaceFamilyTest
@@ -210,22 +218,99 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
   // Flat and plateaued profiles put many breakpoints on the same deadline;
-  // the binary search must still reproduce the linear scan exactly.
+  // the lookup must still reproduce the linear scan exactly. The creeping
+  // profiles rise by 0.9e-9 relative per step, inside the validation slack;
+  // their gamma must also match the scan of the profile as given, before
+  // the task stored its running minimum.
+  const std::vector<std::vector<double>> profiles{
+      {4.0, 4.0, 4.0, 4.0},
+      {8.0, 4.0, 4.0, 4.0},
+      {1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75},
+      {1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9, 1.0 + 2.7e-9},   // creeping, gamma = 1
+      {2.0, 1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9},            // creeping, gamma = 2
+      {4.0, 2.0, 2.0 * (1.0 + 0.9e-9), 1.6},             // creeps, then drops
+  };
   std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
-  tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
-  tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
+  for (const auto& profile : profiles) tasks.emplace_back(profile);
   const Instance instance(4, std::move(tasks));
   for (int i = 0; i < instance.size(); ++i) {
     const auto& task = instance.task(i);
-    for (const double base : {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 2.0, 4.0, 8.0, 16.0}) {
+    const auto& given = profiles[static_cast<std::size_t>(i)];
+    for (const double base :
+         {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 1.0 + 2.7e-9, 1.6, 2.0, 4.0, 8.0, 16.0}) {
       for (const double d : {std::nextafter(base, 0.0), base, std::nextafter(base, 100.0)}) {
         EXPECT_EQ(task.min_procs_for(d), linear_min_procs_for(task, d))
+            << "task " << i << " d " << d;
+        EXPECT_EQ(task.min_procs_for(d), linear_min_procs_for(given, d))
             << "task " << i << " d " << d;
       }
     }
   }
 }
+
+// -------------------------------------------------- above the radix cutoff
+
+/// Tasks per instance for the cases that sort with the radix kernel.
+constexpr int kAboveCutoff = 400;
+static_assert(static_cast<std::size_t>(kAboveCutoff) > kRadixSortCutoff);
+
+Instance above_cutoff_instance(WorkloadFamily family) {
+  GeneratorOptions options;
+  options.tasks = kAboveCutoff;
+  options.machines = 96;
+  return generate_instance(family, options, 1);
+}
+
+class AboveCutoffTest : public ::testing::TestWithParam<WorkloadFamily> {};
+
+TEST_P(AboveCutoffTest, MrtSolveMatchesRecordedDigest) {
+  // Recorded with the comparison sorts the radix kernel replaced, in the
+  // canonical order and in compaction's start order.
+  static const std::map<WorkloadFamily, std::uint64_t> kRecorded{
+      {WorkloadFamily::kUniform, 0x1746f1ac145fe883ull},
+      {WorkloadFamily::kBimodal, 0x164df6afbbb1e0c7ull},
+      {WorkloadFamily::kHeavyTail, 0xb2ed4238ba4652c3ull},
+      {WorkloadFamily::kStairs, 0x8bed58ce68c4debcull},
+      {WorkloadFamily::kPackedOpt1, 0xd91e27f51297af34ull},
+      {WorkloadFamily::kSequentialOnly, 0x5febe5fc80274a5cull},
+  };
+  const auto family = GetParam();
+  const auto instance = above_cutoff_instance(family);
+  const auto result = mrt_schedule(instance);
+  EXPECT_EQ(solve_digest(figures_of(result), result.schedule), kRecorded.at(family))
+      << to_string(family);
+}
+
+TEST_P(AboveCutoffTest, CanonicalOrderMatchesTheStableSort) {
+  const auto instance = above_cutoff_instance(GetParam());
+  DualWorkspace workspace(instance);
+  const double lb = makespan_lower_bound(instance);
+  int feasible = 0;
+  for (const double factor : {0.7, 1.0, 1.1, 1.3, 1.7, 2.5, 6.0}) {
+    const double d = lb * factor;
+    const auto naive = canonical_allotment(instance, d);
+    const auto& fast = workspace.canonical(d);
+    ASSERT_EQ(naive.feasible, fast.feasible) << "d " << d;
+    if (!fast.feasible) continue;
+    ++feasible;
+    std::vector<double> times(static_cast<std::size_t>(instance.size()));
+    for (int i = 0; i < instance.size(); ++i) {
+      times[static_cast<std::size_t>(i)] =
+          instance.task(i).time(naive.procs[static_cast<std::size_t>(i)]);
+    }
+    const auto order = workspace.canonical_order();
+    EXPECT_EQ(std::vector<int>(order.begin(), order.end()), order_by_decreasing(times))
+        << "d " << d;
+    EXPECT_EQ(canonical_area(instance, naive), canonical_area(workspace, fast)) << "d " << d;
+  }
+  EXPECT_GT(feasible, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, AboveCutoffTest,
+                         ::testing::Values(WorkloadFamily::kUniform, WorkloadFamily::kBimodal,
+                                           WorkloadFamily::kHeavyTail, WorkloadFamily::kStairs,
+                                           WorkloadFamily::kPackedOpt1,
+                                           WorkloadFamily::kSequentialOnly));
 
 // ------------------------------------------------------------- batch solves
 
@@ -264,10 +349,12 @@ TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
 
 // ------------------------------------------------------- allocation audit
 
-TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
+/// Sweeps mrt_dual_step over guesses from 0.6x to 4x the lower bound on one
+/// workspace: after a warm-up sweep no scratch buffer may grow again.
+void expect_allocation_free_after_warm_up(int tasks, int machines) {
   GeneratorOptions options;
-  options.tasks = 40;
-  options.machines = 24;
+  options.tasks = tasks;
+  options.machines = machines;
   const auto instance = generate_instance(WorkloadFamily::kUniform, options, 7);
   DualWorkspace workspace(instance);
   MrtOptions mrt;
@@ -284,8 +371,16 @@ TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
   sweep();
   const auto after = workspace.stats();
   EXPECT_EQ(after.alloc_events, warmed.alloc_events)
-      << "scratch buffers grew after warm-up";
+      << "scratch buffers grew after warm-up (" << tasks << " tasks)";
   EXPECT_GT(after.canonical_hits, warmed.canonical_hits);  // branches shared the step's allotment
+}
+
+TEST(DualWorkspace, DualStepsAreAllocationFreeAfterWarmUp) {
+  expect_allocation_free_after_warm_up(40, 24);
+}
+
+TEST(DualWorkspace, DualStepsAboveTheRadixCutoffAreAllocationFreeAfterWarmUp) {
+  expect_allocation_free_after_warm_up(kAboveCutoff, 96);
 }
 
 // ------------------------------------------------------ certified bounds

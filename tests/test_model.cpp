@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "model/instance.hpp"
 #include "model/instance_handle.hpp"
@@ -100,6 +101,29 @@ TEST(MalleableTask, MinProcsForUnreachableDeadline) {
   EXPECT_FALSE(task.min_procs_for(1.0).has_value());
   EXPECT_EQ(task.min_procs_for(2.5).value(), 2);
   EXPECT_EQ(task.min_procs_for(100.0).value(), 1);
+}
+
+TEST(MalleableTask, StoresTheRunningMinimumOfItsProfile) {
+  // Each step rises by 0.9e-9 relative, inside the 1e-9 validation slack:
+  // the profile is accepted and stored as its running minimum, so the
+  // stored t is exactly non-increasing and gamma reads t(1).
+  std::vector<double> creeping(64);
+  for (std::size_t p = 0; p < creeping.size(); ++p) {
+    creeping[p] = 1.0 + static_cast<double>(p) * 0.9e-9;
+  }
+  ASSERT_FALSE(MalleableTask::validate(creeping).has_value());
+  const MalleableTask task(creeping);
+  EXPECT_EQ(task.profile(), std::vector<double>(64, 1.0));
+  EXPECT_EQ(task.min_procs_for(1.0), 1);
+
+  // A dip below earlier times is kept; only the rises are floored.
+  const MalleableTask dipping({2.0, 1.0, 1.0 + 0.9e-9, 0.75, 0.75 * (1.0 + 0.9e-9)});
+  EXPECT_EQ(dipping.profile(), (std::vector<double>{2.0, 1.0, 1.0, 0.75, 0.75}));
+  EXPECT_EQ(dipping.min_procs_for(1.0), 2);
+
+  // A non-increasing profile is stored as given.
+  const std::vector<double> profile{4.0, 2.5, 2.5, 2.0, 1.8};
+  EXPECT_EQ(MalleableTask(profile).profile(), profile);
 }
 
 // -------------------------------------------------------------- monotonize

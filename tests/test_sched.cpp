@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
@@ -22,6 +24,7 @@
 #include "sched/sliding.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
+#include "support/radix_sort.hpp"
 #include "support/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -461,6 +464,27 @@ TEST(Compaction, EqualStartsKeepTheLowerTaskFirst) {
   const auto compacted = compact_schedule(stacked, instance);
   EXPECT_DOUBLE_EQ(compacted.of(0).start, 0.0);
   EXPECT_DOUBLE_EQ(compacted.of(1).start, 1.0);
+}
+
+TEST(Compaction, SignedZeroStartsAboveTheRadixCutoffKeepTheLowerTaskFirst) {
+  // Enough tasks for the radix sort: tasks 0 and 1 share processor 0, one
+  // starting at -0.0 and the other at +0.0. The two zeros are equal starts,
+  // so task 0 goes first either way round; the rest fill processor 1.
+  const int n = static_cast<int>(kRadixSortCutoff) + 8;
+  std::vector<MalleableTask> tasks;
+  for (int i = 0; i < n; ++i) tasks.emplace_back(sequential_profile(i == 1 ? 2.0 : 1.0, 2));
+  const Instance instance(2, std::move(tasks));
+  for (const auto& [start0, start1] : {std::pair{-0.0, 0.0}, std::pair{0.0, -0.0}}) {
+    Schedule stacked(2, n);
+    stacked.assign(0, start0, 1.0, 0, 1);
+    stacked.assign(1, start1, 2.0, 0, 1);
+    for (int i = 2; i < n; ++i) stacked.assign(i, 2.0 * i, 1.0, 1, 1);
+    const auto compacted = compact_schedule(stacked, instance);
+    EXPECT_EQ(compacted.of(0).start, 0.0) << "task 0 at " << start0;
+    EXPECT_EQ(compacted.of(1).start, 1.0) << "task 0 at " << start0;
+    EXPECT_EQ(compacted.of(n - 1).start, static_cast<double>(n - 3));
+    EXPECT_TRUE(is_valid_schedule(compacted, instance));
+  }
 }
 
 TEST(Compaction, RejectsAnUnassignedTask) {

@@ -1,11 +1,18 @@
 // Unit and property tests for src/support: rng, statistics, table,
-// parallel_for, json, math utilities, word hash.
+// parallel_for, json, math utilities, word hash, radix sort.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +21,7 @@
 #include "support/json.hpp"
 #include "support/math_utils.hpp"
 #include "support/parallel_for.hpp"
+#include "support/radix_sort.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
@@ -378,6 +386,107 @@ TEST(Stopwatch, MeasuresNonNegativeAndResets) {
   sw.reset();
   EXPECT_LE(sw.seconds(), first + 1.0);
   EXPECT_GE(sw.millis(), 0.0);
+}
+
+// ---------------------------------------------------------------- radix sort
+
+/// The permutation std::stable_sort gives `values` under `before`, starting
+/// from index order: the reference the kernel must reproduce.
+template <class Before>
+std::vector<int> stable_order(const std::vector<double>& values, Before before) {
+  std::vector<int> order(values.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return before(values[static_cast<std::size_t>(a)], values[static_cast<std::size_t>(b)]);
+  });
+  return order;
+}
+
+/// The kernel's order of `values`, increasing or decreasing.
+std::vector<int> kernel_order(const std::vector<double>& values, bool descending) {
+  const std::size_t n = values.size();
+  std::vector<KeyedIndex> entries(n);
+  std::vector<KeyedIndex> scratch(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entries[i] = {descending ? descending_key(values[i]) : ascending_key(values[i]),
+                  static_cast<int>(i)};
+  }
+  sort_by_key(entries, scratch);
+  std::vector<int> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = entries[i].index;
+  return order;
+}
+
+/// Key sets that stress the kernel: ties (all equal, long runs, a few
+/// repeated values), the two zeros, subnormals, the extremes, keys that
+/// differ in one byte only, and a wide mix of signs and exponents.
+std::vector<std::vector<double>> radix_key_sets(std::size_t n, Rng& rng) {
+  constexpr double kMax = DBL_MAX;
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto fill = [&](auto draw) {
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) values[i] = draw(i);
+    return values;
+  };
+  const auto pick = [&](std::initializer_list<double> pool) {
+    return *(pool.begin() + rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+  };
+  return {
+      fill([](std::size_t) { return 3.5; }),
+      fill([](std::size_t i) { return static_cast<double>((i / 37) % 5) - 2.0; }),
+      fill([&](std::size_t) { return pick({0.25, 1.5, 1.5, 7.0}); }),
+      fill([&](std::size_t) { return pick({-0.0, 0.0, -1.0, 1.0}); }),
+      fill([&](std::size_t) {
+        return pick({0.0, -0.0, kTiny, -kTiny, 2 * kTiny, DBL_MIN, DBL_MIN - kTiny,
+                     -(DBL_MIN - kTiny), 1e-310, -1e-310});
+      }),
+      fill([&](std::size_t) {
+        return pick({kMax, -kMax, std::nextafter(kMax, 0.0), 0.0, 1.0, -1.0, kInf, -kInf});
+      }),
+      fill([&](std::size_t) { return kTiny * static_cast<double>(rng.uniform_int(0, 255)); }),
+      fill([&](std::size_t) {
+        const auto exponent = static_cast<int>(rng.uniform_int(-1074, 1023));
+        const double magnitude = std::ldexp(rng.uniform(1.0, 2.0), exponent);
+        return rng.uniform_int(0, 1) == 0 ? magnitude : -magnitude;
+      }),
+      fill([&](std::size_t) { return rng.uniform(0.5, 8.0); }),
+  };
+}
+
+TEST(RadixSort, MatchesStableSortInBothDirections) {
+  Rng rng(1999);
+  const std::size_t cutoff = kRadixSortCutoff;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, cutoff - 1, cutoff,
+                              cutoff + 1, std::size_t{5000}}) {
+    const auto key_sets = radix_key_sets(n, rng);
+    for (std::size_t set = 0; set < key_sets.size(); ++set) {
+      const auto& values = key_sets[set];
+      EXPECT_EQ(kernel_order(values, false), stable_order(values, std::less<>{}))
+          << "increasing, n " << n << ", key set " << set;
+      EXPECT_EQ(kernel_order(values, true), stable_order(values, std::greater<>{}))
+          << "decreasing, n " << n << ", key set " << set;
+    }
+  }
+}
+
+TEST(RadixSort, KeysFoldTheZerosAndKeepTheOrderOfDoubles) {
+  EXPECT_EQ(ascending_key(-0.0), ascending_key(0.0));
+  EXPECT_EQ(descending_key(-0.0), descending_key(0.0));
+  const std::vector<double> increasing{-std::numeric_limits<double>::infinity(),
+                                       -DBL_MAX,
+                                       -1.0,
+                                       -std::numeric_limits<double>::denorm_min(),
+                                       0.0,
+                                       std::numeric_limits<double>::denorm_min(),
+                                       DBL_MIN,
+                                       1.0,
+                                       DBL_MAX,
+                                       std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 1; i < increasing.size(); ++i) {
+    EXPECT_LT(ascending_key(increasing[i - 1]), ascending_key(increasing[i])) << i;
+    EXPECT_GT(descending_key(increasing[i - 1]), descending_key(increasing[i])) << i;
+  }
 }
 
 }  // namespace
