@@ -33,15 +33,16 @@ double steady_seconds() {
 
 /// Approximate footprint of one memoized entry, for the byte budget. An
 /// estimate, not an accounting: heap headers and map nodes are ignored, the
-/// dominant payloads (schedule assignments, scattered lists, stat keys,
-/// identity strings) are counted.
+/// dominant payloads (the flat assignment array, the schedule's table of
+/// scattered sets, stat keys, identity strings) are counted.
 std::size_t approx_entry_bytes(const SolveCache::Key& key, const SolverResult& result) {
   std::size_t bytes = sizeof(SolveCache::Key) + sizeof(SolverResult);
   bytes += key.solver.size() + key.options.size();
   bytes += result.solver.size();
-  bytes += result.schedule.assignments().size() * sizeof(Assignment);
-  for (const auto& assignment : result.schedule.assignments()) {
-    bytes += assignment.scattered.size() * sizeof(int);
+  const Schedule& schedule = result.schedule;
+  bytes += schedule.assignments().size() * sizeof(Assignment);
+  for (const auto& assignment : schedule.assignments()) {
+    bytes += schedule.scattered(assignment).size() * sizeof(int);
   }
   for (const auto& [name, value] : result.stats) {
     static_cast<void>(value);

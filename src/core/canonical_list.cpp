@@ -45,11 +45,15 @@ int find_idle_window(std::span<const double> avail, int width) {
 
 /// List scheduling with the appendix's one-shot reallocation: the first
 /// task forced off the first level may instead be squeezed, narrower, onto
-/// processors still idle at time 0. All working storage is the workspace's
-/// scratch, so a warmed-up step runs allocation-free.
+/// processors still idle at time 0. `times[i]` is t_i(allotment[i]), the
+/// workspace's canonical times, so a placed task's duration is one read of
+/// a flat array; only a squeezed task reads its profile. All working
+/// storage is the workspace's scratch, so a warmed-up step runs
+/// allocation-free.
 Schedule reallocation_schedule(const Instance& instance, std::span<const int> allotment,
-                               std::span<const int> order, int khat, bool& reallocated,
-                               CanonicalListScratch& scratch, const CancelCheck& cancel) {
+                               std::span<const double> times, std::span<const int> order,
+                               int khat, bool& reallocated, CanonicalListScratch& scratch,
+                               const CancelCheck& cancel) {
   const int machines = instance.machines();
   Schedule schedule(machines, instance.size());
   detail::resize_counted(scratch.tree, AvailabilityTree::storage_size(machines),
@@ -63,7 +67,7 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
   for (const int task : order) {
     cancel.tick();
     const int procs = allotment[static_cast<std::size_t>(task)];
-    const double duration = instance.task(task).time(procs);
+    const double duration = times[static_cast<std::size_t>(task)];
     const auto window = earliest_window(avail, procs, /*always_leftmost=*/false, scratch.window);
 
     if (!approx_eq(window.start, 0.0) && !reallocation_considered) {
@@ -119,9 +123,10 @@ CanonicalListOutcome canonical_list_schedule(DualWorkspace& workspace, double de
     return outcome;
   }
 
-  outcome.schedule = reallocation_schedule(instance, allotment, order,
-                                           reallocation_width(options.mu), outcome.reallocated,
-                                           workspace.list_scratch(), options.cancel);
+  outcome.schedule = reallocation_schedule(instance, allotment, workspace.canonical_times(),
+                                           order, reallocation_width(options.mu),
+                                           outcome.reallocated, workspace.list_scratch(),
+                                           options.cancel);
   return outcome;
 }
 

@@ -7,12 +7,9 @@ namespace malsched {
 DualWorkspace::DualWorkspace(const Instance& instance)
     : instance_(&instance),
       machines_(instance.machines()),
-      task_count_(instance.size()) {
+      task_count_(instance.size()),
+      tasks_(instance.tasks().data()) {
   const auto n = static_cast<std::size_t>(task_count_);
-  profile_ptr_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    profile_ptr_[i] = instance.task(static_cast<int>(i)).profile().data();
-  }
   canonical_.procs.reserve(n);
   order_.reserve(n);
   canonical_times_.reserve(n);
@@ -29,14 +26,14 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
   canonical_valid_ = true;
 
   // Mirrors canonical_allotment(instance, deadline) term for term (same
-  // lookups, same accumulation order) so the totals match bit for bit.
+  // lookups, same accumulation order) so the totals match bit for bit. The
+  // totals accumulate in locals, which the push_back cannot alias.
   canonical_.deadline = deadline;
-  canonical_.feasible = true;
   canonical_.procs.clear();
-  canonical_.total_work = 0.0;
-  canonical_.total_procs = 0;
+  double total_work = 0.0;
+  long long total_procs = 0;
   for (int i = 0; i < task_count_; ++i) {
-    const auto gamma = instance_->task(i).min_procs_for(deadline);
+    const auto gamma = tasks_[static_cast<std::size_t>(i)].min_procs_for(deadline);
     if (!gamma || *gamma > machines_) {
       canonical_.feasible = false;
       canonical_.procs.clear();
@@ -45,9 +42,12 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
       return canonical_;
     }
     canonical_.procs.push_back(*gamma);
-    canonical_.total_work += static_cast<double>(*gamma) * time(i, *gamma);
-    canonical_.total_procs += *gamma;
+    total_work += static_cast<double>(*gamma) * time(i, *gamma);
+    total_procs += *gamma;
   }
+  canonical_.feasible = true;
+  canonical_.total_work = total_work;
+  canonical_.total_procs = total_procs;
   return canonical_;
 }
 

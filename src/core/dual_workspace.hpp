@@ -20,7 +20,8 @@
 ///
 ///   * one canonical allotment per step (cached while the deadline repeats),
 ///     its gamma lookups being MalleableTask::min_procs_for itself, which
-///     answers a sequential task from t(1) without searching its profile;
+///     answers a sequential task from its stored t(1) without reading its
+///     profile, as do the allotment's work and the canonical times;
 ///   * one decreasing-time order per step, shared by canonical_area and the
 ///     canonical list algorithm: a stable radix sort of the canonical times
 ///     (support/radix_sort.hpp; a comparison sort below its cutoff);
@@ -29,7 +30,7 @@
 ///     *rejected* dual step performs no heap allocation at all after warm-up
 ///     and an accepted one allocates only the returned Schedule.
 ///
-/// Construction is O(n): profile pointers and reserved buffers.
+/// Construction reserves the per-step buffers; it reads no task.
 ///
 /// The workspace is the only implementation of the dual step: the one-shot
 /// `const Instance&` forms of mrt_dual_step, canonical_list_schedule and
@@ -74,9 +75,13 @@ class DualWorkspace {
 
   [[nodiscard]] const Instance& instance() const noexcept { return *instance_; }
 
-  /// t_task(procs), read straight from the task's profile.
+  /// t_task(procs) without the bounds check of MalleableTask::time: t(1)
+  /// from the task itself (MalleableTask::seq_time), any other count from
+  /// its profile.
   [[nodiscard]] double time(int task, int procs) const {
-    return profile_ptr_[static_cast<std::size_t>(task)][procs - 1];
+    const MalleableTask& entry = tasks_[static_cast<std::size_t>(task)];
+    return procs == 1 ? entry.seq_time()
+                      : entry.profile()[static_cast<std::size_t>(procs) - 1];
   }
 
   /// The canonical allotment at `deadline`, computed into a reused internal
@@ -92,8 +97,10 @@ class DualWorkspace {
   /// canonical().
   [[nodiscard]] std::span<const int> canonical_order();
 
-  /// t_i(gamma_i) keys matching canonical_order(). Requires canonical_order()
-  /// to have been computed for the current allotment.
+  /// t_i(gamma_i) by task index, the keys of canonical_order() and the
+  /// durations the canonical list places (bit-equal to
+  /// task(i).time(gamma_i)). Requires canonical_order() to have been
+  /// computed for the current allotment.
   [[nodiscard]] std::span<const double> canonical_times() const {
     return {canonical_times_.data(), canonical_times_.size()};
   }
@@ -109,9 +116,9 @@ class DualWorkspace {
   int machines_;
   int task_count_;
 
-  // Task i's profile data inside the instance (no copy): time() reads it
-  // without the bounds check of MalleableTask::time.
-  std::vector<const double*> profile_ptr_;
+  // The instance's tasks (no copy): time() reads them without the bounds
+  // check of Instance::task.
+  const MalleableTask* tasks_;
 
   // Canonical-allotment cache and the shared per-step sort.
   CanonicalAllotment canonical_;

@@ -93,6 +93,9 @@ MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
   std::vector<Attempt> accepted;
   const auto consider = [&](DualBranch branch, std::optional<Schedule> schedule) {
     if (!schedule) return false;
+    // Compaction and validation of a large schedule outlast a deadline's
+    // slack, so the step probes once more before paying for them.
+    options.search.cancel.poll();
     auto checked = accept_if_within_bound(std::move(*schedule), instance, deadline, options);
     if (!checked) return false;
     accepted.push_back({branch, std::move(*checked)});

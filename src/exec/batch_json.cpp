@@ -17,7 +17,7 @@ void append_schedule_json(JsonWriter& writer, const Schedule& schedule) {
     } else {
       writer.key("procs");
       writer.begin_array();
-      for (const int p : assignment.scattered) writer.value(p);
+      for (const int p : schedule.scattered(assignment)) writer.value(p);
       writer.end_array();
     }
     writer.end_object();

@@ -65,6 +65,7 @@ MalleableTask::MalleableTask(std::vector<double> times, std::string name)
     throw std::invalid_argument("MalleableTask: " + *problem +
                                 (name_.empty() ? std::string{} : " (task " + name_ + ")"));
   }
+  seq_time_ = times_.front();
 }
 
 double MalleableTask::time(int procs) const {
@@ -77,10 +78,7 @@ double MalleableTask::time(int procs) const {
 
 double MalleableTask::work(int procs) const { return static_cast<double>(procs) * time(procs); }
 
-std::optional<int> MalleableTask::min_procs_for(double deadline) const {
-  // At the guesses that decide a dual search most tasks are sequential:
-  // t(1) <= deadline answers from the profile's first cache line.
-  if (leq(times_.front(), deadline)) return 1;
+std::optional<int> MalleableTask::parallel_procs_for(double deadline) const {
   // t is non-increasing, so the feasible processor counts form a suffix;
   // binary search the first p in [2, m] with t(p) <= deadline.
   if (!leq(times_.back(), deadline)) return std::nullopt;

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "support/math_utils.hpp"
+
 /// The malleable-task model of Section 2 of the paper.
 namespace malsched {
 
@@ -40,8 +42,10 @@ class MalleableTask {
   /// Computational area (work) w(p) = p * t(p).
   [[nodiscard]] double work(int procs) const;
 
-  /// Sequential execution time t(1).
-  [[nodiscard]] double seq_time() const { return times_.front(); }
+  /// Sequential execution time t(1), kept in the task itself: the dual
+  /// step reads it for every sequential task (the gamma = 1 test, canonical
+  /// times, validation) without touching the profile.
+  [[nodiscard]] double seq_time() const noexcept { return seq_time_; }
 
   /// Largest processor count the profile is defined for.
   [[nodiscard]] int max_procs() const { return static_cast<int>(times_.size()); }
@@ -57,9 +61,13 @@ class MalleableTask {
   /// Smallest p with t(p) <= deadline (under the library tolerance), or
   /// std::nullopt when even max_procs() processors cannot meet it. This is
   /// the *canonical number of processors* of the paper when deadline is the
-  /// dual guess. t(1) is tested first, so a sequential answer reads only the
-  /// profile's first element; otherwise t(m), then a binary search of [2, m].
-  [[nodiscard]] std::optional<int> min_procs_for(double deadline) const;
+  /// dual guess. t(1) is tested first, inline and from seq_time(), so a
+  /// sequential answer reads no profile; otherwise t(m), then a binary
+  /// search of [2, m].
+  [[nodiscard]] std::optional<int> min_procs_for(double deadline) const {
+    if (leq(seq_time_, deadline)) return 1;
+    return parallel_procs_for(deadline);
+  }
 
   /// Optional human-readable label (used by the Gantt renderer).
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -68,6 +76,10 @@ class MalleableTask {
   [[nodiscard]] const std::vector<double>& profile() const noexcept { return times_; }
 
  private:
+  /// min_procs_for past t(1): t(m), then the binary search of [2, m].
+  [[nodiscard]] std::optional<int> parallel_procs_for(double deadline) const;
+
+  double seq_time_{0.0};  ///< times_.front(), next to the profile pointer
   std::vector<double> times_;
   std::string name_;
 };

@@ -15,9 +15,13 @@ namespace malsched {
 
 /// Returns a schedule where every task, in order of original start time
 /// (equal starts, -0.0 and +0.0 included: the lower task index first),
-/// begins as early as its processors allow. The start order is one stable
-/// sort by support/radix_sort.hpp's kernel. Processor assignments (and
-/// hence contiguity) are unchanged. Throws std::logic_error when a task is
+/// begins as early as its processors allow. The order is kept per
+/// processor, in the processor chains of sched/processor_chains.hpp: a
+/// task's new start is the latest new end of its predecessors on its
+/// chains, and it is placed once it heads every chain it lies on. That
+/// gives bit for bit the starts of one pass over all tasks in global start
+/// order, without sorting them all. Processor assignments (and hence
+/// contiguity) are unchanged. Throws std::logic_error when a task is
 /// unassigned.
 [[nodiscard]] Schedule compact_schedule(const Schedule& schedule, const Instance& instance);
 

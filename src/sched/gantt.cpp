@@ -37,12 +37,12 @@ void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& i
     int c1 = static_cast<int>(assignment.end() / makespan * width);
     c0 = std::clamp(c0, 0, width - 1);
     c1 = std::clamp(std::max(c1, c0 + 1), c0 + 1, width);
-    for (const int p : assignment.processor_list()) {
-      if (p >= rows) continue;
+    schedule.for_each_processor(assignment, [&](int p) {
+      if (p >= rows) return;
       for (int c = c0; c < c1; ++c) {
         grid[static_cast<std::size_t>(p)][static_cast<std::size_t>(c)] = letter_for(i);
       }
-    }
+    });
   }
 
   out << "time 0 " << std::string(static_cast<std::size_t>(std::max(0, width - 18)), '-') << " "

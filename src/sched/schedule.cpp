@@ -6,13 +6,6 @@
 
 namespace malsched {
 
-std::vector<int> Assignment::processor_list() const {
-  if (!contiguous()) return scattered;
-  std::vector<int> procs(static_cast<std::size_t>(num_procs));
-  for (int j = 0; j < num_procs; ++j) procs[static_cast<std::size_t>(j)] = first_proc + j;
-  return procs;
-}
-
 Schedule::Schedule(int machines, int num_tasks)
     : machines_(machines),
       num_tasks_(num_tasks),
@@ -29,7 +22,7 @@ void Schedule::check_common(int task, double start, double duration) const {
     throw std::logic_error("Schedule::assign: task " + std::to_string(task) +
                            " assigned twice");
   }
-  if (start < 0.0 || !(duration > 0.0)) {
+  if (!(start >= 0.0) || !(duration > 0.0)) {
     throw std::logic_error("Schedule::assign: start must be >= 0 and duration positive");
   }
 }
@@ -40,7 +33,7 @@ void Schedule::assign(int task, double start, double duration, int first_proc, i
     throw std::logic_error("Schedule::assign: processor interval outside the machine");
   }
   assignments_[static_cast<std::size_t>(task)] =
-      Assignment{task, start, duration, first_proc, num_procs, {}};
+      Assignment{start, duration, task, first_proc, num_procs, Assignment::kContiguous};
   ++assigned_count_;
 }
 
@@ -55,13 +48,18 @@ void Schedule::assign_scattered(int task, double start, double duration,
       std::adjacent_find(processors.begin(), processors.end()) != processors.end()) {
     throw std::logic_error("Schedule::assign_scattered: bad processor set");
   }
-  Assignment assignment;
-  assignment.task = task;
-  assignment.start = start;
-  assignment.duration = duration;
-  assignment.scattered = std::move(processors);
-  assignments_[static_cast<std::size_t>(task)] = std::move(assignment);
+  assignments_[static_cast<std::size_t>(task)] =
+      Assignment{start, duration, task, processors.front(), static_cast<int>(processors.size()),
+                 static_cast<int>(scattered_procs_.size())};
+  scattered_procs_.insert(scattered_procs_.end(), processors.begin(), processors.end());
   ++assigned_count_;
+}
+
+std::vector<int> Schedule::processor_list(const Assignment& assignment) const {
+  std::vector<int> procs;
+  procs.reserve(static_cast<std::size_t>(assignment.num_procs));
+  for_each_processor(assignment, [&](int p) { procs.push_back(p); });
+  return procs;
 }
 
 bool Schedule::is_assigned(int task) const {

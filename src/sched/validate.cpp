@@ -1,8 +1,8 @@
 #include "sched/validate.hpp"
 
-#include <algorithm>
 #include <sstream>
 
+#include "sched/processor_chains.hpp"
 #include "support/math_utils.hpp"
 
 namespace malsched {
@@ -31,6 +31,7 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
   // Read in place: the loop below fails the report on any unassigned task,
   // so every later read finds a placement.
   const auto& assignments = schedule.assignments();
+  const auto& tasks = instance.tasks();
   for (int i = 0; i < instance.size(); ++i) {
     const auto& assignment = assignments[static_cast<std::size_t>(i)];
     if (assignment.task == -1) {
@@ -46,7 +47,10 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
     if (options.require_contiguous && !assignment.contiguous()) {
       report.fail("task " + std::to_string(i) + ": scattered placement where contiguity required");
     }
-    const double expected = instance.task(i).time(procs);
+    // A one-processor placement, most of a list schedule's, reads t(1) from
+    // the task itself rather than from its profile.
+    const auto& task = tasks[static_cast<std::size_t>(i)];
+    const double expected = procs == 1 ? task.seq_time() : task.time(procs);
     if (!approx_eq(assignment.duration, expected)) {
       report.fail("task " + std::to_string(i) + ": recorded duration " +
                   std::to_string(assignment.duration) + " != t(" + std::to_string(procs) +
@@ -56,12 +60,11 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
       report.fail("task " + std::to_string(i) + ": negative start time");
     }
     // Contiguous placements need no materialized processor list: the
-    // interval endpoints carry the same information (this validator runs on
-    // every accepted dual-search step, so it stays allocation-lean).
-    const int first = assignment.contiguous() ? assignment.first_proc
-                                              : assignment.scattered.front();
+    // interval endpoints carry the same information.
+    const auto scattered = schedule.scattered(assignment);
+    const int first = assignment.contiguous() ? assignment.first_proc : scattered.front();
     const int last = assignment.contiguous() ? assignment.first_proc + assignment.num_procs - 1
-                                             : assignment.scattered.back();
+                                             : scattered.back();
     if (first < 0 || last >= instance.machines()) {
       report.fail("task " + std::to_string(i) + ": processor index outside the machine");
     }
@@ -69,35 +72,15 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
   if (!report.ok) return report;
 
   // Pairwise overlap: two tasks sharing a processor must be time-disjoint.
-  // Sweep per processor keeps this O(total_procs log + collisions); the
-  // (processor, task) incidence lives in one flat bucket-sorted array.
-  const auto machines = static_cast<std::size_t>(instance.machines());
-  std::vector<std::size_t> bucket_end(machines + 1, 0);
-  for (const auto& assignment : assignments) {
-    assignment.for_each_processor([&](int p) { ++bucket_end[static_cast<std::size_t>(p) + 1]; });
-  }
-  for (std::size_t p = 0; p < machines; ++p) bucket_end[p + 1] += bucket_end[p];
-  std::vector<int> on_proc(bucket_end.back());
-  {
-    std::vector<std::size_t> cursor(bucket_end.begin(), bucket_end.end() - 1);
-    for (int i = 0; i < instance.size(); ++i) {
-      assignments[static_cast<std::size_t>(i)].for_each_processor(
-          [&](int p) { on_proc[cursor[static_cast<std::size_t>(p)]++] = i; });
-    }
-  }
-  for (std::size_t p = 0; p < machines; ++p) {
-    const auto begin = on_proc.begin() + static_cast<std::ptrdiff_t>(bucket_end[p]);
-    const auto end = on_proc.begin() + static_cast<std::ptrdiff_t>(bucket_end[p + 1]);
-    std::sort(begin, end, [&](int a, int b) {
-      return assignments[static_cast<std::size_t>(a)].start <
-             assignments[static_cast<std::size_t>(b)].start;
-    });
-    for (auto it = begin; it != end && it + 1 != end; ++it) {
-      const auto& prev = assignments[static_cast<std::size_t>(*it)];
-      const auto& next = assignments[static_cast<std::size_t>(*(it + 1))];
-      if (!leq(prev.end(), next.start)) {
-        report.fail("tasks " + std::to_string(prev.task) + " and " + std::to_string(next.task) +
-                    " overlap on processor " + std::to_string(p));
+  // Each processor's chain lists its tasks by start, so checking adjacent
+  // pairs suffices.
+  const ProcessorChains chains(schedule);
+  for (int p = 0; p < instance.machines(); ++p) {
+    const auto chain = chains.chain(p);
+    for (std::size_t k = 1; k < chain.size(); ++k) {
+      if (!leq(chain[k - 1].end, chain[k].start)) {
+        report.fail("tasks " + std::to_string(chain[k - 1].task) + " and " +
+                    std::to_string(chain[k].task) + " overlap on processor " + std::to_string(p));
       }
     }
   }

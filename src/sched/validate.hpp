@@ -34,8 +34,11 @@ struct ValidationOptions {
 
 /// Checks that `schedule` is a complete, feasible schedule of `instance`:
 ///   * every task placed exactly once on >= 1 processors of the machine,
-///   * recorded duration equals t_i(procs) from the instance profile,
-///   * no two tasks share a processor at the same time,
+///   * recorded duration equals t_i(procs) from the instance profile (t(1)
+///     read from MalleableTask::seq_time()),
+///   * no two tasks share a processor at the same time: adjacent pairs of
+///     every processor chain (sched/processor_chains.hpp), the same chains
+///     compaction propagates along,
 ///   * contiguity when requested, makespan bound when requested.
 [[nodiscard]] ValidationReport validate_schedule(const Schedule& schedule,
                                                  const Instance& instance,

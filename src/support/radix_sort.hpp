@@ -7,9 +7,8 @@
 #include <cstdint>
 #include <span>
 
-/// Stable sort of indices by 64-bit keys, for the dual step's two per-step
-/// orders: the canonical list's decreasing canonical times and compaction's
-/// increasing start times.
+/// Stable sort of indices by 64-bit keys, for the dual step's canonical
+/// order: the canonical list's decreasing canonical times.
 ///
 /// Callers pair each index with a key from ascending_key() or
 /// descending_key(), fill the pairs in index order and sort them. The keys

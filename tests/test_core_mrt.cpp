@@ -11,6 +11,7 @@
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
 #include "sched/validate.hpp"
+#include "support/cancellation.hpp"
 #include "support/math_utils.hpp"
 #include "support/statistics.hpp"
 #include "workload/generators.hpp"
@@ -161,6 +162,24 @@ TEST(MrtScheduler, CreepingSingleTaskKeepsItsBoundBelowTheMakespan) {
   const auto result = mrt_schedule(instance);
   EXPECT_EQ(result.makespan, 1.0);
   EXPECT_LE(result.lower_bound, result.makespan);
+}
+
+TEST(MrtScheduler, DualStepProbesItsCancelCheckBeforeAcceptingASchedule) {
+  // 40 tasks stay below one CancelCheck stride, so the canonical list's
+  // per-task tick never polls; only the step's own probe, after the
+  // construction and before compaction and validation, sees the token.
+  GeneratorOptions generator;
+  generator.tasks = 40;
+  generator.machines = 8;
+  const auto instance = generate_instance(WorkloadFamily::kUniform, generator, 11);
+  const double deadline = instance.total_sequential_work();
+  ASSERT_TRUE(mrt_dual_step(instance, deadline).schedule);
+
+  CancelToken token;
+  token.cancel();
+  MrtOptions options;
+  options.search.cancel = CancelCheck(&token, 0.0);
+  EXPECT_THROW(static_cast<void>(mrt_dual_step(instance, deadline, options)), CancelledError);
 }
 
 TEST(MrtScheduler, BranchNamesAreDistinct) {

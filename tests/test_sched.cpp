@@ -1,28 +1,36 @@
 // Tests for src/sched: schedule representation, the validator (including
 // negative cases), the window kernel and the availability tree, the
-// contiguous list scheduler with the paper's tie rule, compaction, the Gantt
-// renderer and the brute-force oracle.
+// contiguous list scheduler with the paper's tie rule, compaction, the
+// processor chains against the bucket sweep and start-order compaction they
+// replaced, the Gantt renderer and the brute-force oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "model/lower_bounds.hpp"
 #include "model/speedup_models.hpp"
 #include "oracles/exact_small.hpp"
+#include "oracles/schedule_oracles.hpp"
 #include "sched/compaction.hpp"
 #include "sched/gantt.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/processor_chains.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sliding.hpp"
 #include "sched/validate.hpp"
+#include "support/fnv.hpp"
 #include "support/math_utils.hpp"
 #include "support/radix_sort.hpp"
 #include "support/rng.hpp"
@@ -51,7 +59,7 @@ TEST(Schedule, AssignAndQuery) {
   EXPECT_TRUE(schedule.complete());
   EXPECT_DOUBLE_EQ(schedule.makespan(), 3.0);
   EXPECT_EQ(schedule.of(0).procs(), 2);
-  EXPECT_EQ(schedule.of(0).processor_list(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(schedule.processor_list(schedule.of(0)), (std::vector<int>{1, 2}));
 }
 
 TEST(Schedule, RejectsDoubleAssignment) {
@@ -64,6 +72,7 @@ TEST(Schedule, RejectsBadGeometry) {
   Schedule schedule(2, 1);
   EXPECT_THROW(schedule.assign(0, 0.0, 1.0, 1, 2), std::logic_error);   // spills over
   EXPECT_THROW(schedule.assign(0, -0.1, 1.0, 0, 1), std::logic_error);  // negative start
+  EXPECT_THROW(schedule.assign(0, std::nan(""), 1.0, 0, 1), std::logic_error);  // NaN start
   EXPECT_THROW(schedule.assign(0, 0.0, 0.0, 0, 1), std::logic_error);   // zero duration
   EXPECT_THROW(schedule.assign(5, 0.0, 1.0, 0, 1), std::logic_error);   // bad task id
 }
@@ -74,7 +83,58 @@ TEST(Schedule, ScatteredAssignment) {
   const auto& assignment = schedule.of(0);
   EXPECT_FALSE(assignment.contiguous());
   EXPECT_EQ(assignment.procs(), 2);
-  EXPECT_EQ(assignment.processor_list(), (std::vector<int>{0, 3}));
+  EXPECT_EQ(schedule.processor_list(assignment), (std::vector<int>{0, 3}));
+}
+
+TEST(Schedule, AssignmentIsAFlatRecord) {
+  // The dual step writes one Assignment per task and copies whole arrays of
+  // them; no member may own memory.
+  static_assert(std::is_trivially_copyable_v<Assignment>);
+  static_assert(sizeof(Assignment) <= 32);
+  Schedule schedule(4, 2);
+  schedule.assign(1, 0.5, 2.0, 1, 3);
+  const Assignment copy = schedule.of(1);
+  EXPECT_TRUE(copy.contiguous());
+  EXPECT_EQ(copy.task, 1);
+  EXPECT_EQ(copy.procs(), 3);
+  EXPECT_EQ(copy.end(), 2.5);
+  EXPECT_TRUE(schedule.scattered(copy).empty());
+  EXPECT_EQ(schedule.assignments()[0].task, -1);
+}
+
+TEST(Schedule, ScatteredSetsRoundTripThroughCopiesAndMoves) {
+  // Sets live in the schedule's table, so every copy and move of the
+  // schedule must carry them along with the assignments that point there.
+  Schedule schedule(8, 3);
+  schedule.assign_scattered(0, 0.0, 1.0, {6, 1, 3});
+  schedule.assign(1, 0.0, 2.0, 4, 2);
+  schedule.assign_scattered(2, 1.0, 1.0, {7, 0});
+  const auto check = [](const Schedule& s, const char* label) {
+    const std::array<std::vector<int>, 3> expected{
+        std::vector<int>{1, 3, 6}, std::vector<int>{4, 5}, std::vector<int>{0, 7}};
+    for (int task = 0; task < 3; ++task) {
+      const auto& assignment = s.of(task);
+      const auto& want = expected[static_cast<std::size_t>(task)];
+      EXPECT_EQ(assignment.contiguous(), task == 1) << label << " task " << task;
+      EXPECT_EQ(assignment.procs(), static_cast<int>(want.size())) << label << " task " << task;
+      EXPECT_EQ(s.processor_list(assignment), want) << label << " task " << task;
+      std::vector<int> visited;
+      s.for_each_processor(assignment, [&](int p) { visited.push_back(p); });
+      EXPECT_EQ(visited, want) << label << " task " << task;
+      const auto set = s.scattered(assignment);
+      EXPECT_EQ(std::vector<int>(set.begin(), set.end()),
+                task == 1 ? std::vector<int>{} : want)
+          << label << " task " << task;
+    }
+  };
+  check(schedule, "original");
+  const Schedule copy = schedule;
+  check(copy, "copy");
+  Schedule assigned(1, 0);
+  assigned = copy;
+  check(assigned, "copy-assigned");
+  const Schedule moved = std::move(schedule);
+  check(moved, "moved");
 }
 
 TEST(Schedule, ScatteredRejectsDuplicates) {
@@ -467,9 +527,10 @@ TEST(Compaction, EqualStartsKeepTheLowerTaskFirst) {
 }
 
 TEST(Compaction, SignedZeroStartsAboveTheRadixCutoffKeepTheLowerTaskFirst) {
-  // Enough tasks for the radix sort: tasks 0 and 1 share processor 0, one
-  // starting at -0.0 and the other at +0.0. The two zeros are equal starts,
-  // so task 0 goes first either way round; the rest fill processor 1.
+  // More tasks than the radix sort's cutoff, from which compaction once
+  // radix-sorted all starts: tasks 0 and 1 share processor 0, one starting
+  // at -0.0 and the other at +0.0. The two zeros are equal starts, so task 0
+  // goes first either way round; the rest fill processor 1.
   const int n = static_cast<int>(kRadixSortCutoff) + 8;
   std::vector<MalleableTask> tasks;
   for (int i = 0; i < n; ++i) tasks.emplace_back(sequential_profile(i == 1 ? 2.0 : 1.0, 2));
@@ -487,6 +548,59 @@ TEST(Compaction, SignedZeroStartsAboveTheRadixCutoffKeepTheLowerTaskFirst) {
   }
 }
 
+/// FNV-1a over every placement of `schedule`: task, start and duration
+/// bits, processor count and processor list.
+std::uint64_t placement_digest(const Schedule& schedule) {
+  std::uint64_t hash = fnv::kOffset;
+  for (const auto& assignment : schedule.assignments()) {
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.task));
+    fnv::mix_bytes(hash, &assignment.start, sizeof assignment.start);
+    fnv::mix_bytes(hash, &assignment.duration, sizeof assignment.duration);
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.procs()));
+    for (const int p : schedule.processor_list(assignment)) {
+      fnv::mix_u64(hash, static_cast<std::uint64_t>(p));
+    }
+  }
+  return hash;
+}
+
+TEST(Compaction, ScatteredListScheduleMatchesRecordedDigests) {
+  // Digests recorded by running this test source against the library in
+  // which Assignment still owned its scattered set and compaction sorted
+  // all starts at once. A list schedule is already compact, so compaction
+  // returns it unchanged; a copy with every start delayed by up to three
+  // durations, whose order differs on some processors, compacts to another
+  // schedule.
+  GeneratorOptions options;
+  options.tasks = 60;
+  options.machines = 12;
+  const auto instance = generate_instance(WorkloadFamily::kBimodal, options, 31);
+  Rng rng(3131);
+  std::vector<int> allotment(static_cast<std::size_t>(instance.size()));
+  for (auto& p : allotment) p = static_cast<int>(rng.uniform_int(1, 5));
+  const auto perm = rng.permutation(allotment.size());
+  const std::vector<int> order(perm.begin(), perm.end());
+  const auto schedule = list_schedule(instance, allotment, order, Placement::kScattered);
+  Schedule jittered(schedule.machines(), schedule.num_tasks());
+  for (const auto& assignment : schedule.assignments()) {
+    jittered.assign_scattered(assignment.task,
+                              assignment.start + rng.uniform(0.0, 3.0) * assignment.duration,
+                              assignment.duration, schedule.processor_list(assignment));
+  }
+  const auto compacted = compact_schedule(schedule, instance);
+  const auto recompacted = compact_schedule(jittered, instance);
+
+  ValidationOptions relaxed;
+  relaxed.require_contiguous = false;
+  for (const Schedule* s : {&schedule, &compacted, &recompacted}) {
+    EXPECT_TRUE(validate_schedule(*s, instance, relaxed).ok);
+    EXPECT_FALSE(validate_schedule(*s, instance).ok);
+  }
+  EXPECT_EQ(placement_digest(compacted), placement_digest(schedule));
+  EXPECT_EQ(placement_digest(schedule), 0x1b8eddb91b480d5aull);
+  EXPECT_EQ(placement_digest(recompacted), 0xe7aebf1cd20447bcull);
+}
+
 TEST(Compaction, RejectsAnUnassignedTask) {
   const auto instance = tiny_instance();
   Schedule partial(3, 3);
@@ -494,6 +608,155 @@ TEST(Compaction, RejectsAnUnassignedTask) {
   partial.assign(2, 2.0, 1.0, 0, 1);
   EXPECT_THROW(static_cast<void>(compact_schedule(partial, instance)), std::logic_error);
 }
+
+// --------------------------------------------------------- processor chains
+
+/// A seeded random schedule with the cases the chain order must get right:
+/// equal starts, -0.0 beside +0.0, back-to-back tasks, overlaps inside the
+/// library tolerance and real overlaps; with `clean`, only the first four,
+/// so the schedule is feasible. Contiguous and scattered placements mix;
+/// m = 1 gets 150 tasks, so its one chain takes the long-chain sort.
+struct RandomSchedule {
+  Instance instance;
+  Schedule schedule;
+  bool has_scattered{false};
+};
+
+RandomSchedule random_schedule(int machines, Rng& rng, bool clean) {
+  const int n = machines == 1 ? 150 : std::min(20 + 2 * machines, 600);
+  constexpr std::array<double, 4> kSeqTimes{1.0, 2.0, 0.5, 1.5};
+  std::vector<MalleableTask> tasks;
+  for (int i = 0; i < n; ++i) {
+    const double seq = kSeqTimes[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+    tasks.emplace_back(rng.bernoulli(0.5) ? linear_profile(seq, machines)
+                                          : amdahl_profile(seq, 0.25, machines));
+  }
+  RandomSchedule out{Instance(machines, std::move(tasks)), Schedule(machines, n)};
+  const auto signed_zero = [&] { return rng.bernoulli(0.5) ? -0.0 : 0.0; };
+  std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
+  std::vector<double> starts;
+  for (const auto index : rng.permutation(static_cast<std::size_t>(n))) {
+    const int task = static_cast<int>(index);
+    const int width = rng.bernoulli(0.6)
+                          ? 1
+                          : static_cast<int>(rng.uniform_int(1, std::min(machines, 8)));
+    const bool contiguous = rng.bernoulli(0.75);
+    std::vector<int> procs(static_cast<std::size_t>(width));
+    if (contiguous) {
+      std::iota(procs.begin(), procs.end(), static_cast<int>(rng.uniform_int(0, machines - width)));
+    } else {
+      const auto pick = rng.permutation(static_cast<std::size_t>(machines));
+      std::copy_n(pick.begin(), width, procs.begin());
+      std::sort(procs.begin(), procs.end());
+    }
+    double ready = 0.0;
+    for (const int p : procs) ready = std::max(ready, avail[static_cast<std::size_t>(p)]);
+    const double duration = out.instance.task(task).time(width);
+
+    auto kind = rng.uniform_int(0, 9);
+    if (clean && kind >= 7) kind = 0;
+    double start = ready;
+    if (kind <= 3) {
+      if (ready == 0.0) start = signed_zero();  // back to back
+    } else if (kind == 4) {
+      start = ready + 0.25;  // idle gap
+    } else if (kind <= 6) {
+      start = std::max(0.0, ready - 0.4 * kRelEps * std::max(ready, 1.0));  // within tolerance
+    } else if (kind == 7) {
+      start = 0.5 * ready;  // a real overlap once ready > 0
+    } else if (kind == 8 && !starts.empty()) {
+      start = starts[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(starts.size()) - 1))];  // an equal start
+    } else {
+      start = signed_zero();
+    }
+    if (contiguous) {
+      out.schedule.assign(task, start, duration, procs.front(), width);
+    } else {
+      out.schedule.assign_scattered(task, start, duration, procs);
+      out.has_scattered = true;
+    }
+    for (const int p : procs) {
+      avail[static_cast<std::size_t>(p)] =
+          std::max(avail[static_cast<std::size_t>(p)], start + duration);
+    }
+    starts.push_back(start);
+  }
+  return out;
+}
+
+class ProcessorChainsPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProcessorChainsPropertyTest, MatchTheBucketSweepAndTheStartOrderCompaction) {
+  const int machines = GetParam();
+  Rng rng(static_cast<std::uint64_t>(9000 + machines));
+  int valid = 0;
+  int invalid = 0;
+  for (int round = 0; round < 24; ++round) {
+    const bool clean = round % 3 == 0;
+    const auto [instance, schedule, has_scattered] = random_schedule(machines, rng, clean);
+    const std::string label = "m " + std::to_string(machines) + " round " + std::to_string(round);
+
+    // Each chain lists its processor's placements by (start, task), -0.0
+    // equal to +0.0, each entry carrying its task's start and end.
+    const ProcessorChains chains(schedule);
+    std::size_t entries = 0;
+    for (int p = 0; p < machines; ++p) {
+      const auto chain = chains.chain(p);
+      entries += chain.size();
+      for (std::size_t k = 0; k < chain.size(); ++k) {
+        const auto& assignment = schedule.of(chain[k].task);
+        const auto procs = schedule.processor_list(assignment);
+        ASSERT_TRUE(std::binary_search(procs.begin(), procs.end(), p)) << label;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(chain[k].start),
+                  std::bit_cast<std::uint64_t>(assignment.start))
+            << label;
+        ASSERT_EQ(chain[k].end, assignment.end()) << label;
+        if (k == 0) continue;
+        const auto& prev = chain[k - 1];
+        ASSERT_TRUE(prev.start < chain[k].start ||
+                    (prev.start == chain[k].start && prev.task < chain[k].task))
+            << label << " processor " << p << " entry " << k;
+      }
+    }
+    std::size_t incidences = 0;
+    for (const auto& assignment : schedule.assignments()) {
+      incidences += static_cast<std::size_t>(assignment.procs());
+    }
+    EXPECT_EQ(entries, incidences) << label;
+
+    ValidationOptions options;
+    options.require_contiguous = !has_scattered;
+    const bool ok = validate_schedule(schedule, instance, options).ok;
+    EXPECT_EQ(ok, bucket_sweep_valid(schedule, instance, options)) << label;
+    if (clean) {
+      EXPECT_TRUE(ok) << label;
+    }
+    (ok ? valid : invalid) += 1;
+
+    const auto compacted = compact_schedule(schedule, instance);
+    const auto reference = start_order_compaction(schedule);
+    for (int task = 0; task < schedule.num_tasks(); ++task) {
+      const auto& got = compacted.of(task);
+      const auto& want = reference.of(task);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.start), std::bit_cast<std::uint64_t>(want.start))
+          << label << " task " << task;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.duration),
+                std::bit_cast<std::uint64_t>(want.duration))
+          << label << " task " << task;
+      ASSERT_EQ(got.contiguous(), want.contiguous()) << label << " task " << task;
+      ASSERT_EQ(compacted.processor_list(got), reference.processor_list(want))
+          << label << " task " << task;
+    }
+    EXPECT_TRUE(validate_schedule(compacted, instance, options).ok) << label;
+    EXPECT_TRUE(bucket_sweep_valid(compacted, instance, options)) << label;
+  }
+  EXPECT_GT(valid, 0);
+  EXPECT_GT(invalid, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, ProcessorChainsPropertyTest,
+                         ::testing::Values(1, 2, 7, 64, 257));
 
 // -------------------------------------------------------------------- gantt
 

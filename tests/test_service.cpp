@@ -998,6 +998,31 @@ TEST(SolveCache, ByteBudgetEvictsLruButKeepsASingleOversizedEntry) {
   EXPECT_NE(small_cache.lookup(key_a), nullptr);
 }
 
+TEST(SolveCache, ChargesFlatAssignmentsAndTheScatteredTable) {
+  // An entry is charged 32 bytes per assignment, plus 4 per processor of
+  // every scattered set in the schedule's table.
+  const auto handle = InstanceHandle::intern(small_instance(80));
+  const auto key = SolveCache::make_key("naive", SolverOptions::from_string(""), handle);
+  const auto charged = [&](const Schedule& schedule) {
+    SolveCache cache(SolveCacheConfig{});
+    cache.insert(key, SolverResult{"probe", schedule, 0.0, 0.0, 0.0, 0.0, {}});
+    return cache.stats().bytes;
+  };
+  const std::size_t fixed = sizeof(SolveCache::Key) + sizeof(SolverResult) +
+                            key.solver.size() + key.options.size() + std::string("probe").size();
+  Schedule contiguous(8, 3);
+  contiguous.assign(0, 0.0, 1.0, 0, 3);
+  contiguous.assign(1, 0.0, 1.0, 3, 2);
+  contiguous.assign(2, 1.0, 1.0, 7, 1);
+  Schedule scattered(8, 3);
+  scattered.assign_scattered(0, 0.0, 1.0, {0, 2, 4});
+  scattered.assign(1, 0.0, 1.0, 5, 2);
+  scattered.assign_scattered(2, 1.0, 1.0, {7});
+  EXPECT_EQ(charged(Schedule(8, 0)), fixed);
+  EXPECT_EQ(charged(contiguous), fixed + 3 * 32);
+  EXPECT_EQ(charged(scattered), fixed + 3 * 32 + 4 * sizeof(int));
+}
+
 TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
   ServiceConfig options;
   options.threads = 1;
