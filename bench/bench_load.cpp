@@ -1,9 +1,9 @@
-// Open-loop load replayer: the latency-SLO companion to bench_suite.
+// Open-loop load replayer: latency under an offered arrival rate.
 //
-// bench_suite measures CLOSED-loop wall time: each client submits, waits,
-// submits again, so the service is only ever offered the load it can absorb
-// and queueing delay is structurally invisible (coordinated omission). A
-// serving tier is judged on the opposite quantity: the latency distribution
+// A CLOSED-loop client submits, waits, submits again, so the service is only
+// ever offered the load it can absorb and queueing delay is structurally
+// invisible (coordinated omission). A serving tier is judged on the opposite
+// quantity: the latency distribution
 // under an ARRIVAL PROCESS that does not care how the service is doing. This
 // harness replays a pre-generated timestamped trace (workload/arrivals.hpp:
 // Poisson / bursty / diurnal, pure functions of the seed) against a running
@@ -36,10 +36,9 @@
 //   ./build/bench/bench_load --qps 500,2000,8000 --duration 3 --shards 1,2
 //   ./build/bench/bench_load --configs edf-budget --process bursty
 //
-// The artifact (LOAD_<rev>.json, schema v8 -- same schema as bench_suite;
-// the load-specific fields are optional properties) is validated in CI by
-// bench/validate_bench_json.py. compare_bench_json.py treats rows carrying a
-// latency_histogram as informational, like the v5 contention cells.
+// The artifact (LOAD_<rev>.json, schema v8; the load-specific fields are
+// optional properties of bench/bench_schema.json) is validated in CI by
+// bench/validate_bench_json.py.
 
 #include <algorithm>
 #include <chrono>
@@ -77,7 +76,7 @@ using namespace malsched;
 // load fields (process, offered_qps, policy, queue_discipline, requests,
 // completed, deadline_miss_rate, shed_rate, fallback_rate,
 // queue_depth_high_water, fast_path_hits, trace_digest, latency_histogram)
-// and the optional top-level saturation_qps; bench_suite rows are unchanged.
+// and the optional top-level saturation_qps.
 // v8: the required run-level service_stats object (accumulate_stats over
 // every selected run, written by the shared api/stats_json.cpp writer).
 constexpr int kSchemaVersion = 8;
@@ -656,8 +655,8 @@ int main(int argc, char** argv) {
   json.kv("fallbacks", total_fallbacks);
   json.kv("wall_seconds", total_wall);
   json.kv("saturation_qps", saturation_qps);
-  // v8: service counters accumulated across every selected run, same shape
-  // as bench_suite's (write_service_stats emits every ServiceStats field).
+  // v8: service counters accumulated across every selected run
+  // (write_service_stats emits every ServiceStats field).
   json.key("service_stats");
   write_service_stats(json, run_service_stats);
   json.key("cases");
@@ -697,7 +696,7 @@ int main(int argc, char** argv) {
     json.kv("shard", row.shards);
     json.kv("qps", run.served_qps);
     json.kv("digest", reference_digest);
-    // v7 load fields (optional in the schema; absent on bench_suite rows).
+    // v7 load fields (optional in the schema).
     json.kv("process", to_string(process));
     json.kv("offered_qps", row.offered_qps);
     json.kv("policy", row.scenario->policy);

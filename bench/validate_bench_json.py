@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a bench_suite artifact against bench/bench_schema.json.
+"""Validate a bench_load artifact (LOAD_<rev>.json) against bench/bench_schema.json.
 
 Standard library only (CI and the dev container both lack jsonschema), so
 this implements the subset of JSON Schema the checked-in schema uses:
@@ -109,7 +109,7 @@ def main(argv):
             with open(artifact_path, encoding="utf-8") as f:
                 artifact = json.load(f)
         except OSError as err:
-            # Catches the unexpanded glob case too: no BENCH_*.json files
+            # Catches the unexpanded glob case too: no LOAD_*.json files
             # leaves the literal pattern in argv.
             print(f"{artifact_path}: cannot read: {err}", file=sys.stderr)
             status = 1

@@ -15,7 +15,8 @@
 /// A single SchedulerService serializes every submit, completion, delivery,
 /// and cache probe behind one state mutex and one cache LRU lock. Past a
 /// handful of client threads those two locks -- not the workers -- bound
-/// served QPS (measured by bench_suite's `contention` family). This tier
+/// served QPS (ShardedService.ContentionDigestIsPinnedAtEveryShardCount
+/// drives 8 clients through 1-8 shards). This tier
 /// removes the global serialization point by construction instead of by
 /// lock-splitting: each shard owns a complete serving stack (its own
 /// SolveCache, in-flight dedup table, WorkerPool, and slot/delivery state),

@@ -1,11 +1,11 @@
 #pragma once
 
-/// JSON serialization of ServiceStats, shared by bench_suite and
-/// bench_load so the run-level `service_stats` object is identical in both
-/// outputs (and validated by bench/bench_schema.json). Every ServiceStats
-/// field must be emitted here: the repo linter's stats-exhaustive rule
-/// cross-references the struct against this body, accumulate_stats(), and
-/// the schema -- adding a counter without serializing it fails CI.
+/// JSON serialization of ServiceStats: bench_load's run-level
+/// `service_stats` object (validated by bench/bench_schema.json). Every
+/// ServiceStats field must be emitted here: the repo linter's
+/// stats-exhaustive rule cross-references the struct against this body,
+/// accumulate_stats(), and the schema -- adding a counter without
+/// serializing it fails CI.
 
 #include "api/scheduler_service.hpp"
 #include "support/json.hpp"

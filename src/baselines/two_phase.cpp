@@ -7,6 +7,7 @@
 
 #include "packing/strip_packing.hpp"
 #include "sched/list_scheduler.hpp"
+#include "support/math_utils.hpp"
 
 namespace malsched {
 
@@ -24,21 +25,33 @@ std::string to_string(RigidAlgo algo) {
 
 namespace {
 
-/// Sorted distinct profile values -- the Turek/Ludwig candidate deadlines.
+/// Sorted distinct profile values -- the Turek/Ludwig candidate deadlines --
+/// that every task meets on m processors. A value below max_i t_i(m) admits
+/// no allotment, so it is dropped before the subsample spends a slot on it.
 std::vector<double> candidate_thresholds(const Instance& instance, int max_candidates) {
+  double longest = 0.0;
+  for (const auto& task : instance.tasks()) {
+    longest = std::max(longest, task.time(instance.machines()));
+  }
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(instance.size()) *
                  static_cast<std::size_t>(instance.machines()));
   for (const auto& task : instance.tasks()) {
-    for (int p = 1; p <= instance.machines(); ++p) values.push_back(task.time(p));
+    for (int p = 1; p <= instance.machines(); ++p) {
+      // min_procs_for's tolerance, so a kept value is one every task meets.
+      const double value = task.time(p);
+      if (leq(longest, value)) values.push_back(value);
+    }
   }
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   if (max_candidates > 0 && static_cast<int>(values.size()) > max_candidates) {
     std::vector<double> sampled;
     sampled.reserve(static_cast<std::size_t>(max_candidates));
-    const double stride = static_cast<double>(values.size() - 1) /
-                          static_cast<double>(max_candidates - 1);
+    // One candidate is the smallest; 0 * (n-1)/0 would cast NaN to an index.
+    const double stride = max_candidates > 1 ? static_cast<double>(values.size() - 1) /
+                                                   static_cast<double>(max_candidates - 1)
+                                             : 0.0;
     for (int k = 0; k < max_candidates; ++k) {
       sampled.push_back(values[static_cast<std::size_t>(static_cast<double>(k) * stride)]);
     }

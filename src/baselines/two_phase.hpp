@@ -32,9 +32,10 @@ enum class RigidAlgo {
 
 struct TwoPhaseOptions {
   RigidAlgo rigid{RigidAlgo::kFfdh};
-  /// Candidate thresholds evaluated: 0 = every distinct t_i(p) value (the
-  /// full Turek/Ludwig candidate set); otherwise an even subsample of that
-  /// sorted set, trading fidelity for speed on large instances.
+  /// Candidate thresholds evaluated. The candidates are the distinct t_i(p)
+  /// values at or above max_i t_i(m) (the Turek/Ludwig set; a smaller value
+  /// admits no allotment). 0 = all of them; otherwise an even subsample of
+  /// that sorted set, trading fidelity for speed on large instances.
   int max_candidates{96};
 };
 

@@ -17,7 +17,7 @@
 /// omits the successor paper's transformation rules, so unlike the core
 /// sqrt(3) algorithm it is *heuristic*: its dual step may fail on instances
 /// with OPT <= d. mrt-style search with this step reports honest measured
-/// ratios (bench_baselines compares them).
+/// ratios (bench_paper's EXP-T5 compares them).
 namespace malsched {
 
 struct ThreeHalvesOutcome {

@@ -21,7 +21,7 @@
 namespace malsched {
 
 /// Instance factory used by the estimator: (machines, seed) -> instance that
-/// certifiably admits a schedule of length 1 (bench_fig8 passes the
+/// certifiably admits a schedule of length 1 (bench_paper passes the
 /// `packed_instance` workload generator).
 using InstanceFactory = std::function<Instance(int machines, std::uint64_t seed)>;
 

@@ -93,7 +93,7 @@ struct TwoShelfOptions {
   CancelCheck cancel;
 };
 
-/// Diagnostics of a two-shelf attempt (consumed by bench_regimes).
+/// Diagnostics of a two-shelf attempt.
 struct TwoShelfOutcome {
   /// The lambda-schedule, length <= (1+lambda)*d; std::nullopt when no
   /// feasible subset was found (or infeasibility was certified).

@@ -6,8 +6,7 @@
 #include "support/json.hpp"
 
 /// JSON serialization of batch outcomes -- the bridge between the execution
-/// engine and machine-readable artifacts (BENCH_<rev>.json, CI uploads,
-/// determinism diffs).
+/// engine and machine-readable artifacts (CI uploads, determinism diffs).
 ///
 /// Field order is fixed and every number renders deterministically (see
 /// support/json.hpp), so two reports serialize to identical bytes exactly

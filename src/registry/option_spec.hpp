@@ -15,8 +15,7 @@
 ///     did-you-mean suggestion) and out-of-range or mistyped values before a
 ///     solver ever runs,
 ///   * help text -- option_table() renders the per-solver option help the
-///     CLI (`solve_file --list-algos`), `bench_suite --list`, and the README
-///     tables all print, and
+///     CLI (`solve_file --list-algos`) and the README tables print, and
 ///   * the registry's description() one-liners, whose option portion is
 ///     derived from the spec names at registration time.
 namespace malsched {

@@ -16,9 +16,9 @@
 /// every scheduling algorithm, so front ends (CLI, batch drivers, benches,
 /// services) dispatch by string instead of hand-wiring per-algorithm structs.
 ///
-/// Registered out of the box (run `solve_file --list-algos` or
-/// `bench_suite --list` for the full per-option help, rendered from the
-/// same OptionSpec tables validation uses):
+/// Registered out of the box (run `solve_file --list-algos` for the full
+/// per-option help, rendered from the same OptionSpec tables validation
+/// uses):
 ///
 ///   name              algorithm                              key options
 ///   ----------------  -------------------------------------  -----------------------------

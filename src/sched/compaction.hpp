@@ -10,7 +10,7 @@
 /// the guess d even when the first shelf finished earlier on some
 /// processors; compaction removes that slack. It never hurts: the worst-case
 /// guarantee is preserved and average makespans improve (measured in
-/// bench_ablation).
+/// bench_paper's EXP-T6).
 namespace malsched {
 
 /// Returns a schedule where every task, in order of original start time

@@ -6,7 +6,7 @@
 
 /// Minimal streaming JSON emitter for machine-readable artifacts.
 ///
-/// The bench harness writes BENCH_<rev>.json and the batch engine serializes
+/// bench_load writes LOAD_<rev>.json and the batch engine serializes
 /// reports for determinism comparisons, but the repo takes no third-party
 /// dependencies -- so this is a small RFC 8259 writer with the properties
 /// those consumers need: insertion-order keys, deterministic number

@@ -3,14 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "graph/task_graph.hpp"
 #include "registry/solver_registry.hpp"
 #include "model/lower_bounds.hpp"
 #include "sched/validate.hpp"
+#include "support/fnv.hpp"
 #include "support/math_utils.hpp"
 #include "workload/generators.hpp"
+#include "workload/ocean.hpp"
+#include "workload/trace.hpp"
 
 namespace malsched {
 namespace {
@@ -436,6 +446,118 @@ TEST(SolverRegistry, ResultSummaryMentionsSolverAndNumbers) {
   EXPECT_NE(text.find("mrt"), std::string::npos);
   EXPECT_NE(text.find("makespan"), std::string::npos);
   EXPECT_NE(text.find("lower bound"), std::string::npos);
+}
+
+// ------------------------------------------------- the solver x family grid
+
+constexpr int kGridTasks = 24;
+constexpr int kGridMachines = 12;
+
+Instance grid_generated(WorkloadFamily family, int tasks, std::uint64_t seed) {
+  GeneratorOptions options;
+  options.tasks = tasks;
+  options.machines = kGridMachines;
+  return generate_instance(family, options, seed);
+}
+
+/// Twelve families at 24 x 12, seeds 9000 and 9001 each: the six generator
+/// families, ocean, a batch trace, a tree's node set, two families that draw
+/// one fixed instance at every seed (seeds 777 and 888), and the
+/// runtime-scaling ladder (24 or 48 tasks from seed 40000 + s).
+std::vector<InstanceHandle> grid_instances() {
+  std::vector<std::function<Instance(std::uint64_t)>> families;
+  for (const auto family : all_workload_families()) {
+    families.push_back(
+        [family](std::uint64_t seed) { return grid_generated(family, kGridTasks, seed); });
+  }
+  families.push_back([](std::uint64_t seed) {
+    OceanOptions options;
+    options.machines = kGridMachines;
+    options.base_grid = 4;
+    return ocean_instance(options, seed);
+  });
+  families.push_back([](std::uint64_t seed) {
+    TraceOptions options;
+    options.machines = kGridMachines;
+    options.jobs = kGridTasks;
+    return trace_snapshot(options, seed);
+  });
+  families.push_back([](std::uint64_t seed) {
+    TreeWorkloadOptions options;
+    options.machines = kGridMachines;
+    options.tasks = kGridTasks;
+    return random_out_tree(options, seed).instance();
+  });
+  for (const std::uint64_t fixed : {777u, 888u}) {
+    families.push_back([fixed](std::uint64_t) {
+      return grid_generated(WorkloadFamily::kUniform, kGridTasks, fixed);
+    });
+  }
+  families.push_back([](std::uint64_t seed) {
+    return grid_generated(WorkloadFamily::kUniform, kGridTasks * (1 << (seed % 4)),
+                          40000 + seed);
+  });
+
+  std::vector<InstanceHandle> handles;
+  for (const auto& make : families) {
+    for (const std::uint64_t seed : {9000u, 9001u}) {
+      handles.push_back(InstanceHandle::intern(make(seed)));
+    }
+  }
+  return handles;
+}
+
+/// FNV-1a over "%.17g|%.17g|%.17g|%.17g|%.17g;" of makespan, lower bound,
+/// ratio, iterations and workspace allocations per instance, in pool order;
+/// a counter the solver does not record hashes as "null".
+std::string grid_digest(const std::string& solver, const std::string& spec,
+                        const std::vector<InstanceHandle>& pool) {
+  const auto options = SolverOptions::from_string(spec);
+  const auto number = [](double value) {
+    char buffer[32];
+    const int written = std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return std::string(buffer, static_cast<std::size_t>(written));
+  };
+  std::uint64_t hash = fnv::kOffset;
+  for (const auto& handle : pool) {
+    const auto result = SolverRegistry::global().solve(SolveRequest(solver, options, handle));
+    std::string line = number(result.makespan);
+    for (const double value : {result.lower_bound, result.ratio}) {
+      line += "|";
+      line += number(value);
+    }
+    for (const char* counter : {"iterations", "workspace.allocations"}) {
+      const auto found = std::find_if(result.stats.begin(), result.stats.end(),
+                                      [counter](const auto& stat) { return stat.first == counter; });
+      line += "|";
+      line += found == result.stats.end() ? std::string("null") : number(found->second);
+    }
+    line += ";";
+    fnv::mix_bytes(hash, line.data(), line.size());
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(hash));
+  return hex;
+}
+
+// Every solver config over the twelve-family grid, through the registry:
+// the non-timing fields of each solve are pinned, so a change that moves a
+// schedule, a certified bound, the search's iteration count or its scratch
+// allocations moves a digest and says so here.
+TEST(SolverRegistry, SolverFamilyGridDigestsArePinned) {
+  const auto pool = grid_instances();
+  ASSERT_EQ(pool.size(), 24u);
+  const std::vector<std::tuple<std::string, std::string, std::string>> pinned{
+      {"mrt", "", "19d3d48af5ff32dd"},
+      {"two_phase", "rigid=ffdh", "2b24010872797935"},
+      {"two_phase", "rigid=list", "6f2236cda7023b5a"},
+      {"naive", "policy=lpt-seq", "d5373ab26db8b25d"},
+      {"two_shelves_32", "", "1528c375d1894ade"},
+      {"graph", "strategy=layered", "e00f73643c890027"},
+  };
+  for (const auto& [solver, spec, digest] : pinned) {
+    EXPECT_EQ(grid_digest(solver, spec, pool), digest) << solver << " " << spec;
+  }
 }
 
 }  // namespace

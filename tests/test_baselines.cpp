@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "baselines/naive.hpp"
@@ -59,6 +60,42 @@ TEST(TwoPhase, FullCandidateSetAtLeastAsGoodAsSampled) {
   const auto full_result = two_phase_schedule(instance, full);
   EXPECT_TRUE(leq(full_result.makespan, sampled_result.makespan * (1.0 + 1e-9)));
   EXPECT_GE(full_result.candidates_tried, sampled_result.candidates_tried);
+}
+
+// A threshold below max_i t_i(m) admits no allotment, so the candidate
+// budget goes to the thresholds that some allotment meets. On this heavy-tail
+// instance (an EXP-T5 draw) 17 distinct profile values reach the longest
+// task's t(m); an even subsample of every value tried 1 of them.
+TEST(TwoPhase, SpendsTheCandidateBudgetOnFeasibleThresholds) {
+  GeneratorOptions options;
+  options.tasks = 64;
+  options.machines = 32;
+  const auto instance = generate_instance(WorkloadFamily::kHeavyTail, options, 9004);
+  TwoPhaseOptions full;
+  full.max_candidates = 0;
+  const auto every = two_phase_schedule(instance, full);
+  const auto sampled = two_phase_schedule(instance);
+  EXPECT_EQ(every.candidates_tried, 17);
+  EXPECT_EQ(sampled.candidates_tried, every.candidates_tried);
+  EXPECT_EQ(sampled.makespan, every.makespan);
+  EXPECT_EQ(sampled.best_threshold, every.best_threshold);
+}
+
+// max_candidates = 1, the registry's lower limit, tries the smallest
+// threshold every task meets: max_i t_i(m).
+TEST(TwoPhase, OneCandidateIsTheSmallestFeasibleThreshold) {
+  GeneratorOptions options;
+  options.tasks = 20;
+  options.machines = 8;
+  const auto instance = generate_instance(WorkloadFamily::kUniform, options, 5);
+  double longest = 0.0;
+  for (const auto& task : instance.tasks()) longest = std::max(longest, task.time(8));
+  TwoPhaseOptions one;
+  one.max_candidates = 1;
+  const auto result = two_phase_schedule(instance, one);
+  EXPECT_EQ(result.candidates_tried, 1);
+  EXPECT_DOUBLE_EQ(result.best_threshold, longest);
+  EXPECT_TRUE(validate_schedule(result.schedule, instance).ok);
 }
 
 TEST(TwoPhase, RigidAlgoNames) {
