@@ -26,9 +26,9 @@
 /// pool, streams results back in deterministic order, memoizes repeated
 /// work, and coalesces concurrent duplicates onto one solve.
 ///
-/// Where solve() is one call and solve_batch() is one closed batch,
-/// SchedulerService is the shape a production deployment actually has: a
-/// daemon that receives requests over time and must answer each as soon as
+/// Where SolverRegistry::solve() is one call, SchedulerService is the shape
+/// a production deployment actually has, and the one path that runs many
+/// requests in parallel: a daemon that receives requests over time and must answer each as soon as
 /// possible without re-deriving what it already knows. Four mechanisms
 /// carry that:
 ///
@@ -39,8 +39,8 @@
 ///    exactly once, in TICKET (submission) order, regardless of which worker
 ///    finished first: delivery i+1 waits for delivery i. That makes the
 ///    stream deterministic -- the sequence of delivered results at 8 threads
-///    is byte-identical to 1 thread (and to solve_batch on the same
-///    requests) -- at the cost of head-of-line buffering, which
+///    is byte-identical to 1 thread (and to serial SolverRegistry::solve
+///    calls on the same requests) -- at the cost of head-of-line buffering, which
 ///    poll()/wait() bypass.
 ///  * **Content-addressed solve cache** -- completed results are memoized
 ///    under the interned fingerprint + solver + canonical options (see

@@ -39,10 +39,10 @@
 ///    tickets are opaque: unlike the single-service tier they are neither
 ///    dense nor globally ordered (per-shard ticket order still holds).
 ///  * **Determinism.** Every outcome is byte-identical to the same request
-///    on an unsharded service (and to solve_batch), independent of shard
-///    and worker counts -- solvers are deterministic functions of
-///    (instance, options), and caches/dedup only ever serve equal-content
-///    results. Provenance (`shard`, `worker`, wall times, ticket ids) is
+///    on an unsharded service (and to a serial SolverRegistry::solve),
+///    independent of shard and worker counts -- solvers are deterministic
+///    functions of (instance, options), and caches/dedup only ever serve
+///    equal-content results. Provenance (`shard`, `worker`, wall times, ticket ids) is
 ///    run-dependent, as before.
 ///  * **Streaming.** on_result() installs the callback on every shard;
 ///    delivery is in ticket order WITHIN each shard but concurrent ACROSS

@@ -86,7 +86,7 @@ class SolveCache {
   struct Key {
     std::uint64_t fingerprint{0};  ///< instance fingerprint + solver + options
     std::string solver;
-    std::string options;  ///< SolverOptions::str() -- canonical by key order
+    std::string options;  ///< SolverOptions::str() -- canonical and injective
     InstanceHandle instance;  ///< always valid()
   };
 

@@ -8,14 +8,12 @@
 
 #include "support/mutex.hpp"
 
-/// A persistent fixed-size thread pool with a FIFO task queue -- the
-/// long-lived counterpart of BatchRunner's one-shot fork-join.
+/// A persistent fixed-size thread pool with a FIFO task queue -- the one
+/// pool the serving tier runs every request on.
 ///
-/// BatchRunner spins workers up per run and tears them down at the end,
-/// which is right for a closed batch but wrong for a service that accepts
-/// work continuously: it would pay thread churn per submission.
-/// WorkerPool keeps its threads for its whole lifetime; tasks posted from
-/// any thread run in post order (single FIFO queue, workers pull one task at
+/// WorkerPool keeps its threads for its whole lifetime, so a service that
+/// accepts work continuously pays no thread churn per submission; tasks
+/// posted from any thread run in post order (single FIFO queue, workers pull one task at
 /// a time -- no per-worker deques, so dispatch order is deterministic even
 /// though completion order is not).
 ///

@@ -96,12 +96,17 @@ struct KnapsackScratch {
 
 /// Exact solver for the dual problem (P'): minimum total weight subset with
 /// profit >= demand. Returns std::nullopt when even all items together fall
-/// short of `demand`. DP over profit, O(n * demand).
+/// short of `demand`. DP over profit, O(n * demand); throws
+/// std::length_error when its table would exceed the ~512 MB memory guard.
 [[nodiscard]] std::optional<KnapsackSelection> min_knapsack_exact(
     std::span<const KnapsackItem> items, long long demand);
 
 /// (1+eps)-approximation of (P'): returns a subset with profit >= demand and
 /// weight <= (1+eps) * optimal weight, or std::nullopt when infeasible.
+/// Exact (min_knapsack_exact) while n * (demand + 1) <= 2^26. Above that it
+/// keeps profits exact and runs a DP over weights scaled for doubling
+/// guesses of the optimum, O(n^2 / eps) per guess; throws std::length_error
+/// when that table would exceed the same memory guard.
 [[nodiscard]] std::optional<KnapsackSelection> min_knapsack_approx(
     std::span<const KnapsackItem> items, long long demand, double eps);
 

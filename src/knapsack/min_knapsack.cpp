@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -16,11 +15,11 @@ namespace {
 
 constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
 
-// Shared DP core: minimize weight subject to (rounded) profit >= demand.
-// Profits are pre-divided by `scale` (rounded down) which preserves the hard
-// constraint because the caller rounds the demand up by the same factor.
+/// Memory guard on both DPs' choice tables (one char per cell, ~512 MB).
+constexpr std::size_t kTableGuard = std::size_t{1} << 29;
+
+// Exact DP over profit: minimize weight subject to profit >= demand.
 std::optional<KnapsackSelection> solve_min(std::span<const KnapsackItem> items,
-                                           std::span<const long long> profits,
                                            long long demand) {
   KnapsackSelection result;
   if (demand <= 0) return result;  // empty set already satisfies the demand
@@ -32,7 +31,7 @@ std::optional<KnapsackSelection> solve_min(std::span<const KnapsackItem> items,
   dp[0] = 0;
   std::vector<std::vector<char>> take(n, std::vector<char>(q_max + 1, 0));
   for (std::size_t i = 0; i < n; ++i) {
-    const long long p = profits[i];
+    const long long p = items[i].profit;
     const long long w = items[i].weight;
     if (p <= 0) continue;
     for (std::size_t q = q_max + 1; q-- > 0;) {
@@ -56,11 +55,66 @@ std::optional<KnapsackSelection> solve_min(std::span<const KnapsackItem> items,
       result.weight += items[i].weight;
       result.profit += items[i].profit;
       q = static_cast<std::size_t>(
-          std::max<long long>(0, static_cast<long long>(q) - profits[i]));
+          std::max<long long>(0, static_cast<long long>(q) - items[i].profit));
     }
   }
   std::reverse(result.items.begin(), result.items.end());
   return result;
+}
+
+// The cover of `demand` with the least scaled weight, over the items of
+// positive weight <= guess and positive profit. Weights are divided by the
+// integer K = max(1, floor(eps * guess / (2k))), k the number of such
+// items: a max-profit DP over scaled capacities 0..floor(guess / K), then
+// the smallest capacity whose best profit covers the demand. Profits stay
+// exact, so a returned cover always meets the demand. If guess >= OPT the
+// optimum's scaled weight fits, so a cover is found, and its true weight
+// is below K * (its scaled weight + k) <= OPT + eps * guess / 2.
+std::optional<KnapsackSelection> scaled_cover(std::span<const KnapsackItem> items,
+                                              long long demand, long long guess, double eps) {
+  std::vector<int> kept;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].weight > 0 && items[i].weight <= guess && items[i].profit > 0) {
+      kept.push_back(static_cast<int>(i));
+    }
+  }
+  const std::size_t n = kept.size();
+  if (n == 0) return std::nullopt;
+  const long long scale = std::max(
+      1LL, static_cast<long long>(eps * static_cast<double>(guess) / (2.0 * static_cast<double>(n))));
+  const auto width = static_cast<std::size_t>(guess / scale) + 1;
+  if (n * width > kTableGuard) {
+    throw std::length_error("min_knapsack_approx: DP table exceeds memory guard");
+  }
+  // best[c] = most profit (clipped at demand) of a subset of scaled weight <= c.
+  std::vector<long long> best(width, 0);
+  std::vector<char> take(n * width, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const KnapsackItem& item = items[static_cast<std::size_t>(kept[k])];
+    const auto w = static_cast<std::size_t>(item.weight / scale);
+    for (std::size_t c = width; c-- > w;) {
+      const long long candidate = best[c - w] + std::min(item.profit, demand - best[c - w]);
+      if (candidate > best[c]) {
+        best[c] = candidate;
+        take[k * width + c] = 1;
+      }
+    }
+  }
+  const auto covered =
+      std::find_if(best.begin(), best.end(), [demand](long long p) { return p >= demand; });
+  if (covered == best.end()) return std::nullopt;
+
+  KnapsackSelection cover;
+  auto c = static_cast<std::size_t>(covered - best.begin());
+  for (std::size_t k = n; k-- > 0;) {
+    if (!take[k * width + c]) continue;
+    const KnapsackItem& item = items[static_cast<std::size_t>(kept[k])];
+    cover.items.push_back(kept[k]);
+    cover.weight += item.weight;
+    cover.profit += item.profit;
+    c -= static_cast<std::size_t>(item.weight / scale);
+  }
+  return cover;
 }
 
 }  // namespace
@@ -68,13 +122,10 @@ std::optional<KnapsackSelection> solve_min(std::span<const KnapsackItem> items,
 std::optional<KnapsackSelection> min_knapsack_exact(std::span<const KnapsackItem> items,
                                                     long long demand) {
   detail::validate_items(items);
-  if (demand > 0 &&
-      items.size() * (static_cast<std::size_t>(demand) + 1) > (std::size_t{1} << 29)) {
+  if (demand > 0 && items.size() * (static_cast<std::size_t>(demand) + 1) > kTableGuard) {
     throw std::length_error("min_knapsack_exact: DP table exceeds memory guard");
   }
-  std::vector<long long> profits(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) profits[i] = items[i].profit;
-  return solve_min(items, profits, demand);
+  return solve_min(items, demand);
 }
 
 std::optional<KnapsackSelection> min_knapsack_approx(std::span<const KnapsackItem> items,
@@ -85,29 +136,49 @@ std::optional<KnapsackSelection> min_knapsack_approx(std::span<const KnapsackIte
   }
   if (demand <= 0) return KnapsackSelection{};
 
-  // Below the guard the exact DP is affordable; above it, scale profits down
-  // (and the demand up) so the DP stays O(n^2 / eps). Rounding the demand up
-  // preserves the hard profit constraint; the weight objective is then
-  // optimal for the rounded instance (a (1+eps)-style relaxation in the
-  // spirit of Lemma 2's scheme).
+  // Below the budget the exact DP over profit is affordable.
   const std::size_t budget = std::size_t{1} << 26;
   if (items.size() * (static_cast<std::size_t>(demand) + 1) <= budget) {
     return min_knapsack_exact(items, demand);
   }
-  const double k_scale =
-      std::max(1.0, eps * static_cast<double>(demand) / static_cast<double>(items.size()));
-  std::vector<long long> profits(items.size());
+
+  // Above it, round the objective, never the constraint: profits stay exact
+  // and scaled_cover runs on weights, for doubling guesses of the optimum's
+  // weight. Zero-weight items cost nothing, so all of them are taken first.
+  KnapsackSelection chosen;
+  long long rest = demand;  // demand the zero-weight items leave uncovered
+  long long total = 0;      // weight of the other items, saturated
   for (std::size_t i = 0; i < items.size(); ++i) {
-    profits[i] =
-        static_cast<long long>(std::floor(static_cast<double>(items[i].profit) / k_scale));
+    const KnapsackItem& item = items[i];
+    if (item.profit == 0) continue;
+    if (item.weight == 0) {
+      chosen.items.push_back(static_cast<int>(i));
+      chosen.profit += item.profit;
+      rest -= std::min(item.profit, rest);
+    } else {
+      total = item.weight > std::numeric_limits<long long>::max() - total
+                  ? std::numeric_limits<long long>::max()
+                  : total + item.weight;
+    }
   }
-  const auto scaled_demand =
-      static_cast<long long>(std::ceil(static_cast<double>(demand) / k_scale));
-  auto selection = solve_min(items, profits, scaled_demand);
-  if (!selection) return std::nullopt;
-  // The rounded solve guarantees sum(floor(p/K)) >= ceil(demand/K), hence the
-  // true profit also covers the demand.
-  return selection;
+  if (rest == 0) return chosen;
+
+  // Any cover now has weight OPT >= 1 (integer weights). The first guess
+  // that yields a cover is either below OPT, where the cover weighs
+  // < (1 + eps/2) * guess, or lies in [OPT, 2 * OPT) -- it is 1, or the
+  // guess before it failed and so was below OPT -- where the cover weighs
+  // < OPT + eps * guess / 2. Both are below (1 + eps) * OPT. At
+  // guess >= total every cover fits, so failing there means none exists.
+  for (long long guess = 1;; guess = guess > total / 2 ? total : 2 * guess) {
+    if (auto cover = scaled_cover(items, rest, guess, eps)) {
+      chosen.items.insert(chosen.items.end(), cover->items.begin(), cover->items.end());
+      std::sort(chosen.items.begin(), chosen.items.end());
+      chosen.weight += cover->weight;
+      chosen.profit += cover->profit;
+      return chosen;
+    }
+    if (guess >= total) return std::nullopt;
+  }
 }
 
 }  // namespace malsched

@@ -7,8 +7,8 @@
 
 /// Content-addressed identity for instances entering the serving stack.
 ///
-/// Every layer above the model (registry, cache, batch engine, service)
-/// needs three things from an instance besides its tasks: a stable identity
+/// Every layer above the model (registry, cache, service) needs three
+/// things from an instance besides its tasks: a stable identity
 /// ("is this the same problem I already solved?"), a content fingerprint to
 /// key caches and dedup maps, and the static makespan lower bound the facade
 /// folds into every result. Before API v2 each layer derived those on its

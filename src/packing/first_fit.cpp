@@ -44,34 +44,6 @@ BinPacking pack_in_order(std::span<const double> sizes, std::span<const int> ord
 
 }  // namespace
 
-BinPacking pack_best_fit_in_order(std::span<const double> sizes, std::span<const int> order,
-                                  double capacity) {
-  BinPacking packing;
-  for (const int item : order) {
-    const double size = sizes[static_cast<std::size_t>(item)];
-    if (!(size > 0.0)) throw std::invalid_argument("best_fit: item sizes must be positive");
-    if (!leq(size, capacity)) {
-      throw std::invalid_argument("best_fit: item larger than bin capacity");
-    }
-    int best_bin = -1;
-    double best_load = -1.0;
-    for (std::size_t b = 0; b < packing.bins.size(); ++b) {
-      if (leq(packing.loads[b] + size, capacity) && packing.loads[b] > best_load) {
-        best_bin = static_cast<int>(b);
-        best_load = packing.loads[b];
-      }
-    }
-    if (best_bin < 0) {
-      packing.bins.push_back({item});
-      packing.loads.push_back(size);
-    } else {
-      packing.bins[static_cast<std::size_t>(best_bin)].push_back(item);
-      packing.loads[static_cast<std::size_t>(best_bin)] += size;
-    }
-  }
-  return packing;
-}
-
 void first_fit_into(std::span<const double> sizes, double capacity, BinPacking& out) {
   out.loads.clear();
   std::size_t used = 0;  // bins [0, used) are live; the rest keep capacity
@@ -102,21 +74,6 @@ BinPacking first_fit(std::span<const double> sizes, double capacity) {
   BinPacking packing;
   first_fit_into(sizes, capacity, packing);
   return packing;
-}
-
-BinPacking best_fit(std::span<const double> sizes, double capacity) {
-  std::vector<int> order(sizes.size());
-  std::iota(order.begin(), order.end(), 0);
-  return pack_best_fit_in_order(sizes, order, capacity);
-}
-
-BinPacking best_fit_decreasing(std::span<const double> sizes, double capacity) {
-  std::vector<int> order(sizes.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return sizes[static_cast<std::size_t>(a)] > sizes[static_cast<std::size_t>(b)];
-  });
-  return pack_best_fit_in_order(sizes, order, capacity);
 }
 
 BinPacking first_fit_decreasing(std::span<const double> sizes, double capacity) {

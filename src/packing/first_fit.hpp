@@ -41,12 +41,6 @@ void first_fit_into(std::span<const double> sizes, double capacity, BinPacking& 
 /// 11/9 OPT + 4 bound, Johnson et al. [11] in the paper's references).
 [[nodiscard]] BinPacking first_fit_decreasing(std::span<const double> sizes, double capacity);
 
-/// Best Fit: each item into the *fullest* bin that still has room.
-[[nodiscard]] BinPacking best_fit(std::span<const double> sizes, double capacity);
-
-/// Best Fit Decreasing.
-[[nodiscard]] BinPacking best_fit_decreasing(std::span<const double> sizes, double capacity);
-
 /// FF(S, d) of the paper: number of bins First Fit opens.
 [[nodiscard]] int first_fit_bin_count(std::span<const double> sizes, double capacity);
 

@@ -26,7 +26,6 @@ std::string to_string(OptionType type) {
     case OptionType::kInt: return "int";
     case OptionType::kDouble: return "double";
     case OptionType::kEnum: return "enum";
-    case OptionType::kString: return "string";
   }
   return "unknown";
 }
@@ -77,19 +76,9 @@ OptionSpec OptionSpec::enumeration(std::string name, std::string default_value,
   return spec;
 }
 
-OptionSpec OptionSpec::text(std::string name, std::string default_value, std::string help) {
-  OptionSpec spec;
-  spec.name = std::move(name);
-  spec.type = OptionType::kString;
-  spec.default_value = std::move(default_value);
-  spec.help = std::move(help);
-  return spec;
-}
-
 std::string OptionSpec::type_label() const {
   switch (type) {
     case OptionType::kBool:
-    case OptionType::kString:
       return to_string(type);
     case OptionType::kInt:
     case OptionType::kDouble: {

@@ -25,14 +25,13 @@ enum class OptionType {
   kInt,     ///< integer within [min_value, max_value]
   kDouble,  ///< real number within [min_value, max_value]
   kEnum,    ///< one of enum_values
-  kString,  ///< free-form text
 };
 
 [[nodiscard]] std::string to_string(OptionType type);
 
 struct OptionSpec {
   std::string name;
-  OptionType type{OptionType::kString};
+  OptionType type{OptionType::kBool};
   std::string help;
   /// Rendered default (what the solver uses when the key is absent); empty
   /// means "no default" (the option is purely optional).
@@ -54,8 +53,6 @@ struct OptionSpec {
                                        double max_value, std::string help);
   [[nodiscard]] static OptionSpec enumeration(std::string name, std::string default_value,
                                               std::vector<std::string> values, std::string help);
-  [[nodiscard]] static OptionSpec text(std::string name, std::string default_value,
-                                       std::string help);
 
   /// "bool", "int in [1, 96]", "ffdh|nfdh|list", ... -- the type column of
   /// the rendered help table.

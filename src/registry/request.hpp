@@ -19,19 +19,18 @@
 /// solve, cache hit, or dedup join), by which worker, and what it cost the
 /// serving path.
 ///
-/// Registry (`SolverRegistry::solve(request)`), closed batches
-/// (`solve_batch(requests)`), and the long-lived service
-/// (`SchedulerService::submit(request)`) all accept SolveRequest, and only
-/// SolveRequest: InstanceHandle::intern is the one place a raw Instance
-/// becomes an identity the serving layers key on.
+/// The registry (`SolverRegistry::solve(request)`) and the long-lived
+/// service (`SchedulerService::submit(request)`, or `submit(requests)` for a
+/// closed batch) both accept SolveRequest, and only SolveRequest:
+/// InstanceHandle::intern is the one place a raw Instance becomes an
+/// identity the serving layers key on.
 namespace malsched {
 
-/// Terminal status of one request, shared by batch items and service
-/// outcomes so the two compare directly.
+/// Terminal status of one request.
 enum class SolveStatus {
   kOk,         ///< solved and validated
   kError,      ///< the solve threw; `error` holds the message
-  kCancelled,  ///< skipped: cancellation (or stop_on_error) fired first
+  kCancelled,  ///< skipped: cancellation fired first
 };
 
 [[nodiscard]] std::string to_string(SolveStatus status);
@@ -43,8 +42,8 @@ enum class SolveErrorCode {
   kNone,           ///< no error (status == kOk)
   kInvalidOption,  ///< rejected before dispatch: unknown solver, unknown
                    ///< option key, or a value outside its declared spec
-  kCancelled,      ///< cancelled by the caller (cancel(), CancelToken,
-                   ///< stop_on_error) before or during the solve
+  kCancelled,      ///< cancelled by the caller (cancel() or a CancelToken)
+                   ///< before or during the solve
   kSolverFailure,  ///< the dispatched solver threw
   kShutdown,       ///< cancelled because the service shut down with the
                    ///< request still pending
@@ -55,11 +54,10 @@ enum class SolveErrorCode {
 };
 
 /// "none", "invalid_option", "cancelled", "solver_failure", "shutdown",
-/// "deadline_exceeded", "rejected" -- the spellings batch_json serializes as
-/// `error_code`.
+/// "deadline_exceeded", "rejected".
 [[nodiscard]] std::string to_string(SolveErrorCode code);
 
-/// Typed error attached to a terminal SolveOutcome / BatchItem. `detail`
+/// Typed error attached to a terminal SolveOutcome. `detail`
 /// carries the exception text (or is empty for plain cancellations); it is
 /// what the pre-v2.1 string-only `error` field used to hold.
 struct SolveError {
@@ -76,8 +74,9 @@ struct SolveError {
 /// support/cancellation.hpp -- the cooperative checks inside running solves
 /// throw them), std::invalid_argument (the registry's rejection type for
 /// unknown solvers/options and the option validators' for bad values)
-/// kInvalidOption, anything else kSolverFailure. Shared by the batch engine
-/// and the service so equal failures classify identically everywhere.
+/// kInvalidOption, anything else kSolverFailure. Every path of the service
+/// that catches a solve's exception classifies it here, so equal failures
+/// classify identically everywhere.
 [[nodiscard]] SolveError classify_solve_exception(const std::exception& err);
 
 struct SolveRequest {
@@ -113,7 +112,7 @@ struct SolveRequest {
 /// Terminal outcome of one request: the result (engaged iff kOk) plus the
 /// provenance of how it was served.
 struct SolveOutcome {
-  std::uint64_t ticket{0};  ///< service ticket / batch index that produced it
+  std::uint64_t ticket{0};  ///< service ticket that produced it
   SolveStatus status{SolveStatus::kCancelled};
   std::optional<SolverResult> result;  ///< engaged iff status == kOk
   /// Typed error; code != kNone iff status != kOk. `error.detail` holds the
@@ -137,7 +136,7 @@ struct SolveOutcome {
   /// hit served inline on the submitting thread).
   int worker{-1};
   /// ShardedSchedulerService shard that served the request; -1 when the
-  /// outcome came from an unsharded tier (plain service, closed batch).
+  /// outcome came from an unsharded SchedulerService.
   int shard{-1};
   /// Worker-observed seconds from dequeue to completion (steady clock);
   /// near-zero for cache hits, and for dedup joins the time spent waiting on

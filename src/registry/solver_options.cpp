@@ -48,6 +48,13 @@ SolverOptions SolverOptions::from_string(const std::string& spec) {
 
 SolverOptions& SolverOptions::set(std::string key, std::string value) {
   if (key.empty()) throw std::invalid_argument("SolverOptions: empty key");
+  if (key.find_first_of("=,") != std::string::npos) {
+    throw std::invalid_argument("SolverOptions: key '" + key + "' contains '=' or ','");
+  }
+  if (value.find(',') != std::string::npos) {
+    throw std::invalid_argument("SolverOptions: option '" + key + "' = '" + value +
+                                "' contains ',' (pass one key=value per option)");
+  }
   entries_[std::move(key)] = std::move(value);
   return *this;
 }
@@ -151,8 +158,6 @@ void SolverOptions::validate(const std::vector<OptionSpec>& specs) const {
         }
         break;
       }
-      case OptionType::kString:
-        break;
     }
   }
 }

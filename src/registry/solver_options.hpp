@@ -22,12 +22,14 @@ class SolverOptions {
 
   /// Parses a list of "key=value" tokens (a bare "key" means "key=1", the
   /// conventional boolean shorthand). Throws std::invalid_argument on an
-  /// empty key. Pinned edge cases:
+  /// empty key and on whatever set() refuses. Pinned edge cases:
   ///   * duplicate keys: the last occurrence wins ("a=1,a=2" -> a=2),
-  ///   * "key=" sets the empty-string value ("" -- valid for string options;
-  ///     the numeric/boolean getters throw on it like any unparsable text),
+  ///   * "key=" sets the empty-string value, which every typed getter
+  ///     throws on like any unparsable text,
   ///   * only the FIRST '=' splits, so values may contain '=' ("a==b" ->
-  ///     a="=b").
+  ///     a="=b"),
+  ///   * a ',' inside a token is refused ("a=1,b=2" as ONE token), since
+  ///     str() joins entries with ','.
   static SolverOptions from_tokens(const std::vector<std::string>& tokens);
 
   /// Parses a single spec string: tokens separated by commas and/or
@@ -37,7 +39,10 @@ class SolverOptions {
   /// otherwise.
   static SolverOptions from_string(const std::string& spec);
 
-  /// Sets (or overwrites) one option.
+  /// Sets (or overwrites) one option. Throws std::invalid_argument on an
+  /// empty key, a key containing '=' or ',', or a value containing ',':
+  /// those are str()'s separators, and refusing them here keeps str()
+  /// injective.
   SolverOptions& set(std::string key, std::string value);
 
   [[nodiscard]] bool has(const std::string& key) const;
@@ -72,8 +77,9 @@ class SolverOptions {
   }
 
   /// "k1=v1,k2=v2" rendering of the bag in key order (empty string when
-  /// empty) -- canonical: equal bags render to equal strings, which is what
-  /// the solve cache keys on.
+  /// empty) -- canonical and injective: two bags render to the same string
+  /// exactly when they are equal (set() keeps the separators out of keys
+  /// and values), which is what the solve cache keys on.
   [[nodiscard]] std::string str() const;
 
  private:

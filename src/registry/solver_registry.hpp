@@ -41,8 +41,7 @@
 /// returning -- a result is never handed out unchecked -- and stamps the
 /// wall time of the whole dispatch.
 ///
-/// Thread safety (audited for the exec/BatchRunner fan-out and the
-/// SchedulerService workers): construction of global() is safe under C++11
+/// Thread safety (audited for the SchedulerService workers): construction of global() is safe under C++11
 /// magic statics; solve(), contains(), names(), description(),
 /// option_specs(), and option_help() are const reads of an immutable entry
 /// map and safe to call concurrently, provided no add() races with them. The

@@ -9,9 +9,8 @@
 ///
 /// Three pieces:
 ///
-///  * **CancelToken** -- a shared advisory flag (moved here from
-///    exec/batch_runner.hpp, where the batch engine introduced it). Copies
-///    share one underlying atomic, so a caller hands a token into a running
+///  * **CancelToken** -- a shared advisory flag. Copies share one
+///    underlying atomic, so a caller hands a token into a running
 ///    solve and fires it from another thread.
 ///  * **CancelCheck** -- the per-solve probe the hot loops actually carry: a
 ///    borrowed token pointer plus an absolute steady-clock deadline, checked
@@ -23,7 +22,7 @@
 ///  * **CancelledError / DeadlineExceededError** -- the typed exceptions a
 ///    firing poll() throws; classify_solve_exception (registry/request.hpp) maps
 ///    them to SolveErrorCode::kCancelled / kDeadlineExceeded so the error
-///    taxonomy is exact across batch, service, and sharded tiers.
+///    taxonomy is exact across the registry, service, and sharded tiers.
 ///
 /// Deadlines are ABSOLUTE steady-clock seconds (steady_now_seconds()), never
 /// wall-clock: a solve must not be killed by an NTP step, and bench runs

@@ -140,7 +140,7 @@ void JsonWriter::value(double number) {
     out_ += "null";
   } else {
     // %.17g round-trips every double and is deterministic for identical
-    // bits -- the property the batch determinism tests rely on. (std::to_chars
+    // bits, so equal artifacts mean equal values. (std::to_chars
     // for floating point needs gcc >= 11; the toolchain floor is gcc 10.)
     char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.17g", number);

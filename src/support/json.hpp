@@ -6,12 +6,11 @@
 
 /// Minimal streaming JSON emitter for machine-readable artifacts.
 ///
-/// bench_load writes LOAD_<rev>.json and the batch engine serializes
-/// reports for determinism comparisons, but the repo takes no third-party
-/// dependencies -- so this is a small RFC 8259 writer with the properties
-/// those consumers need: insertion-order keys, deterministic number
-/// rendering (identical input bits produce identical text, which is what the
-/// byte-identical batch tests diff), full string escaping, and `null` for
+/// bench_load writes LOAD_<rev>.json (service stats through api/stats_json,
+/// latency histograms), but the repo takes no third-party dependencies --
+/// so this is a small RFC 8259 writer with the properties that artifact
+/// needs: insertion-order keys, deterministic number rendering (identical
+/// input bits produce identical text), full string escaping, and `null` for
 /// non-finite doubles (JSON has no inf/nan).
 namespace malsched {
 

@@ -69,11 +69,4 @@ double mean_of(std::span<const double> values) noexcept {
   return total / static_cast<double>(values.size());
 }
 
-double geometric_mean(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (const double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace malsched

@@ -42,7 +42,4 @@ class Summary {
 /// Arithmetic mean of a batch; 0 for an empty batch.
 [[nodiscard]] double mean_of(std::span<const double> values) noexcept;
 
-/// Geometric mean of a positive batch; 0 for an empty batch.
-[[nodiscard]] double geometric_mean(std::span<const double> values);
-
 }  // namespace malsched

@@ -37,19 +37,4 @@ Instance trace_snapshot(const TraceOptions& options, std::uint64_t seed) {
   return Instance(options.machines, std::move(tasks));
 }
 
-std::vector<TimedSnapshot> timed_trace(const TraceOptions& options,
-                                       const ArrivalOptions& arrivals, std::uint64_t seed) {
-  const std::vector<double> instants = generate_arrivals(arrivals, seed);
-  // Snapshot seeds are forked off a DIFFERENT stream than the arrival draws
-  // (reseeded, not shared), so changing the arrival process cannot perturb
-  // which instances the trace carries at a given index.
-  Rng fork(seed ^ 0x9e3779b97f4a7c15ULL);
-  std::vector<TimedSnapshot> trace;
-  trace.reserve(instants.size());
-  for (const double instant : instants) {
-    trace.push_back({instant, trace_snapshot(options, fork.fork_seed())});
-  }
-  return trace;
-}
-
 }  // namespace malsched

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "model/instance.hpp"
-#include "workload/arrivals.hpp"
 
 /// Synthetic moldable-job batch traces.
 ///
@@ -26,24 +24,5 @@ struct TraceOptions {
 
 /// One queue snapshot as a malleable instance.
 [[nodiscard]] Instance trace_snapshot(const TraceOptions& options, std::uint64_t seed);
-
-/// One entry of a timestamped trace: a queue snapshot paired with the
-/// instant it arrives, in seconds relative to the trace start (the replayer
-/// anchors t = 0 on its own steady clock; no wall-clock source is involved).
-struct TimedSnapshot {
-  double arrival_seconds{0.0};
-  Instance instance;
-};
-
-/// Pairs trace_snapshot() draws with an arrival process (workload/arrivals):
-/// one snapshot per generated arrival instant, in arrival order. The j-th
-/// snapshot is drawn from a seed forked deterministically off `seed`, and the
-/// arrival instants come from generate_arrivals(arrivals, seed), so the whole
-/// timed trace -- timestamps AND instances -- is a pure function of
-/// (options, arrivals, seed). Throws std::invalid_argument when the arrival
-/// options fail their validate().
-[[nodiscard]] std::vector<TimedSnapshot> timed_trace(const TraceOptions& options,
-                                                     const ArrivalOptions& arrivals,
-                                                     std::uint64_t seed);
 
 }  // namespace malsched

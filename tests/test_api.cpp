@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/task_graph.hpp"
@@ -85,6 +87,60 @@ TEST(SolverOptions, OnlyTheFirstEqualsSplits) {
   const auto options = SolverOptions::from_string("a==b,path=x=y");
   EXPECT_EQ(options.get_string("a"), "=b");
   EXPECT_EQ(options.get_string("path"), "x=y");
+}
+
+TEST(SolverOptions, SeparatorsInsideKeysAndValuesAreRefused) {
+  // str() joins entries with ',' and keys the solve cache. Were a ',' legal
+  // in a value, {strict=0, a="1,epsilon=0.5"} would render exactly like
+  // {a=1, epsilon=0.5, strict=0}, and the cache would answer one bag with
+  // the other's schedule.
+  EXPECT_THROW(static_cast<void>(SolverOptions::from_tokens({"strict=0", "a=1,epsilon=0.5"})),
+               std::invalid_argument);
+  EXPECT_THROW(SolverOptions{}.set("a=b", "1"), std::invalid_argument);
+  EXPECT_THROW(SolverOptions{}.set("a,b", "1"), std::invalid_argument);
+  EXPECT_THROW(SolverOptions{}.set("a", "1,2"), std::invalid_argument);
+  // '=' stays legal inside a value, and ordinary bags render as before.
+  SolverOptions bag;
+  bag.set("a", "=b").set("strict", "0");
+  EXPECT_EQ(bag.str(), "a==b,strict=0");
+}
+
+TEST(SolverOptions, StrIsInjectiveOverEveryBagSetAccepts) {
+  // Every key and value of up to two characters over {a, '=', ','}, in bags
+  // of one and two entries: no two bags that set() builds render alike.
+  std::vector<std::string> words{""};
+  const std::string alphabet = "a=,";
+  for (const char x : alphabet) {
+    words.emplace_back(1, x);
+    for (const char y : alphabet) words.push_back({x, y});
+  }
+  std::map<std::string, std::map<std::string, std::string>> rendered;
+  int refused = 0;
+  const auto record = [&](const std::vector<std::pair<std::string, std::string>>& entries) {
+    SolverOptions bag;
+    try {
+      for (const auto& [key, value] : entries) bag.set(key, value);
+    } catch (const std::invalid_argument&) {
+      ++refused;
+      return;
+    }
+    const auto [it, fresh] = rendered.emplace(bag.str(), bag.entries());
+    if (!fresh) {
+      EXPECT_EQ(it->second, bag.entries()) << "two bags render as '" << it->first << "'";
+    }
+  };
+  for (const auto& k1 : words) {
+    for (const auto& v1 : words) {
+      record({{k1, v1}});
+      for (const auto& k2 : words) {
+        for (const auto& v2 : words) record({{k1, v1}, {k2, v2}});
+      }
+    }
+  }
+  EXPECT_GT(refused, 0);
+  // Two legal keys ("a", "aa") and seven legal values (no ','): 14 one-entry
+  // bags and 49 two-entry ones, each rendered once.
+  EXPECT_EQ(rendered.size(), 63u);
 }
 
 // ------------------------------------------------- OptionSpec validation

@@ -1,5 +1,5 @@
 // Tests for the open-loop load-generation primitives: workload/arrivals
-// (seeded Poisson / bursty / diurnal traces and the timed-trace pairing) and
+// (seeded Poisson / bursty / diurnal traces) and
 // support/latency_histogram (lock-free log-bucketed percentiles).
 
 #include <gtest/gtest.h>
@@ -12,11 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "model/instance_io.hpp"
 #include "support/json.hpp"
 #include "support/latency_histogram.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/trace.hpp"
 
 namespace malsched {
 namespace {
@@ -140,31 +138,6 @@ TEST(Arrivals, RoundTripNames) {
     EXPECT_EQ(arrival_process_from_string(to_string(process)), process);
   }
   EXPECT_THROW((void)arrival_process_from_string("uniform"), std::invalid_argument);
-}
-
-// ---------------------------------------------------------- timed traces
-
-TEST(TimedTrace, PairsArrivalsWithDeterministicSnapshots) {
-  TraceOptions trace_options;
-  ArrivalOptions arrivals;
-  arrivals.rate_per_second = 200.0;
-  arrivals.duration_seconds = 1.0;
-  const auto a = timed_trace(trace_options, arrivals, 9);
-  const auto b = timed_trace(trace_options, arrivals, 9);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.size(), generate_arrivals(arrivals, 9).size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].arrival_seconds, b[i].arrival_seconds);
-    EXPECT_EQ(instance_to_string(a[i].instance), instance_to_string(b[i].instance));
-    if (i > 0) {
-      EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
-    }
-  }
-  // Snapshots vary along the trace (forked seeds, not one repeated draw).
-  if (a.size() >= 2) {
-    EXPECT_NE(instance_to_string(a.front().instance), instance_to_string(a.back().instance));
-  }
 }
 
 // ------------------------------------------------------------- histogram

@@ -10,6 +10,7 @@
 #include "core/mmu.hpp"
 #include "core/mrt_scheduler.hpp"
 #include "model/lower_bounds.hpp"
+#include "sched/compaction.hpp"
 #include "sched/validate.hpp"
 #include "support/cancellation.hpp"
 #include "support/math_utils.hpp"
@@ -180,6 +181,38 @@ TEST(MrtScheduler, DualStepProbesItsCancelCheckBeforeAcceptingASchedule) {
   MrtOptions options;
   options.search.cancel = CancelCheck(&token, 0.0);
   EXPECT_THROW(static_cast<void>(mrt_dual_step(instance, deadline, options)), CancelledError);
+}
+
+// Theorem 3 accepts a construction only within sqrt(3)*d, and the step's
+// final validation is the only code that enforces it. On these two steps the
+// canonical list, the one construction left on, builds a schedule between
+// sqrt(3)*d and 2.5*d, so any looser acceptance bound would take it.
+TEST(MrtScheduler, DualStepRefusesASchedulePastSqrt3TimesTheGuess) {
+  struct Step {
+    WorkloadFamily family;
+    std::uint64_t seed;
+    double guess_over_lower_bound;
+  };
+  for (const auto& step : {Step{WorkloadFamily::kStairs, 4, 1.18},
+                           Step{WorkloadFamily::kPackedOpt1, 5, 1.30}}) {
+    GeneratorOptions generator;
+    generator.tasks = 6;
+    generator.machines = 32;
+    const auto instance = generate_instance(step.family, generator, step.seed);
+    const double deadline = step.guess_over_lower_bound * makespan_lower_bound(instance);
+    MrtOptions options;
+    options.enable_two_shelf = false;
+    options.enable_malleable_list = false;
+    const auto outcome = mrt_dual_step(instance, deadline, options);
+    EXPECT_EQ(outcome.branch, DualBranch::kGap) << to_string(step.family);
+    EXPECT_FALSE(outcome.schedule.has_value());
+
+    const auto list = canonical_list_schedule(instance, deadline, options.canonical_list);
+    ASSERT_TRUE(list.schedule.has_value()) << to_string(step.family);
+    const double makespan = compact_schedule(*list.schedule, instance).makespan();
+    EXPECT_GT(makespan, kSqrt3 * deadline) << to_string(step.family);
+    EXPECT_LE(makespan, 2.5 * deadline) << to_string(step.family);
+  }
 }
 
 TEST(MrtScheduler, BranchNamesAreDistinct) {

@@ -1,7 +1,7 @@
 // Tests for the DualWorkspace hot path: gamma lookups must match a linear
 // scan of the profile at every tolerance boundary, creeping profiles
 // included; canonical allotments and areas must be byte-identical to the
-// naive recomputation; full mrt solves and the batch pipeline must keep the
+// naive recomputation; full mrt solves and the service must keep the
 // digests recorded while the recompute-everything path still existed to
 // compare against, and above the radix sort's cutoff the digests recorded
 // with the comparison sorts; the scratch reuse must be allocation-free after
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "api/scheduler_service.hpp"
-#include "api/solve_batch.hpp"
 #include "registry/solver_registry.hpp"
 #include "core/canonical.hpp"
 #include "core/dual_workspace.hpp"
@@ -315,7 +314,7 @@ INSTANTIATE_TEST_SUITE_P(Families, AboveCutoffTest,
 // ------------------------------------------------------------- batch solves
 
 TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
-  // The production fan-out at every thread count must reproduce the
+  // The service's worker pool at every thread count must reproduce the
   // digests recorded when each of these jobs also ran without a workspace
   // (both paths agreed at 1, 2 and 8 threads).
   static const std::array<std::uint64_t, 6> kRecorded{
@@ -334,14 +333,15 @@ TEST(DualWorkspace, BatchResultsMatchNaiveAcrossThreadCounts) {
   ASSERT_EQ(jobs.size(), kRecorded.size());
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    BatchRunnerOptions options;
-    options.threads = threads;
-    const auto report = solve_batch(jobs, options);
-    ASSERT_EQ(report.errors, 0);
+    ServiceConfig config;
+    config.threads = threads;
+    SchedulerService service(config);
+    const auto tickets = service.submit(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto& result = report.items[i].result;
-      ASSERT_TRUE(result);
-      EXPECT_EQ(solve_digest(figures_of(*result), result->schedule), kRecorded[i])
+      const auto outcome = service.wait(tickets[i]);
+      ASSERT_EQ(outcome.status, SolveStatus::kOk) << outcome.error.detail;
+      const auto& result = *outcome.result;
+      EXPECT_EQ(solve_digest(figures_of(result), result.schedule), kRecorded[i])
           << "job " << i << " at " << threads << " threads";
     }
   }

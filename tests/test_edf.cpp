@@ -20,8 +20,8 @@
 
 #include "api/scheduler_service.hpp"
 #include "api/sharded_service.hpp"
+#include "oracles/outcome_payload.hpp"
 #include "registry/solver_registry.hpp"
-#include "exec/batch_json.hpp"
 #include "support/cancellation.hpp"
 #include "support/mutex.hpp"
 #include "workload/generators.hpp"
@@ -182,22 +182,13 @@ TEST(EdfDiscipline, WithoutDeadlinesMatchesFifoByteIdentically) {
     config.cache = false;
     config.queue_discipline = discipline;
     SchedulerService service(config);
-    BatchReport report;
-    service.on_result([&report](const SolveOutcome& outcome) {
-      BatchItem item;
-      item.index = outcome.ticket;
-      item.status = outcome.status;
-      item.result = outcome.result;
-      item.error = outcome.error;
-      report.items.push_back(std::move(item));
-      ++report.ok;
+    std::vector<std::pair<std::uint64_t, std::string>> delivered;
+    service.on_result([&delivered](const SolveOutcome& outcome) {
+      delivered.emplace_back(outcome.ticket, outcome_payload(outcome));
     });
     static_cast<void>(service.submit(requests));
     service.drain();
-    BatchJsonOptions json;
-    json.include_timing = false;
-    json.include_schedules = true;
-    return batch_report_json(report, json);
+    return delivered;
   };
   EXPECT_EQ(run("edf"), run("fifo"));
 }

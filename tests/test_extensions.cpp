@@ -1,6 +1,6 @@
-// Tests for the extension features: branch-and-bound knapsack, Best Fit
-// packing, the makespan local search, and end-to-end edge cases (empty
-// instances, single machines).
+// Tests for the extension features: branch-and-bound knapsack, the makespan
+// local search, and end-to-end edge cases (empty instances, single
+// machines).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/mrt_scheduler.hpp"
 #include "knapsack/knapsack.hpp"
 #include "model/speedup_models.hpp"
-#include "packing/first_fit.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/local_search.hpp"
 #include "sched/validate.hpp"
@@ -79,41 +78,6 @@ TEST(BranchAndBound, EmptyAndZeroCapacity) {
   EXPECT_EQ(knapsack_branch_and_bound({}, 10).profit, 0);
   const std::vector<KnapsackItem> items{{5, 7}};
   EXPECT_EQ(knapsack_branch_and_bound(items, 0).profit, 0);
-}
-
-// ----------------------------------------------------------------- best fit
-
-TEST(BestFit, KnownExample) {
-  // capacity 1: {0.6, 0.5, 0.3}: BF puts 0.3 with 0.6 (fuller bin), FF would
-  // also -- distinguish with {0.5, 0.6, 0.38}: FF puts 0.38 with 0.5
-  // (first), BF with 0.6 (fullest).
-  const std::vector<double> sizes{0.5, 0.6, 0.38};
-  const auto ff = first_fit(sizes, 1.0);
-  const auto bf = best_fit(sizes, 1.0);
-  ASSERT_EQ(ff.bin_count(), 2);
-  ASSERT_EQ(bf.bin_count(), 2);
-  EXPECT_NEAR(ff.loads[0], 0.88, 1e-12);
-  EXPECT_NEAR(bf.loads[1], 0.98, 1e-12);
-}
-
-TEST(BestFit, ValidOnRandomSweep) {
-  Rng rng(505);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<double> sizes(static_cast<std::size_t>(rng.uniform_int(1, 50)));
-    for (auto& s : sizes) s = rng.uniform(0.05, 1.0);
-    for (const auto* which : {"bf", "bfd"}) {
-      const auto packing =
-          which[1] == 'f' ? best_fit(sizes, 1.0) : best_fit_decreasing(sizes, 1.0);
-      std::size_t placed = 0;
-      for (const auto& bin : packing.bins) placed += bin.size();
-      EXPECT_EQ(placed, sizes.size());
-      for (const double load : packing.loads) EXPECT_TRUE(leq(load, 1.0));
-    }
-  }
-}
-
-TEST(BestFit, OversizedItemThrows) {
-  EXPECT_THROW(best_fit(std::vector<double>{1.5}, 1.0), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- local search

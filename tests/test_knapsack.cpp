@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -282,6 +283,97 @@ TEST(MinKnapsack, ScaledApproxKeepsHardConstraintAboveTheBudget) {
     EXPECT_EQ(selection_weight(items, *sel), sel->weight);
     EXPECT_GE(sel->weight, *brute_min_weight(items, demand));
   }
+}
+
+TEST(MinKnapsack, ScaledApproxFindsTheCoverAnExactDemandNeeds) {
+  // Above the budget, flooring the profits and ceiling the demand lost this
+  // cover: the two items together meet the demand exactly.
+  const std::vector<KnapsackItem> items{{1, 100'000'001}, {1, 99'999'999}};
+  const long long demand = 200'000'000;
+  ASSERT_GT(static_cast<long long>(items.size()) * (demand + 1), 1LL << 26);
+  const auto sel = min_knapsack_approx(items, demand, 0.25);
+  ASSERT_TRUE(sel.has_value());
+  EXPECT_EQ(sel->items, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sel->weight, 2);
+  EXPECT_EQ(sel->profit, demand);
+}
+
+TEST(MinKnapsack, ScaledApproxMatchesBruteForceAboveTheBudget) {
+  // Every draw is above the exact DP's budget; zero weights and zero profits
+  // are mixed in. A cover comes back exactly when brute force finds one,
+  // meets the demand, and weighs at most (1+eps) * OPT.
+  constexpr long long kBudget = 1LL << 26;
+  Rng rng(9090);
+  int covers = 0;
+  int infeasible = 0;
+  for (const double eps : {0.5, 0.25, 0.1}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const int n = static_cast<int>(rng.uniform_int(2, 12));
+      auto items = random_items(rng, n, 1000, 200'000'000);
+      for (auto& item : items) {
+        if (rng.uniform_int(0, 5) == 0) item.weight = 0;
+        if (rng.uniform_int(0, 5) == 0) item.profit = 0;
+      }
+      long long total_profit = 0;
+      for (const auto& item : items) total_profit += item.profit;
+      const long long demand =
+          std::max<long long>(rng.uniform_int(total_profit / 2, total_profit + 10), kBudget / n);
+      ASSERT_GT(static_cast<long long>(n) * (demand + 1), kBudget);
+      const auto sel = min_knapsack_approx(items, demand, eps);
+      const auto brute = brute_min_weight(items, demand);
+      ASSERT_EQ(sel.has_value(), brute.has_value()) << "eps=" << eps << " trial " << trial;
+      if (!sel) {
+        ++infeasible;
+        continue;
+      }
+      ++covers;
+      EXPECT_GE(selection_profit(items, *sel), demand);
+      EXPECT_EQ(selection_profit(items, *sel), sel->profit);
+      EXPECT_EQ(selection_weight(items, *sel), sel->weight);
+      EXPECT_LE(static_cast<double>(sel->weight), (1.0 + eps) * static_cast<double>(*brute))
+          << "eps=" << eps << " trial " << trial;
+      for (std::size_t i = 1; i < sel->items.size(); ++i) {
+        EXPECT_LT(sel->items[i - 1], sel->items[i]);
+      }
+    }
+  }
+  EXPECT_GT(covers, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(MinKnapsack, ScaledApproxTakesZeroWeightItemsFree) {
+  // Above the budget. The two zero-weight items cover a demand of 1e8 on
+  // their own, at no weight; at 2e8 they leave 9e7 uncovered, which the
+  // lighter of the two weighted items covers.
+  const std::vector<KnapsackItem> items{
+      {5, 150'000'000}, {0, 60'000'000}, {3, 150'000'000}, {0, 50'000'000}};
+  const long long demand = 100'000'000;
+  ASSERT_GT(static_cast<long long>(items.size()) * (demand + 1), 1LL << 26);
+  auto sel = min_knapsack_approx(items, demand, 0.25);
+  ASSERT_TRUE(sel.has_value());
+  EXPECT_EQ(sel->items, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sel->weight, 0);
+  EXPECT_EQ(sel->profit, 110'000'000);
+
+  sel = min_knapsack_approx(items, 2 * demand, 0.25);
+  ASSERT_TRUE(sel.has_value());
+  EXPECT_EQ(sel->items, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sel->weight, 3);
+  EXPECT_EQ(sel->profit, 260'000'000);
+}
+
+TEST(MinKnapsack, ScaledApproxCoversTheTotalProfitAndNothingMore) {
+  // Above the budget, a demand equal to the total profit needs every item;
+  // one more unit has no cover.
+  const std::vector<KnapsackItem> items{{1, 100'000'000}, {0, 50'000'000}, {7, 49'999'999}};
+  const long long total = 199'999'999;
+  ASSERT_GT(static_cast<long long>(items.size()) * (total + 1), 1LL << 26);
+  const auto sel = min_knapsack_approx(items, total, 0.25);
+  ASSERT_TRUE(sel.has_value());
+  EXPECT_EQ(sel->items, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sel->weight, 8);
+  EXPECT_EQ(sel->profit, total);
+  EXPECT_FALSE(min_knapsack_approx(items, total + 1, 0.25).has_value());
 }
 
 TEST(MinKnapsack, ApproxRejectsBadEps) {

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "packing/first_fit.hpp"
 #include "packing/shelf.hpp"
@@ -72,6 +73,44 @@ TEST(FirstFitDecreasing, NeverWorseOnSeedSweep) {
     for (const auto& bin : ffd.bins) placed += bin.size();
     EXPECT_EQ(placed, sizes.size());
   }
+}
+
+TEST(FirstFitDecreasing, PacksKnownExampleInFewerBinsThanFirstFit) {
+  // The sizes sum to 30 at capacity 10. In the given order First Fit opens
+  // four bins; sorted decreasing (8 7 5 4 3 2 1) every bin fills exactly.
+  const std::vector<double> sizes{2, 5, 4, 7, 1, 3, 8};
+  EXPECT_EQ(first_fit(sizes, 10.0).bin_count(), 4);
+  const auto packing = first_fit_decreasing(sizes, 10.0);
+  ASSERT_EQ(packing.bin_count(), 3);
+  EXPECT_EQ(packing.bins[0], (std::vector<int>{6, 0}));
+  EXPECT_EQ(packing.bins[1], (std::vector<int>{3, 5}));
+  EXPECT_EQ(packing.bins[2], (std::vector<int>{1, 2, 4}));
+  for (const double load : packing.loads) EXPECT_DOUBLE_EQ(load, 10.0);
+}
+
+TEST(FirstFitDecreasing, BinsHoldOriginalIndicesAndMeetTheHalfFullBound) {
+  Rng rng(407);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<double> sizes(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (auto& s : sizes) s = rng.uniform(0.05, 1.0);
+    const auto packing = first_fit_decreasing(sizes, 1.0);
+    std::vector<int> placed(sizes.size(), 0);
+    for (int b = 0; b < packing.bin_count(); ++b) {
+      double load = 0.0;
+      for (const int i : packing.bins[static_cast<std::size_t>(b)]) {
+        ++placed[static_cast<std::size_t>(i)];
+        load += sizes[static_cast<std::size_t>(i)];
+      }
+      EXPECT_NEAR(load, packing.loads[static_cast<std::size_t>(b)], 1e-9);
+    }
+    for (const int count : placed) EXPECT_EQ(count, 1);
+    EXPECT_TRUE(first_fit_half_full_bound(packing, 1.0));
+  }
+}
+
+TEST(FirstFitDecreasing, OversizedItemThrows) {
+  EXPECT_THROW(first_fit_decreasing(std::vector<double>{0.5, 1.5}, 1.0), std::invalid_argument);
+  EXPECT_THROW(first_fit_decreasing(std::vector<double>{0.0}, 1.0), std::invalid_argument);
 }
 
 TEST(FirstFit, BinCountMatchesPacking) {

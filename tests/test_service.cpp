@@ -1,15 +1,18 @@
 // Tests for the SchedulerService front end (src/api/scheduler_service.*),
 // the content-hash SolveCache behind it, and the exec/WorkerPool it runs on:
-// ordered streaming byte-identical to solve_batch, cache hit/eviction
-// accounting, repeat-solve determinism, cancellation mid-stream, and
-// graceful shutdown with pending jobs.
+// ordered streaming byte-identical to serial registry solves, closed batches,
+// the outcome payload those comparisons use, cache hit/eviction accounting,
+// repeat-solve determinism, cancellation mid-stream, and graceful shutdown
+// with pending jobs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -18,10 +21,9 @@
 #include <vector>
 
 #include "api/scheduler_service.hpp"
-#include "api/solve_batch.hpp"
 #include "api/solve_cache.hpp"
-#include "exec/batch_json.hpp"
 #include "exec/worker_pool.hpp"
+#include "oracles/outcome_payload.hpp"
 #include "support/mutex.hpp"
 #include "workload/generators.hpp"
 
@@ -61,26 +63,6 @@ std::vector<SolveRequest> mixed_jobs_with_duplicates(std::size_t base_count) {
   jobs.push_back({jobs[1].solver, jobs[1].options, jobs[1].instance});
   jobs.push_back({jobs[2].solver, jobs[2].options, jobs[2].instance});
   return jobs;
-}
-
-/// Outcomes reshaped as a BatchReport so the byte-compare reuses the proven
-/// exec/batch_json serialization.
-BatchReport report_from(const std::vector<SolveOutcome>& outcomes) {
-  BatchReport report;
-  for (const auto& outcome : outcomes) {
-    BatchItem item;
-    item.index = outcome.ticket;
-    item.status = outcome.status;
-    item.result = outcome.result;
-    item.error = outcome.error;
-    switch (item.status) {
-      case SolveStatus::kOk: ++report.ok; break;
-      case SolveStatus::kError: ++report.errors; break;
-      case SolveStatus::kCancelled: ++report.cancelled; break;
-    }
-    report.items.push_back(std::move(item));
-  }
-  return report;
 }
 
 /// Two-way latch for the blocking test solver: the test waits for the solve
@@ -142,14 +124,13 @@ SolverRegistry gated_registry(const std::shared_ptr<Gate>& gate) {
 // ------------------------------------------------------- ordered streaming
 
 // The acceptance property: the streamed sequence at 1/2/8 threads is
-// byte-identical to solve_batch on the same jobs (schedules included;
-// timing excluded -- the one legitimately nondeterministic field).
-TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
+// byte-identical to serial registry solves of the same jobs, in order
+// (schedules included; timing excluded -- the one legitimately
+// nondeterministic field).
+TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSerialSolves) {
   const auto jobs = mixed_jobs_with_duplicates(24);
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_schedules = true;
-  const std::string reference = batch_report_json(solve_batch(jobs), json);
+  std::vector<std::string> reference;
+  for (const auto& job : jobs) reference.push_back(serial_payload(job));
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     ServiceConfig options;
@@ -167,9 +148,10 @@ TEST(SchedulerService, StreamsInTicketOrderByteIdenticalToSolveBatch) {
     ASSERT_EQ(streamed.size(), jobs.size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
       EXPECT_EQ(streamed[i].ticket, i) << "stream must arrive in ticket order";
+      EXPECT_EQ(outcome_payload(streamed[i]), reference[i])
+          << "streamed result " << i << " differs from the serial solve at " << threads
+          << " threads";
     }
-    EXPECT_EQ(batch_report_json(report_from(streamed), json), reference)
-        << "streamed results differ from solve_batch at " << threads << " threads";
     EXPECT_EQ(service.stats().delivered, jobs.size());
   }
 }
@@ -224,6 +206,273 @@ TEST(SchedulerService, ErrorsAreIsolatedPerJob) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+// ---------------------------------------------------------- closed batches
+//
+// A closed batch is one submit(std::vector<SolveRequest>): consecutive
+// tickets, each outcome read back with wait(), in request order.
+
+TEST(SchedulerService, EmptyBatchIssuesNoTickets) {
+  ServiceConfig options;
+  options.threads = 2;
+  SchedulerService service(options);
+  EXPECT_TRUE(service.submit(std::vector<SolveRequest>{}).empty());
+  service.drain();  // returns at once: nothing was enqueued
+  EXPECT_EQ(service.stats().submitted, 0u);
+  const auto first = service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
+                                     InstanceHandle::intern(small_instance(400))});
+  EXPECT_EQ(first.id, 0u) << "an empty batch must not consume a ticket";
+  EXPECT_EQ(service.wait(first).status, SolveStatus::kOk);
+}
+
+TEST(SchedulerService, BatchTicketsAreConsecutiveAndOutcomesFollowRequestOrder) {
+  const auto jobs = mixed_jobs_with_duplicates(12);
+  const auto lead = InstanceHandle::intern(small_instance(401));
+  const auto hashes_before = InstanceHandle::content_hashes();
+  ServiceConfig options;
+  options.threads = 4;
+  SchedulerService service(options);
+  const auto single = service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"), lead});
+  const auto tickets = service.submit(jobs);
+  ASSERT_EQ(tickets.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(tickets[i].id, single.id + 1 + i);
+    const auto outcome = service.wait(tickets[i]);
+    EXPECT_EQ(outcome.ticket, tickets[i].id);
+    ASSERT_EQ(outcome.status, SolveStatus::kOk) << outcome.error.detail;
+    EXPECT_EQ(outcome.result->solver, jobs[i].solver);
+  }
+  EXPECT_EQ(service.wait(single).status, SolveStatus::kOk);
+  EXPECT_EQ(InstanceHandle::content_hashes(), hashes_before)
+      << "the request path must not re-fingerprint interned instances";
+}
+
+// The streaming test's property for outcomes read with wait() instead of
+// the stream: a 64-request batch at 1, 2 and 8 workers equals serial
+// registry solves bit for bit.
+TEST(SchedulerService, WaitedBatchOutcomesMatchSerialSolvesAtAnyWorkerCount) {
+  const auto jobs = mixed_jobs_with_duplicates(60);
+  std::vector<std::string> reference;
+  for (const auto& job : jobs) reference.push_back(serial_payload(job));
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ServiceConfig options;
+    options.threads = threads;
+    SchedulerService service(options);
+    const auto tickets = service.submit(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(outcome_payload(service.wait(tickets[i])), reference[i])
+          << "request " << i << " at " << threads << " workers";
+    }
+    EXPECT_EQ(service.stats().completed, jobs.size());
+  }
+}
+
+TEST(SchedulerService, OversubscribedWorkersStayByteIdenticalToSerialSolves) {
+  // Far more workers than cores, and tiny instances, maximize scheduling
+  // churn.
+  std::vector<SolveRequest> jobs;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    jobs.push_back({"naive", SolverOptions::from_string("policy=lpt-seq"),
+                    InstanceHandle::intern(small_instance(500 + i, /*tasks=*/6, /*machines=*/4))});
+  }
+  ServiceConfig options;
+  options.threads = 32;
+  SchedulerService service(options);
+  const auto tickets = service.submit(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(outcome_payload(service.wait(tickets[i])), serial_payload(jobs[i]))
+        << "request " << i;
+  }
+  EXPECT_EQ(service.stats().completed, jobs.size());
+}
+
+TEST(SchedulerService, RequestWithEmptyHandleIsRejectedUpFront) {
+  ServiceConfig options;
+  options.threads = 1;
+  SchedulerService service(options);
+  EXPECT_THROW(static_cast<void>(service.submit(SolveRequest{})), std::invalid_argument);
+  EXPECT_EQ(service.stats().submitted, 0u);
+  const auto next = service.submit({"naive", SolverOptions::from_string("policy=lpt-seq"),
+                                    InstanceHandle::intern(small_instance(402))});
+  EXPECT_EQ(next.id, 0u) << "a refused request must not consume a ticket";
+  EXPECT_EQ(service.wait(next).status, SolveStatus::kOk);
+}
+
+TEST(SchedulerService, OneThrowingSolveDoesNotPoisonABatch) {
+  const auto gate = std::make_shared<Gate>();
+  const auto registry = gated_registry(gate);
+  ServiceConfig options;
+  options.threads = 4;
+  options.registry = &registry;
+  SchedulerService service(options);
+  std::vector<SolveRequest> jobs;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    jobs.push_back({i % 2 == 0 ? "seq" : "boom", {}, InstanceHandle::intern(small_instance(410 + i))});
+  }
+  const auto tickets = service.submit(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto outcome = service.wait(tickets[i]);
+    if (i % 2 == 0) {
+      EXPECT_EQ(outcome.status, SolveStatus::kOk);
+      ASSERT_TRUE(outcome.result.has_value());
+      EXPECT_TRUE(outcome.result->schedule.complete());
+    } else {
+      EXPECT_EQ(outcome.status, SolveStatus::kError);
+      EXPECT_EQ(outcome.error.code, SolveErrorCode::kSolverFailure);
+      EXPECT_NE(outcome.error.detail.find("boom"), std::string::npos);
+      EXPECT_FALSE(outcome.result.has_value());
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 5u);
+  EXPECT_EQ(stats.failed, 5u);
+  EXPECT_EQ(stats.cancelled, 0u);
+}
+
+TEST(SchedulerService, UnknownSolverNameIsIsolatedInABatch) {
+  ServiceConfig options;
+  options.threads = 2;
+  SchedulerService service(options);
+  std::vector<SolveRequest> jobs;
+  jobs.push_back({"mrt", {}, InstanceHandle::intern(small_instance(420))});
+  jobs.push_back({"no-such-solver", {}, InstanceHandle::intern(small_instance(421))});
+  const auto tickets = service.submit(jobs);
+  EXPECT_EQ(service.wait(tickets[0]).status, SolveStatus::kOk);
+  const auto unknown = service.wait(tickets[1]);
+  EXPECT_EQ(unknown.status, SolveStatus::kError);
+  EXPECT_EQ(unknown.error.code, SolveErrorCode::kInvalidOption);
+  EXPECT_NE(unknown.error.detail.find("unknown solver"), std::string::npos);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
+// Cancelling every ticket of a batch still queued behind a running job: each
+// turns kCancelled at once with no result, and the stream delivers them in
+// ticket order after the running job's outcome.
+TEST(SchedulerService, CancellingAQueuedBatchCancelsEveryTicket) {
+  const auto gate = std::make_shared<Gate>();
+  const auto registry = gated_registry(gate);
+  ServiceConfig options;
+  options.threads = 1;
+  options.registry = &registry;
+  SchedulerService service(options);
+  std::vector<SolveOutcome> streamed;
+  service.on_result([&streamed](const SolveOutcome& outcome) { streamed.push_back(outcome); });
+
+  const auto running = service.submit({"gate", {}, InstanceHandle::intern(small_instance(430))});
+  gate->wait_entered();
+  std::vector<SolveRequest> jobs;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    jobs.push_back({"seq", {}, InstanceHandle::intern(small_instance(431 + i))});
+  }
+  const auto tickets = service.submit(jobs);
+  for (const auto ticket : tickets) {
+    EXPECT_TRUE(service.cancel(ticket));
+    const auto outcome = service.poll(ticket);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->status, SolveStatus::kCancelled);
+    EXPECT_FALSE(outcome->result.has_value());
+  }
+
+  gate->release();
+  service.drain();
+  ASSERT_EQ(streamed.size(), 1 + tickets.size());
+  EXPECT_EQ(streamed[0].ticket, running.id);
+  EXPECT_EQ(streamed[0].status, SolveStatus::kOk);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    EXPECT_EQ(streamed[1 + i].ticket, tickets[i].id);
+    EXPECT_EQ(streamed[1 + i].status, SolveStatus::kCancelled);
+  }
+  EXPECT_EQ(service.stats().cancelled, tickets.size());
+}
+
+// --------------------------------------------------- outcome payload oracle
+//
+// tests/oracles/outcome_payload is the reference every determinism test
+// above compares with; these pin what it compares and what it leaves out.
+
+/// A hand-built outcome with every payload field set: one contiguous and
+/// one scattered assignment, and two stats.
+SolveOutcome payload_fixture(double start = 1.5, double duration = 2.25,
+                             std::vector<int> scattered = {0, 3}) {
+  Schedule schedule(4, 2);
+  schedule.assign(0, 0.0, 1.5, 0, 2);
+  schedule.assign_scattered(1, start, duration, std::move(scattered));
+  SolveOutcome outcome;
+  outcome.status = SolveStatus::kOk;
+  outcome.result = SolverResult{"fake", std::move(schedule), 3.75, 3.0, 1.25, 0.5,
+                                {{"iterations", 7.0}, {"branch.canonical-list", 1.0}}};
+  return outcome;
+}
+
+TEST(OutcomePayload, LeavesOutWallTimesAndProvenance) {
+  const SolveOutcome solved = payload_fixture();
+  SolveOutcome served = payload_fixture();
+  served.ticket = 17;
+  served.cache_hit = true;
+  served.dedup_join = true;
+  served.fallback_used = true;
+  served.fast_path = true;
+  served.worker = 3;
+  served.shard = 1;
+  served.wall_seconds = 9.0;
+  served.result->wall_seconds = 2.0;
+  EXPECT_EQ(outcome_payload(served), outcome_payload(solved));
+
+  SolveOutcome failed;
+  failed.status = SolveStatus::kError;
+  failed.error.code = SolveErrorCode::kSolverFailure;
+  failed.error.detail = "boom";
+  const auto text = outcome_payload(failed);
+  EXPECT_NE(text, outcome_payload(solved));
+  EXPECT_NE(text.find("status=error error=solver_failure detail=boom"), std::string::npos);
+}
+
+TEST(OutcomePayload, EveryResultFieldCountsDownToOneUlp) {
+  const std::string reference = outcome_payload(payload_fixture());
+  const auto up = [](double x) { return std::nextafter(x, 2.0 * x + 1.0); };
+  const std::vector<std::function<void(SolverResult&)>> edits{
+      [&up](SolverResult& r) { r.makespan = up(r.makespan); },
+      [&up](SolverResult& r) { r.lower_bound = up(r.lower_bound); },
+      [&up](SolverResult& r) { r.ratio = up(r.ratio); },
+      [&up](SolverResult& r) { r.stats[0].second = up(r.stats[0].second); },
+      [&up](SolverResult& r) { r.stats[1].second = up(r.stats[1].second); },
+      [](SolverResult& r) { std::swap(r.stats[0], r.stats[1]); },
+      [](SolverResult& r) { r.solver = "fake2"; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    SolveOutcome outcome = payload_fixture();
+    edits[i](*outcome.result);
+    EXPECT_NE(outcome_payload(outcome), reference) << "result edit " << i;
+  }
+  EXPECT_NE(outcome_payload(payload_fixture(up(1.5))), reference);
+  EXPECT_NE(outcome_payload(payload_fixture(1.5, up(2.25))), reference);
+  EXPECT_NE(outcome_payload(payload_fixture(1.5, 2.25, {1, 3})), reference);
+}
+
+TEST(OutcomePayload, SerialPayloadClassifiesThrowsAsTheServiceDoes) {
+  // The reference side catches what SolverRegistry::solve throws; its
+  // payload must equal the service's outcome for the same request, error
+  // code and detail included.
+  std::vector<SolveRequest> requests;
+  requests.push_back({"no-such-solver", {}, InstanceHandle::intern(small_instance(440))});
+  requests.push_back({"mrt", SolverOptions::from_string("no_such_option=1"),
+                      InstanceHandle::intern(small_instance(441))});
+  requests.push_back({"mrt", SolverOptions::from_string("epsilon=fast"),
+                      InstanceHandle::intern(small_instance(442))});
+  ServiceConfig options;
+  options.threads = 1;
+  SchedulerService service(options);
+  const auto tickets = service.submit(requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto outcome = service.wait(tickets[i]);
+    EXPECT_EQ(outcome.status, SolveStatus::kError) << "request " << i;
+    EXPECT_EQ(outcome_payload(outcome), serial_payload(requests[i])) << "request " << i;
+  }
+  EXPECT_NE(serial_payload(requests[0]).find("error=invalid_option"), std::string::npos);
+}
+
 // ------------------------------------------------------------- solve cache
 
 TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
@@ -241,17 +490,9 @@ TEST(SchedulerService, CacheHitIsByteIdenticalAndCounted) {
   EXPECT_TRUE(second.cache_hit);
 
   // The memoized result is the first result, bytes included (stats too --
-  // the solvers are deterministic). Tickets naturally differ; normalize them
-  // so the compare sees only the payload.
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_schedules = true;
-  auto first_norm = first;
-  auto second_norm = second;
-  first_norm.ticket = 0;
-  second_norm.ticket = 0;
-  EXPECT_EQ(batch_report_json(report_from({second_norm}), json),
-            batch_report_json(report_from({first_norm}), json));
+  // the solvers are deterministic). Tickets naturally differ; the payload
+  // leaves them out.
+  EXPECT_EQ(outcome_payload(second), outcome_payload(first));
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
@@ -336,17 +577,9 @@ TEST(SchedulerService, RepeatedMrtSolveMatchesTheDirectSolveIncludingWorkspaceCo
   EXPECT_EQ(first.worker, second.worker);
   EXPECT_GE(first.result->stat("workspace.allocations", -1.0), 0.0);
 
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_schedules = true;
-  const auto as_json = [&json](const SolverResult& result) {
-    JsonWriter writer;
-    append_result_json(writer, result, json);
-    return writer.str();
-  };
-  const std::string direct = as_json(SolverRegistry::global().solve(request));
-  EXPECT_EQ(as_json(*first.result), direct);
-  EXPECT_EQ(as_json(*second.result), direct);
+  const std::string direct = serial_payload(request);
+  EXPECT_EQ(outcome_payload(first), direct);
+  EXPECT_EQ(outcome_payload(second), direct);
 }
 
 // ----------------------------------------------------------- in-flight dedup
@@ -411,26 +644,19 @@ TEST(SchedulerService, InFlightDedupCoalescesToOneSolveAtAnyThreadCount) {
     }
     EXPECT_EQ(stats.completed, kDuplicates);
 
-    // Byte-identical outcomes: every ticket's payload serializes exactly
-    // like the leader's (tickets normalized; provenance is not payload).
-    BatchJsonOptions json;
-    json.include_timing = false;
-    json.include_schedules = true;
+    // Byte-identical outcomes: every ticket's payload renders exactly like
+    // the leader's (tickets and provenance are not payload).
     std::vector<SolveOutcome> outcomes;
     for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
     const auto leader = std::find_if(outcomes.begin(), outcomes.end(), [](const SolveOutcome& o) {
       return !o.dedup_join && !o.cache_hit;
     });
     ASSERT_NE(leader, outcomes.end());
-    auto leader_norm = *leader;
-    leader_norm.ticket = 0;
-    const auto reference = batch_report_json(report_from({leader_norm}), json);
+    const auto reference = outcome_payload(*leader);
     for (const auto& outcome : outcomes) {
       EXPECT_EQ(outcome.status, SolveStatus::kOk);
       EXPECT_GE(outcome.worker, 0);
-      auto normalized = outcome;
-      normalized.ticket = 0;
-      EXPECT_EQ(batch_report_json(report_from({normalized}), json), reference);
+      EXPECT_EQ(outcome_payload(outcome), reference);
     }
   }
 }
@@ -1110,6 +1336,41 @@ TEST(WorkerPool, ShutdownDiscardsQueuedTasksAndRejectsNewOnes) {
   EXPECT_EQ(ran.load(), 1) << "queued-but-unstarted tasks must be discarded";
   EXPECT_THROW(pool.post([] {}), std::runtime_error);
   pool.shutdown();  // idempotent
+}
+
+TEST(WorkerPool, RunsEveryPostedTaskExactlyOnceAcrossThreads) {
+  WorkerPool pool(4);
+  std::vector<std::atomic<int>> runs(1000);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    pool.post([&runs, i] { runs[i].fetch_add(1); });
+  }
+  pool.wait_idle();
+  for (std::size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  EXPECT_EQ(pool.queued(), 0u);
+}
+
+TEST(WorkerPool, ZeroThreadsStartsAtLeastOneWorker) {
+  WorkerPool pool(0);
+  EXPECT_GE(pool.threads(), 1u);
+  pool.wait_idle();  // nothing posted: returns at once
+  std::atomic<int> ran{0};
+  pool.post([&ran] { ++ran; });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(WorkerPool, WaitIdleCoversTasksPostedByRunningTasks) {
+  WorkerPool pool(2);
+  std::atomic<int> ran{0};
+  pool.post([&pool, &ran] {
+    ++ran;
+    pool.post([&pool, &ran] {
+      ++ran;
+      pool.post([&ran] { ++ran; });
+    });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 3) << "wait_idle returned with work still queued or running";
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "api/malsched.hpp"
-#include "exec/batch_json.hpp"
+#include "oracles/outcome_payload.hpp"
 #include "support/fnv.hpp"
 #include "support/mutex.hpp"
 #include "workload/generators.hpp"
@@ -61,27 +61,6 @@ std::vector<SolveRequest> mixed_requests(std::size_t base_count) {
   requests.emplace_back(requests[1].solver, requests[1].options, requests[1].instance);
   requests.emplace_back(requests[2].solver, requests[2].options, requests[2].instance);
   return requests;
-}
-
-/// Outcomes reshaped as a BatchReport so the byte-compare reuses the proven
-/// exec/batch_json serialization. Indices come from submission order, NOT
-/// the (composite, per-shard) sharded tickets.
-BatchReport report_from(const std::vector<SolveOutcome>& outcomes) {
-  BatchReport report;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    BatchItem item;
-    item.index = i;
-    item.status = outcomes[i].status;
-    item.result = outcomes[i].result;
-    item.error = outcomes[i].error;
-    switch (item.status) {
-      case SolveStatus::kOk: ++report.ok; break;
-      case SolveStatus::kError: ++report.errors; break;
-      case SolveStatus::kCancelled: ++report.cancelled; break;
-    }
-    report.items.push_back(std::move(item));
-  }
-  return report;
 }
 
 /// Two-way latch for the blocking test solver (same shape as the
@@ -158,13 +137,11 @@ std::pair<InstanceHandle, InstanceHandle> handles_on_distinct_shards(
 
 // The tentpole acceptance property: for a fixed request sequence, outcomes
 // are byte-identical across shard counts AND worker counts, and identical
-// to the closed-batch reference.
-TEST(ShardedService, ByteIdenticalOutcomesAcrossShardAndWorkerCounts) {
+// to serial registry solves of the same requests, in submission order.
+TEST(ShardedService, ByteIdenticalToSerialSolvesAcrossShardAndWorkerCounts) {
   const auto requests = mixed_requests(16);
-  BatchJsonOptions json;
-  json.include_timing = false;
-  json.include_schedules = true;
-  const std::string reference = batch_report_json(solve_batch(requests), json);
+  std::vector<std::string> reference;
+  for (const auto& request : requests) reference.push_back(serial_payload(request));
 
   for (const unsigned shards : {1u, 2u, 8u}) {
     for (const unsigned workers : {1u, 2u, 8u}) {
@@ -175,11 +152,11 @@ TEST(ShardedService, ByteIdenticalOutcomesAcrossShardAndWorkerCounts) {
       ASSERT_EQ(tickets.size(), requests.size());
       service.drain();
 
-      std::vector<SolveOutcome> outcomes;
-      outcomes.reserve(tickets.size());
-      for (const auto ticket : tickets) outcomes.push_back(service.wait(ticket));
-      EXPECT_EQ(batch_report_json(report_from(outcomes), json), reference)
-          << "outcomes differ at " << shards << " shards x " << workers << " workers";
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        EXPECT_EQ(outcome_payload(service.wait(tickets[i])), reference[i])
+            << "outcome " << i << " differs at " << shards << " shards x " << workers
+            << " workers";
+      }
 
       const auto stats = service.stats();
       EXPECT_EQ(stats.submitted, requests.size());
@@ -524,6 +501,33 @@ TEST(ServiceConfigTest, BothTiersRejectBadRobustnessKnobs) {
   good.max_queue_depth = 8;
   good.overload_policy = "shed_oldest";
   EXPECT_NO_THROW(ShardedSchedulerService(good, 2));
+}
+
+// ---------------------------------------------------------- batch intake
+
+TEST(ShardedService, EmptyBatchIssuesNoTickets) {
+  ServiceConfig config;
+  config.threads = 1;
+  ShardedSchedulerService service(config, 2);
+  EXPECT_TRUE(service.submit(std::vector<SolveRequest>{}).empty());
+  service.drain();  // returns at once: nothing was enqueued
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
+TEST(ShardedService, RequestWithEmptyHandleIsRejectedUpFront) {
+  ServiceConfig config;
+  config.threads = 1;
+  ShardedSchedulerService service(config, 2);
+  EXPECT_THROW(static_cast<void>(service.submit(SolveRequest{})), std::invalid_argument);
+  // A bad request anywhere in a vector is refused before the first enqueue,
+  // so no earlier request is left holding a ticket the caller never saw.
+  std::vector<SolveRequest> requests;
+  requests.emplace_back("naive", SolverOptions::from_string("policy=lpt-seq"),
+                        InstanceHandle::intern(small_instance(7800)));
+  requests.push_back(SolveRequest{});
+  EXPECT_THROW(static_cast<void>(service.submit(std::move(requests))), std::invalid_argument);
+  service.drain();
+  EXPECT_EQ(service.stats().submitted, 0u);
 }
 
 // ----------------------------------------------------------- typed errors

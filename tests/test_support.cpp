@@ -1,10 +1,9 @@
 // Unit and property tests for src/support: rng, statistics, table,
-// parallel_for, json, math utilities, word hash, radix sort.
+// cancel tokens, json, math utilities, word hash, radix sort.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cfloat>
 #include <cmath>
 #include <cstddef>
@@ -18,9 +17,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/cancellation.hpp"
 #include "support/json.hpp"
 #include "support/math_utils.hpp"
-#include "support/parallel_for.hpp"
 #include "support/radix_sort.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
@@ -250,7 +249,6 @@ TEST(Statistics, PercentileHandlesEmptyAndSingle) {
 TEST(Statistics, Means) {
   const std::vector<double> values{1.0, 4.0, 16.0};
   EXPECT_DOUBLE_EQ(mean_of(values), 7.0);
-  EXPECT_NEAR(geometric_mean(values), 4.0, 1e-12);
   EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
 }
 
@@ -280,30 +278,13 @@ TEST(Table, CellFormatting) {
   EXPECT_EQ(cell(static_cast<std::size_t>(9)), "9");
 }
 
-// ------------------------------------------------------------- parallel_for
+// ------------------------------------------------------------- cancel token
 
-TEST(ParallelFor, ComputesEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for(500, [&](std::size_t i) { ++hits[i]; }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; }, 4);
-}
-
-TEST(ParallelFor, SingleThreadFallback) {
-  std::atomic<int> total{0};
-  parallel_for(100, [&](std::size_t) { ++total; }, 1);
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(ParallelFor, PropagatesException) {
-  EXPECT_THROW(
-      parallel_for(64, [](std::size_t i) {
-        if (i == 13) throw std::runtime_error("boom");
-      }, 4),
-      std::runtime_error);
+TEST(CancelToken, CopiedTokensShareOneFlag) {
+  CancelToken token;
+  const CancelToken copy = token;
+  token.cancel();
+  EXPECT_TRUE(copy.cancelled());
 }
 
 // --------------------------------------------------------------------- json
