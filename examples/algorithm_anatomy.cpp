@@ -37,14 +37,13 @@ std::vector<double> width_profile(int width, double height, int machines) {
 void figure1_malleable_list() {
   std::cout << "--- Figure 1: a malleable list schedule ---------------------------\n";
   std::cout << "(parallel tasks all start at t=0; sequential tasks follow LPT-style)\n\n";
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(3, 0.9, 10), "par1");
-  tasks.emplace_back(width_profile(3, 0.8, 10), "par2");
-  tasks.emplace_back(width_profile(2, 0.85, 10), "par3");
+  Instance instance(10);
+  instance.add_task(width_profile(3, 0.9, 10), "par1");
+  instance.add_task(width_profile(3, 0.8, 10), "par2");
+  instance.add_task(width_profile(2, 0.85, 10), "par3");
   for (int i = 0; i < 6; ++i) {
-    tasks.emplace_back(sequential_profile(0.35 + 0.05 * i, 10), "seq" + std::to_string(i));
+    instance.add_task(sequential_profile(0.35 + 0.05 * i, 10), "seq" + std::to_string(i));
   }
-  const Instance instance(10, std::move(tasks));
   const auto schedule = malleable_list_schedule(instance, 1.0);
   render_gantt(std::cout, *schedule, instance);
   std::cout << "guarantee at m=10: 2 - 2/11 = " << malleable_list_guarantee(10)
@@ -72,14 +71,13 @@ void figures3to5_two_shelf() {
   std::cout << "(shelf 1 = window [0,d]; shelf 2 = window [d, d+lambda*d])\n\n";
   // Total canonical work 3*3*0.75 + 0.6 + 0.3 + 0.25 = 7.9 <= m = 8, yet
   // S1 wants 9 processors: q1 = 1 forces a knapsack migration.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(3, 0.75, 8), "tall1");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "tall2");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "tall3");
-  tasks.emplace_back(sequential_profile(0.6, 8), "mid");
-  tasks.emplace_back(sequential_profile(0.3, 8), "small1");
-  tasks.emplace_back(sequential_profile(0.25, 8), "small2");
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(width_profile(3, 0.75, 8), "tall1");
+  instance.add_task(width_profile(3, 0.75, 8), "tall2");
+  instance.add_task(width_profile(3, 0.75, 8), "tall3");
+  instance.add_task(sequential_profile(0.6, 8), "mid");
+  instance.add_task(sequential_profile(0.3, 8), "small1");
+  instance.add_task(sequential_profile(0.25, 8), "small2");
   TwoShelfOptions options;
   const auto outcome = two_shelf_schedule(instance, 1.0, options);
   std::cout << "partition: |S1|=" << outcome.s1_count << " |S2|=" << outcome.s2_count
@@ -93,14 +91,13 @@ void figures3to5_two_shelf() {
 
   std::cout << "--- Figure 5: a trivial solution of 4_lambda ----------------------\n";
   std::cout << "(one huge task alone on the short shelf, everything else on shelf 1)\n\n";
-  std::vector<MalleableTask> trivial_tasks;
+  Instance trivial_instance(8);
   std::vector<double> huge(8);
   for (int p = 1; p <= 8; ++p) huge[static_cast<std::size_t>(p) - 1] = 5.6 / p;
-  trivial_tasks.emplace_back(huge, "huge");
-  trivial_tasks.emplace_back(sequential_profile(0.8, 8), "flat1");
-  trivial_tasks.emplace_back(sequential_profile(0.8, 8), "flat2");
-  trivial_tasks.emplace_back(sequential_profile(0.8, 8), "flat3");
-  const Instance trivial_instance(8, std::move(trivial_tasks));
+  trivial_instance.add_task(huge, "huge");
+  trivial_instance.add_task(sequential_profile(0.8, 8), "flat1");
+  trivial_instance.add_task(sequential_profile(0.8, 8), "flat2");
+  trivial_instance.add_task(sequential_profile(0.8, 8), "flat3");
   const auto trivial = two_shelf_schedule(trivial_instance, 1.0, options);
   if (trivial.schedule) {
     render_gantt(std::cout, *trivial.schedule, trivial_instance);

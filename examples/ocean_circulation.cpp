@@ -35,7 +35,7 @@ int main() {
   // The storm intensifies: refinement probability grows step by step.
   const double refine_steps[] = {0.05, 0.2, 0.4, 0.6, 0.8};
   int step = 0;
-  Instance last(1, {});
+  Instance last(1);
   MrtResult last_result{Schedule(1, 0), 0, 0, 0, 0, 0, 0, {}};
   for (const double refine : refine_steps) {
     options.refine_prob = refine;

@@ -21,16 +21,15 @@ int main() {
   // behavior: an Amdahl solver, two power-law kernels, a communication-bound
   // stencil, and a few sequential chores.
   const int machines = 16;
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(amdahl_profile(/*seq_time=*/12.0, /*serial_fraction=*/0.08, machines),
-                     "solver");
-  tasks.emplace_back(power_law_profile(9.0, /*alpha=*/0.85, machines), "fft");
-  tasks.emplace_back(power_law_profile(7.5, 0.7, machines), "assembly");
-  tasks.emplace_back(comm_overhead_profile(10.0, /*overhead=*/0.05, machines), "stencil");
-  tasks.emplace_back(sequential_profile(2.0, machines), "io");
-  tasks.emplace_back(sequential_profile(1.2, machines), "log-merge");
-  tasks.emplace_back(sequential_profile(2.8, machines), "checkpoint");
-  const Instance instance(machines, std::move(tasks));
+  Instance instance(machines);
+  instance.add_task(amdahl_profile(/*seq_time=*/12.0, /*serial_fraction=*/0.08, machines),
+                    "solver");
+  instance.add_task(power_law_profile(9.0, /*alpha=*/0.85, machines), "fft");
+  instance.add_task(power_law_profile(7.5, 0.7, machines), "assembly");
+  instance.add_task(comm_overhead_profile(10.0, /*overhead=*/0.05, machines), "stencil");
+  instance.add_task(sequential_profile(2.0, machines), "io");
+  instance.add_task(sequential_profile(1.2, machines), "log-merge");
+  instance.add_task(sequential_profile(2.8, machines), "checkpoint");
 
   // Solve. mrt_schedule runs the dual-approximation search of the paper:
   // guess a makespan d, either build a schedule <= sqrt(3)*d or prove

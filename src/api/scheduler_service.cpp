@@ -672,15 +672,31 @@ void SchedulerService::deliver_ready() {
   }
 }
 
+bool SchedulerService::reclaimable_locked(std::uint64_t id) const {
+  if (!options_.gc_slots) return false;
+  const Slot& slot = slots_[id];
+  if (slot.state != JobState::kDone || slot.reclaimed || !slot.observed) return false;
+  if (id >= next_delivery_) return false;  // not yet delivered to the stream
+  return !(in_callback_.has_value() && *in_callback_ == id);  // not being read right now
+}
+
 void SchedulerService::maybe_reclaim_locked(std::uint64_t id) {
-  if (!options_.gc_slots) return;
+  if (!reclaimable_locked(id)) return;
   Slot& slot = slots_[id];
-  if (slot.state != JobState::kDone || slot.reclaimed || !slot.observed) return;
-  if (id >= next_delivery_) return;  // not yet delivered to the stream
-  if (in_callback_.has_value() && *in_callback_ == id) return;  // being read right now
   slot.payload.reset();
   slot.reclaimed = true;
   ++stats_.slots_reclaimed;
+}
+
+SolveOutcome SchedulerService::observe_locked(std::uint64_t id) {
+  // A slot this read makes reclaimable is freed in the same step, so its
+  // outcome (schedule and stats) is moved out rather than copied.
+  Slot& slot = slots_[id];
+  slot.observed = true;
+  if (!reclaimable_locked(id)) return slot.payload->outcome;
+  SolveOutcome out = std::move(slot.payload->outcome);
+  maybe_reclaim_locked(id);
+  return out;
 }
 
 std::optional<SolveOutcome> SchedulerService::poll(JobTicket ticket) {
@@ -688,16 +704,13 @@ std::optional<SolveOutcome> SchedulerService::poll(JobTicket ticket) {
   if (ticket.id >= slots_.size()) {
     throw std::out_of_range("SchedulerService: unknown ticket " + std::to_string(ticket.id));
   }
-  Slot& slot = slots_[ticket.id];
+  const Slot& slot = slots_[ticket.id];
   if (slot.reclaimed) {
     throw std::logic_error("SchedulerService: ticket " + std::to_string(ticket.id) +
                            " was already observed and reclaimed (gc_slots)");
   }
   if (slot.state != JobState::kDone) return std::nullopt;
-  std::optional<SolveOutcome> out = slot.payload->outcome;
-  slot.observed = true;
-  maybe_reclaim_locked(ticket.id);
-  return out;
+  return observe_locked(ticket.id);
 }
 
 JobState SchedulerService::state(JobTicket ticket) const {
@@ -716,15 +729,11 @@ SolveOutcome SchedulerService::wait(JobTicket ticket) {
   // unblocked by: finish()/cancel()/shutdown() notifying done_cv_ at every
   // terminal transition; shutdown() terminalizes whatever never ran.
   while (slots_[ticket.id].state != JobState::kDone) done_cv_.wait(mutex_);
-  Slot& slot = slots_[ticket.id];
-  if (slot.reclaimed) {
+  if (slots_[ticket.id].reclaimed) {
     throw std::logic_error("SchedulerService: ticket " + std::to_string(ticket.id) +
                            " was already observed and reclaimed (gc_slots)");
   }
-  SolveOutcome out = slot.payload->outcome;
-  slot.observed = true;
-  maybe_reclaim_locked(ticket.id);
-  return out;
+  return observe_locked(ticket.id);
 }
 
 bool SchedulerService::cancel(JobTicket ticket) {

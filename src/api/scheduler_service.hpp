@@ -361,7 +361,9 @@ class SchedulerService {
       MALSCHED_EXCLUDES(mutex_);
   void deliver_ready() MALSCHED_EXCLUDES(mutex_);
   Inflight* find_inflight_locked(const SolveCache::Key& key) MALSCHED_REQUIRES(mutex_);
+  [[nodiscard]] bool reclaimable_locked(std::uint64_t id) const MALSCHED_REQUIRES(mutex_);
   void maybe_reclaim_locked(std::uint64_t id) MALSCHED_REQUIRES(mutex_);
+  [[nodiscard]] SolveOutcome observe_locked(std::uint64_t id) MALSCHED_REQUIRES(mutex_);
   void count_terminal_locked(const SolveOutcome& outcome) MALSCHED_REQUIRES(mutex_);
 
   ServiceConfig options_;

@@ -26,7 +26,7 @@ Schedule gang_schedule(const Instance& instance) {
 Schedule half_max_speedup_schedule(const Instance& instance) {
   std::vector<int> allotment(static_cast<std::size_t>(instance.size()), 1);
   for (int i = 0; i < instance.size(); ++i) {
-    const auto& task = instance.task(i);
+    const MalleableTask task = instance.task(i);
     const double target = task.speedup(instance.machines()) / 2.0;
     int procs = 1;
     while (procs < instance.machines() && task.speedup(procs) < target) ++procs;

@@ -30,13 +30,14 @@ namespace {
 /// no allotment, so it is dropped before the subsample spends a slot on it.
 std::vector<double> candidate_thresholds(const Instance& instance, int max_candidates) {
   double longest = 0.0;
-  for (const auto& task : instance.tasks()) {
-    longest = std::max(longest, task.time(instance.machines()));
+  for (int i = 0; i < instance.size(); ++i) {
+    longest = std::max(longest, instance.task(i).time(instance.machines()));
   }
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(instance.size()) *
                  static_cast<std::size_t>(instance.machines()));
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     for (int p = 1; p <= instance.machines(); ++p) {
       // min_procs_for's tolerance, so a kept value is one every task meets.
       const double value = task.time(p);

@@ -14,7 +14,8 @@ CanonicalAllotment canonical_allotment(const Instance& instance, double deadline
   result.deadline = deadline;
   result.feasible = true;
   result.procs.reserve(static_cast<std::size_t>(instance.size()));
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     const auto gamma = task.min_procs_for(deadline);
     if (!gamma || *gamma > instance.machines()) {
       result.feasible = false;

@@ -19,9 +19,7 @@ namespace {
 double dual_ramp_start(const Instance& instance, double static_lb) {
   if (static_lb > 0.0) return static_lb;
   double smallest = std::numeric_limits<double>::infinity();
-  for (const auto& task : instance.tasks()) {
-    for (const double t : task.profile()) smallest = std::min(smallest, t);
-  }
+  for (const double t : instance.times()) smallest = std::min(smallest, t);
   return std::isfinite(smallest) ? smallest : 1.0;
 }
 

@@ -8,7 +8,9 @@ DualWorkspace::DualWorkspace(const Instance& instance)
     : instance_(&instance),
       machines_(instance.machines()),
       task_count_(instance.size()),
-      tasks_(instance.tasks().data()) {
+      times_(instance.times().data()),
+      offsets_(instance.offsets().data()),
+      seq_times_(instance.seq_times().data()) {
   const auto n = static_cast<std::size_t>(task_count_);
   canonical_.procs.reserve(n);
   order_.reserve(n);
@@ -33,7 +35,12 @@ const CanonicalAllotment& DualWorkspace::canonical(double deadline) {
   double total_work = 0.0;
   long long total_procs = 0;
   for (int i = 0; i < task_count_; ++i) {
-    const auto gamma = tasks_[static_cast<std::size_t>(i)].min_procs_for(deadline);
+    const auto task = static_cast<std::size_t>(i);
+    const auto gamma =
+        leq(seq_times_[task], deadline)
+            ? std::optional<int>(1)
+            : MalleableTask::parallel_procs_for(
+                  {times_ + offsets_[task], offsets_[task + 1] - offsets_[task]}, deadline);
     if (!gamma || *gamma > machines_) {
       canonical_.feasible = false;
       canonical_.procs.clear();

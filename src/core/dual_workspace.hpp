@@ -19,9 +19,10 @@
 /// of a step:
 ///
 ///   * one canonical allotment per step (cached while the deadline repeats),
-///     its gamma lookups being MalleableTask::min_procs_for itself, which
-///     answers a sequential task from its stored t(1) without reading its
-///     profile, as do the allotment's work and the canonical times;
+///     its gamma lookups being MalleableTask::min_procs_for's, on the
+///     instance's flat arrays: a sequential task is answered from the dense
+///     t(1) array without reading its profile, as are the allotment's work
+///     and the canonical times;
 ///   * one decreasing-time order per step, shared by canonical_area and the
 ///     canonical list algorithm: a stable radix sort of the canonical times
 ///     (support/radix_sort.hpp; a comparison sort below its cutoff);
@@ -76,12 +77,10 @@ class DualWorkspace {
   [[nodiscard]] const Instance& instance() const noexcept { return *instance_; }
 
   /// t_task(procs) without the bounds check of MalleableTask::time: t(1)
-  /// from the task itself (MalleableTask::seq_time), any other count from
-  /// its profile.
+  /// from the dense t(1) array, any other count from the flat profile array.
   [[nodiscard]] double time(int task, int procs) const {
-    const MalleableTask& entry = tasks_[static_cast<std::size_t>(task)];
-    return procs == 1 ? entry.seq_time()
-                      : entry.profile()[static_cast<std::size_t>(procs) - 1];
+    const auto i = static_cast<std::size_t>(task);
+    return procs == 1 ? seq_times_[i] : times_[offsets_[i] + static_cast<std::size_t>(procs) - 1];
   }
 
   /// The canonical allotment at `deadline`, computed into a reused internal
@@ -116,9 +115,11 @@ class DualWorkspace {
   int machines_;
   int task_count_;
 
-  // The instance's tasks (no copy): time() reads them without the bounds
-  // check of Instance::task.
-  const MalleableTask* tasks_;
+  // The instance's flat arrays (no copy): time() and the gamma lookups
+  // index them without the bounds check of Instance::task.
+  const double* times_;
+  const std::size_t* offsets_;
+  const double* seq_times_;
 
   // Canonical-allotment cache and the shared per-step sort.
   CanonicalAllotment canonical_;

@@ -31,10 +31,12 @@ GraphScheduleResult layered_graph_schedule(const TaskGraph& graph, double epsilo
     }
     if (members.empty()) continue;
 
-    std::vector<MalleableTask> layer_tasks;
-    layer_tasks.reserve(members.size());
-    for (const int v : members) layer_tasks.push_back(graph.task(v));
-    const Instance layer(graph.machines(), std::move(layer_tasks));
+    Instance layer(graph.machines());
+    layer.reserve(static_cast<int>(members.size()));
+    for (const int v : members) {
+      const MalleableTask task = graph.task(v);
+      layer.add_task(task.profile(), task.name());
+    }
 
     MrtOptions options;
     options.search.epsilon = epsilon;
@@ -61,7 +63,7 @@ GraphScheduleResult ready_list_graph_schedule(const TaskGraph& graph) {
 
   for (const int v : graph.topological_order()) {
     // Smallest processor count reaching half the task's maximal speedup.
-    const auto& task = graph.task(v);
+    const MalleableTask task = graph.task(v);
     const double target = task.speedup(machines) / 2.0;
     int procs = 1;
     while (procs < machines && task.speedup(procs) < target) ++procs;

@@ -11,9 +11,8 @@
 
 namespace malsched {
 
-TaskGraph::TaskGraph(int machines, std::vector<MalleableTask> tasks,
-                     std::vector<std::pair<int, int>> edges)
-    : instance_(machines, std::move(tasks)),
+TaskGraph::TaskGraph(Instance instance, std::vector<std::pair<int, int>> edges)
+    : instance_(std::move(instance)),
       predecessors_(static_cast<std::size_t>(instance_.size())),
       successors_(static_cast<std::size_t>(instance_.size())) {
   const int n = instance_.size();
@@ -78,13 +77,13 @@ double TaskGraph::makespan_lower_bound() const {
 
 TaskGraph random_out_tree(const TreeWorkloadOptions& options, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<MalleableTask> tasks;
+  Instance tasks(options.machines);
   std::vector<std::pair<int, int>> edges;
-  tasks.reserve(static_cast<std::size_t>(options.tasks));
+  tasks.reserve(options.tasks);
   for (int v = 0; v < options.tasks; ++v) {
     const double seq = rng.log_uniform(options.seq_time_lo, options.seq_time_hi);
-    tasks.emplace_back(power_law_profile(seq, rng.uniform(0.6, 0.95), options.machines),
-                       label("node", v));
+    tasks.add_task(power_law_profile(seq, rng.uniform(0.6, 0.95), options.machines),
+                   label("node", v));
     if (v > 0) {
       // Attach to a random earlier node with spare child slots; preferring
       // recent nodes keeps the tree deep enough to have a real critical path.
@@ -94,20 +93,20 @@ TaskGraph random_out_tree(const TreeWorkloadOptions& options, std::uint64_t seed
       edges.emplace_back(parent, v);
     }
   }
-  return TaskGraph(options.machines, std::move(tasks), std::move(edges));
+  return TaskGraph(std::move(tasks), std::move(edges));
 }
 
 TaskGraph random_layered_dag(const LayeredDagOptions& options, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<MalleableTask> tasks;
+  Instance tasks(options.machines);
   std::vector<std::pair<int, int>> edges;
+  tasks.reserve(options.layers * options.width);
   for (int layer = 0; layer < options.layers; ++layer) {
     for (int slot = 0; slot < options.width; ++slot) {
       const int v = layer * options.width + slot;
       const double seq = rng.log_uniform(options.seq_time_lo, options.seq_time_hi);
-      tasks.emplace_back(
-          amdahl_profile(seq, rng.uniform(0.02, 0.3), options.machines),
-          label("L", layer, ".", slot));
+      tasks.add_task(amdahl_profile(seq, rng.uniform(0.02, 0.3), options.machines),
+                     label("L", layer, ".", slot));
       if (layer > 0) {
         const auto fan_in = static_cast<int>(rng.uniform_int(1, 3));
         for (int e = 0; e < fan_in; ++e) {
@@ -122,7 +121,7 @@ TaskGraph random_layered_dag(const LayeredDagOptions& options, std::uint64_t see
   // Deduplicate multi-edges.
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return TaskGraph(options.machines, std::move(tasks), std::move(edges));
+  return TaskGraph(std::move(tasks), std::move(edges));
 }
 
 }  // namespace malsched

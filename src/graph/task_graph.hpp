@@ -16,14 +16,13 @@ namespace malsched {
 /// Node indices are task indices; edges run predecessor -> successor.
 class TaskGraph {
  public:
-  /// Builds and validates: profiles cover m processors, edges in range,
-  /// graph acyclic. Throws std::invalid_argument otherwise.
-  TaskGraph(int machines, std::vector<MalleableTask> tasks,
-            std::vector<std::pair<int, int>> edges);
+  /// Builds and validates: edges in range, graph acyclic (the instance
+  /// validated its profiles). Throws std::invalid_argument otherwise.
+  TaskGraph(Instance instance, std::vector<std::pair<int, int>> edges);
 
   [[nodiscard]] int machines() const noexcept { return instance_.machines(); }
   [[nodiscard]] int size() const noexcept { return instance_.size(); }
-  [[nodiscard]] const MalleableTask& task(int index) const { return instance_.task(index); }
+  [[nodiscard]] MalleableTask task(int index) const { return instance_.task(index); }
 
   /// The node set viewed as an independent-task instance (for bounds).
   [[nodiscard]] const Instance& instance() const noexcept { return instance_; }

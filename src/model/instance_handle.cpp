@@ -1,11 +1,10 @@
 #include "model/instance_handle.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "model/lower_bounds.hpp"
 #include "support/mutex.hpp"
@@ -34,7 +33,8 @@ std::uint64_t content_fingerprint(const Instance& instance) {
   WordHash hash;
   hash.add_word(static_cast<std::uint64_t>(instance.machines()));
   hash.add_word(static_cast<std::uint64_t>(instance.size()));
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     hash.add_word(task.profile().size());
     hash.add_doubles(task.profile());
     hash.add_bytes(task.name());
@@ -42,44 +42,28 @@ std::uint64_t content_fingerprint(const Instance& instance) {
   return hash.finish();
 }
 
-/// Exact content equality (profiles compared bit for bit, names included):
-/// the deep half of handle equality behind a fingerprint match.
-bool same_instance_content(const Instance& a, const Instance& b) {
-  if (a.machines() != b.machines() || a.size() != b.size()) return false;
-  for (int i = 0; i < a.size(); ++i) {
-    const auto& ta = a.task(i);
-    const auto& tb = b.task(i);
-    if (ta.name() != tb.name()) return false;
-    const auto& pa = ta.profile();
-    const auto& pb = tb.profile();
-    if (pa.size() != pb.size()) return false;
-    for (std::size_t p = 0; p < pa.size(); ++p) {
-      if (std::bit_cast<std::uint64_t>(pa[p]) != std::bit_cast<std::uint64_t>(pb[p])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// Interns served by an existing live table entry; audit counter, same
 /// relaxed-delta discipline as hash_count.
 std::atomic<std::uint64_t> intern_hits{0};
 
-/// The process-wide intern table. Buckets are keyed by fingerprint and hold
-/// weak references: the table never keeps an instance alive, it only lets a
-/// later equal-content intern() find a still-live allocation. Dead entries
-/// are pruned as their bucket is revisited (and wholesale by
-/// intern_table_size()).
+/// The process-wide intern table: entries keyed by fingerprint, holding weak
+/// references. The table never keeps an instance alive, it only lets a later
+/// equal-content intern() find a still-live allocation. A probe drops the
+/// dead entries under its own fingerprint; the other dead entries go in a
+/// sweep of the whole table, once it holds twice the entries the last sweep
+/// left (and at least kSweepFloor), so the table stays within twice its
+/// live entries plus the floor, at amortised O(1) per intern.
 struct InternEntry {
   std::weak_ptr<const Instance> instance;
   double lower_bound;  ///< makespan_lower_bound, cached so hits skip it
 };
 
+constexpr std::size_t kSweepFloor = 64;
+
 struct InternTable {
   Mutex mutex;
-  std::unordered_map<std::uint64_t, std::vector<InternEntry>> buckets
-      MALSCHED_GUARDED_BY(mutex);
+  std::unordered_multimap<std::uint64_t, InternEntry> entries MALSCHED_GUARDED_BY(mutex);
+  std::size_t sweep_at MALSCHED_GUARDED_BY(mutex){kSweepFloor};
 };
 
 InternTable& intern_table() {
@@ -101,21 +85,25 @@ InternOutcome intern_or_insert(std::uint64_t fingerprint, const Instance& conten
                                Materialize&& materialize) {
   auto& table = intern_table();
   LockGuard lock(table.mutex);
-  auto& bucket = table.buckets[fingerprint];
-  for (auto it = bucket.begin(); it != bucket.end();) {
-    if (auto live = it->instance.lock()) {
-      if (same_instance_content(*live, content)) {
+  auto [it, end] = table.entries.equal_range(fingerprint);
+  while (it != end) {
+    if (auto live = it->second.instance.lock()) {
+      if (*live == content) {
         intern_hits.fetch_add(1, std::memory_order_relaxed);
-        return {std::move(live), it->lower_bound};
+        return {std::move(live), it->second.lower_bound};
       }
       ++it;
     } else {
-      it = bucket.erase(it);
+      it = table.entries.erase(it);
     }
   }
   std::shared_ptr<const Instance> shared = materialize();
   const double lower_bound = makespan_lower_bound(*shared);
-  bucket.push_back({shared, lower_bound});
+  table.entries.emplace(fingerprint, InternEntry{shared, lower_bound});
+  if (table.entries.size() >= table.sweep_at) {
+    std::erase_if(table.entries, [](const auto& entry) { return entry.second.instance.expired(); });
+    table.sweep_at = std::max(kSweepFloor, 2 * table.entries.size());
+  }
   return {std::move(shared), lower_bound};
 }
 
@@ -156,7 +144,7 @@ bool operator==(const InstanceHandle& a, const InstanceHandle& b) {
   if (a.instance_.get() == b.instance_.get()) return true;  // covers both empty
   if (!a.instance_ || !b.instance_) return false;
   if (a.fingerprint_ != b.fingerprint_) return false;
-  return same_instance_content(*a.instance_, *b.instance_);
+  return *a.instance_ == *b.instance_;
 }
 
 std::uint64_t InstanceHandle::content_hashes() noexcept {
@@ -170,20 +158,7 @@ std::uint64_t InstanceHandle::intern_table_hits() noexcept {
 std::size_t InstanceHandle::intern_table_size() {
   auto& table = intern_table();
   LockGuard lock(table.mutex);
-  std::size_t live = 0;
-  for (auto bucket_it = table.buckets.begin(); bucket_it != table.buckets.end();) {
-    auto& bucket = bucket_it->second;
-    for (auto it = bucket.begin(); it != bucket.end();) {
-      if (it->instance.expired()) {
-        it = bucket.erase(it);
-      } else {
-        ++live;
-        ++it;
-      }
-    }
-    bucket_it = bucket.empty() ? table.buckets.erase(bucket_it) : std::next(bucket_it);
-  }
-  return live;
+  return table.entries.size();
 }
 
 }  // namespace malsched

@@ -32,8 +32,8 @@
 ///    `fingerprint % shards`, which the avalanche splits evenly. Two handles
 ///    interned from separately built but identical instances carry the same
 ///    fingerprint; operator== confirms with a deep compare behind it
-///    (collision safety), short-circuited by pointer equality for handles
-///    sharing one intern.
+///    (Instance's operator==, collision safety), short-circuited by pointer
+///    equality for handles sharing one intern.
 ///  * **Static lower bound.** makespan_lower_bound(instance), computed once;
 ///    SolveRequest-path registry dispatch reuses it instead of re-deriving
 ///    it per solve (bit-identical -- same function, same frozen instance).
@@ -48,8 +48,10 @@
 /// lower bound -- no recompute), so equal-content handles are
 /// pointer-identical across threads and across ShardedSchedulerService
 /// shards, and operator== takes its pointer fast path. The table holds weak
-/// references only: it never extends an instance's lifetime, and dead
-/// entries are pruned as their buckets are revisited. Each intern() still
+/// references only: it never extends an instance's lifetime. A probe drops
+/// the dead entries under its fingerprint, and a sweep of the whole table,
+/// due once it holds twice the entries the last sweep left, drops the rest,
+/// so the table stays within about twice its live entries. Each intern() still
 /// hashes the incoming content exactly once (the probe needs the
 /// fingerprint), so the content_hashes() audit contract is unchanged: +1 per
 /// intern(), zero after.
@@ -100,8 +102,8 @@ class InstanceHandle {
   /// audit counter like content_hashes(): take deltas.
   [[nodiscard]] static std::uint64_t intern_table_hits() noexcept;
 
-  /// Live (still-referenced) entries in the process-wide intern table; prunes
-  /// dead entries as a side effect. For tests and introspection.
+  /// Entries the process-wide intern table holds, live or not yet swept;
+  /// prunes nothing. For tests and introspection.
   [[nodiscard]] static std::size_t intern_table_size();
 
  private:

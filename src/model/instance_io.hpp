@@ -16,7 +16,10 @@
 ///     ...
 namespace malsched {
 
-/// Writes `instance` to `out` in the format above.
+/// Writes `instance` to `out` in the format above. Throws
+/// std::invalid_argument, before writing anything, when the text would not
+/// read back as the same content: a task name that is "-" or holds
+/// whitespace, or a profile longer than m.
 void write_instance(std::ostream& out, const Instance& instance);
 
 /// Parses an instance; throws std::runtime_error with a line diagnostic on

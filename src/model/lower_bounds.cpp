@@ -9,9 +9,14 @@ double area_lower_bound(const Instance& instance) {
 }
 
 double critical_path_lower_bound(const Instance& instance) {
+  // t_i(m) of every task, read off the flat profile array: every profile
+  // covers at least m processor counts.
+  const auto times = instance.times();
+  const auto offsets = instance.offsets();
+  const auto last = static_cast<std::size_t>(instance.machines()) - 1;
   double bound = 0.0;
-  for (const auto& task : instance.tasks()) {
-    bound = std::max(bound, task.time(instance.machines()));
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    bound = std::max(bound, times[offsets[i] + last]);
   }
   return bound;
 }

@@ -17,12 +17,10 @@ bool non_increasing(double previous, double current) noexcept {
   return current <= previous * (1.0 + kRelEps) + kAbsEps;
 }
 
-/// The validation pass of validate() and the constructor. `times` is
-/// checked as given; when `stored` is non-null, stored[p] receives the
-/// running minimum of times[0..p] in the same pass. `stored` may alias
-/// `times`: each step reads times[p] before it writes stored[p] and keeps
-/// times[p-1] itself.
-std::optional<std::string> check_profile(const std::vector<double>& times, double* stored) {
+}  // namespace
+
+std::optional<std::string> MalleableTask::check_profile(std::span<const double> times,
+                                                        double* stored) {
   if (times.empty()) return "profile is empty";
   for (std::size_t i = 0; i < times.size(); ++i) {
     if (!(times[i] > 0.0) || !std::isfinite(times[i])) {
@@ -49,44 +47,25 @@ std::optional<std::string> check_profile(const std::vector<double>& times, doubl
   return std::nullopt;
 }
 
-}  // namespace
-
-std::optional<std::string> MalleableTask::validate(const std::vector<double>& times) {
+std::optional<std::string> MalleableTask::validate(std::span<const double> times) {
   return check_profile(times, nullptr);
 }
 
-MalleableTask::MalleableTask(std::vector<double> times, std::string name)
-    : times_(std::move(times)), name_(std::move(name)) {
-  // The slack above admits a profile that creeps upwards by up to kRelEps
-  // per step; storing its running minimum makes the stored t exactly
-  // non-increasing, which min_procs_for's search and the lower bounds'
-  // use of t(m) rely on.
-  if (const auto problem = check_profile(times_, times_.data())) {
-    throw std::invalid_argument("MalleableTask: " + *problem +
-                                (name_.empty() ? std::string{} : " (task " + name_ + ")"));
-  }
-  seq_time_ = times_.front();
+void MalleableTask::throw_bad_procs(int procs) const {
+  throw std::out_of_range("MalleableTask::time: procs=" + std::to_string(procs) +
+                          " outside [1, " + std::to_string(max_procs()) + "]");
 }
 
-double MalleableTask::time(int procs) const {
-  if (procs < 1 || procs > max_procs()) {
-    throw std::out_of_range("MalleableTask::time: procs=" + std::to_string(procs) +
-                            " outside [1, " + std::to_string(max_procs()) + "]");
-  }
-  return times_[static_cast<std::size_t>(procs) - 1];
-}
-
-double MalleableTask::work(int procs) const { return static_cast<double>(procs) * time(procs); }
-
-std::optional<int> MalleableTask::parallel_procs_for(double deadline) const {
+std::optional<int> MalleableTask::parallel_procs_for(std::span<const double> profile,
+                                                     double deadline) {
   // t is non-increasing, so the feasible processor counts form a suffix;
   // binary search the first p in [2, m] with t(p) <= deadline.
-  if (!leq(times_.back(), deadline)) return std::nullopt;
+  if (!leq(profile.back(), deadline)) return std::nullopt;
   int lo = 2;
-  int hi = max_procs();
+  auto hi = static_cast<int>(profile.size());
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (leq(times_[static_cast<std::size_t>(mid) - 1], deadline)) {
+    if (leq(profile[static_cast<std::size_t>(mid) - 1], deadline)) {
       hi = mid;
     } else {
       lo = mid + 1;

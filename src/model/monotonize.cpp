@@ -23,7 +23,7 @@ std::vector<double> monotonize(std::vector<double> times) {
   return times;
 }
 
-bool is_monotonic_profile(const std::vector<double>& times) {
+bool is_monotonic_profile(std::span<const double> times) {
   return !MalleableTask::validate(times).has_value();
 }
 

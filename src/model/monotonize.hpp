@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 /// Repairing arbitrary time profiles into valid monotonic ones.
@@ -23,6 +24,6 @@ namespace malsched {
 [[nodiscard]] std::vector<double> monotonize(std::vector<double> times);
 
 /// True when the profile already satisfies both monotonicity conditions.
-[[nodiscard]] bool is_monotonic_profile(const std::vector<double>& times);
+[[nodiscard]] bool is_monotonic_profile(std::span<const double> times);
 
 }  // namespace malsched

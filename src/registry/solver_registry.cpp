@@ -111,7 +111,7 @@ SolverResult solve_graph(const Instance& instance, const SolverOptions& options)
   // The registry interface is instance-based; viewed as a DAG with no edges
   // the graph schedulers apply directly (front ends with real precedence
   // graphs call them natively).
-  const TaskGraph graph(instance.machines(), instance.tasks(), {});
+  const TaskGraph graph(instance, {});
   const std::string strategy = options.get_string("strategy", kDefaultStrategy);
   auto result = [&] {
     if (strategy == "layered") {

@@ -31,7 +31,9 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
   // Read in place: the loop below fails the report on any unassigned task,
   // so every later read finds a placement.
   const auto& assignments = schedule.assignments();
-  const auto& tasks = instance.tasks();
+  const auto seq_times = instance.seq_times();
+  const auto times = instance.times();
+  const auto offsets = instance.offsets();
   for (int i = 0; i < instance.size(); ++i) {
     const auto& assignment = assignments[static_cast<std::size_t>(i)];
     if (assignment.task == -1) {
@@ -48,9 +50,11 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
       report.fail("task " + std::to_string(i) + ": scattered placement where contiguity required");
     }
     // A one-processor placement, most of a list schedule's, reads t(1) from
-    // the task itself rather than from its profile.
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    const double expected = procs == 1 ? task.seq_time() : task.time(procs);
+    // the dense t(1) array rather than from its profile; procs <= m, which
+    // every profile covers.
+    const auto task = static_cast<std::size_t>(i);
+    const double expected = procs == 1 ? seq_times[task]
+                                       : times[offsets[task] + static_cast<std::size_t>(procs) - 1];
     if (!approx_eq(assignment.duration, expected)) {
       report.fail("task " + std::to_string(i) + ": recorded duration " +
                   std::to_string(assignment.duration) + " != t(" + std::to_string(procs) +

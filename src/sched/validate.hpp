@@ -34,8 +34,8 @@ struct ValidationOptions {
 
 /// Checks that `schedule` is a complete, feasible schedule of `instance`:
 ///   * every task placed exactly once on >= 1 processors of the machine,
-///   * recorded duration equals t_i(procs) from the instance profile (t(1)
-///     read from MalleableTask::seq_time()),
+///   * recorded duration equals t_i(procs) from the instance's flat profile
+///     array (t(1) from its dense t(1) array),
 ///   * no two tasks share a processor at the same time: adjacent pairs of
 ///     every processor chain (sched/processor_chains.hpp), the same chains
 ///     compaction propagates along,

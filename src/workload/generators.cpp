@@ -49,36 +49,36 @@ std::vector<double> random_profile(Rng& rng, double seq_time, int machines) {
 }
 
 Instance uniform_instance(const GeneratorOptions& options, Rng& rng) {
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(options.tasks));
+  Instance instance(options.machines);
+  instance.reserve(options.tasks);
   for (int i = 0; i < options.tasks; ++i) {
     const double seq = rng.log_uniform(options.seq_time_lo, options.seq_time_hi);
-    tasks.emplace_back(random_profile(rng, seq, options.machines),
-                       label("u", i));
+    instance.add_task(random_profile(rng, seq, options.machines),
+                      label("u", i));
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 Instance bimodal_instance(const GeneratorOptions& options, Rng& rng) {
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(options.tasks));
+  Instance instance(options.machines);
+  instance.reserve(options.tasks);
   for (int i = 0; i < options.tasks; ++i) {
     if (rng.bernoulli(0.2)) {
       const double seq = options.seq_time_hi * rng.uniform(2.0, 6.0);
-      tasks.emplace_back(power_law_profile(seq, rng.uniform(0.85, 0.98), options.machines),
-                         label("big", i));
+      instance.add_task(power_law_profile(seq, rng.uniform(0.85, 0.98), options.machines),
+                        label("big", i));
     } else {
       const double seq = rng.uniform(options.seq_time_lo, 2.0 * options.seq_time_lo);
-      tasks.emplace_back(amdahl_profile(seq, rng.uniform(0.3, 0.8), options.machines),
-                         label("small", i));
+      instance.add_task(amdahl_profile(seq, rng.uniform(0.3, 0.8), options.machines),
+                        label("small", i));
     }
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 Instance heavy_tail_instance(const GeneratorOptions& options, Rng& rng) {
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(options.tasks));
+  Instance instance(options.machines);
+  instance.reserve(options.tasks);
   constexpr double kParetoShape = 1.3;
   for (int i = 0; i < options.tasks; ++i) {
     double u = 0.0;
@@ -87,16 +87,17 @@ Instance heavy_tail_instance(const GeneratorOptions& options, Rng& rng) {
     } while (u <= 0.0);
     const double seq = std::min(options.seq_time_lo * std::pow(u, -1.0 / kParetoShape),
                                 options.seq_time_hi * 10.0);
-    tasks.emplace_back(random_profile(rng, seq, options.machines),
-                       label("ht", i));
+    instance.add_task(random_profile(rng, seq, options.machines),
+                      label("ht", i));
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 Instance stairs_instance(const GeneratorOptions& options, Rng& rng) {
   // Geometric ladder: level j holds 2^j tasks of roughly T/2^j sequential
   // time, producing the staircase structure of the paper's Figure 2.
-  std::vector<MalleableTask> tasks;
+  Instance instance(options.machines);
+  instance.reserve(options.tasks);
   const double top = options.seq_time_hi;
   int produced = 0;
   for (int level = 0; produced < options.tasks; ++level) {
@@ -104,22 +105,22 @@ Instance stairs_instance(const GeneratorOptions& options, Rng& rng) {
     for (int i = 0; i < count && produced < options.tasks; ++i, ++produced) {
       const double seq = top / static_cast<double>(1 << std::min(level, 12)) *
                          rng.uniform(0.9, 1.1);
-      tasks.emplace_back(
+      instance.add_task(
           power_law_profile(std::max(seq, 1e-3), rng.uniform(0.8, 0.95), options.machines),
           label("s", produced));
     }
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 Instance sequential_only_instance(const GeneratorOptions& options, Rng& rng) {
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(options.tasks));
+  Instance instance(options.machines);
+  instance.reserve(options.tasks);
   for (int i = 0; i < options.tasks; ++i) {
     const double seq = rng.log_uniform(options.seq_time_lo, options.seq_time_hi);
-    tasks.emplace_back(sequential_profile(seq, options.machines), label("q", i));
+    instance.add_task(sequential_profile(seq, options.machines), label("q", i));
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 }  // namespace
@@ -163,8 +164,8 @@ Instance packed_instance(int machines, std::uint64_t seed, int target_tasks) {
     }
   }
 
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(cells.size());
+  Instance instance(machines);
+  instance.reserve(static_cast<int>(cells.size()));
   int index = 0;
   for (const auto& cell : cells) {
     const double beta = rng.uniform(0.6, 1.0);
@@ -174,9 +175,9 @@ Instance packed_instance(int machines, std::uint64_t seed, int target_tasks) {
           cell.length *
           std::pow(static_cast<double>(cell.procs) / static_cast<double>(q), beta);
     }
-    tasks.emplace_back(std::move(profile), label("cell", index++));
+    instance.add_task(profile, label("cell", index++));
   }
-  return Instance(machines, std::move(tasks));
+  return instance;
 }
 
 Instance generate_instance(WorkloadFamily family, const GeneratorOptions& options,

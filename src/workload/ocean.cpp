@@ -43,8 +43,8 @@ Instance ocean_instance(const OceanOptions& options, std::uint64_t seed) {
     }
   }
 
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(leaves.size());
+  Instance instance(options.machines);
+  instance.reserve(static_cast<int>(leaves.size()));
   for (const auto& block : leaves) {
     // A refined block covers 1/4 of the parent's area but runs at double
     // resolution and half the time step, so per-step work per cell is
@@ -55,10 +55,10 @@ Instance ocean_instance(const OceanOptions& options, std::uint64_t seed) {
     const double substeps = static_cast<double>(1 << block.level);
     const double work = cells * options.cell_work * substeps * rng.uniform(0.85, 1.15);
     const double halo = options.halo_cost * 4.0 * side * substeps;
-    tasks.emplace_back(comm_overhead_profile(work, halo, options.machines),
-                       label("blk-L", block.level, "-", block.x, ".", block.y));
+    instance.add_task(comm_overhead_profile(work, halo, options.machines),
+                      label("blk-L", block.level, "-", block.x, ".", block.y));
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 }  // namespace malsched

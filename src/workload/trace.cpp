@@ -17,8 +17,8 @@ Instance trace_snapshot(const TraceOptions& options, std::uint64_t seed) {
                       ? std::min(options.max_parallelism_cap, options.machines)
                       : options.machines;
 
-  std::vector<MalleableTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(options.jobs));
+  Instance instance(options.machines);
+  instance.reserve(options.jobs);
   for (int j = 0; j < options.jobs; ++j) {
     const double seq =
         options.median_seq_hours * std::exp(rng.normal(0.0, options.sigma));
@@ -32,9 +32,9 @@ Instance trace_snapshot(const TraceOptions& options, std::uint64_t seed) {
       profile[static_cast<std::size_t>(p) - 1] =
           seq / std::pow(static_cast<double>(effective), alpha);
     }
-    tasks.emplace_back(monotonize(std::move(profile)), label("job", j));
+    instance.add_task(monotonize(std::move(profile)), label("job", j));
   }
-  return Instance(options.machines, std::move(tasks));
+  return instance;
 }
 
 }  // namespace malsched

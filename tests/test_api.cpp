@@ -260,9 +260,9 @@ TEST(SolverRegistry, RejectsDuplicateAndDegenerateRegistrations) {
 }
 
 TEST(SolverRegistry, ContiguityEnforcementMatchesRegistration) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{2.0, 1.5, 1.2});
-  const auto instance = InstanceHandle::intern(Instance(3, std::move(tasks)));
+  Instance tasks(3);
+  tasks.add_task(std::vector<double>{2.0, 1.5, 1.2});
+  const auto instance = InstanceHandle::intern(std::move(tasks));
   // Feasible but scattered: processors {0, 2} of 3.
   const auto scattered_fn = [](const Instance& inst, const SolverOptions&) {
     Schedule schedule(inst.machines(), inst.size());

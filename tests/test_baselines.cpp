@@ -89,7 +89,7 @@ TEST(TwoPhase, OneCandidateIsTheSmallestFeasibleThreshold) {
   options.machines = 8;
   const auto instance = generate_instance(WorkloadFamily::kUniform, options, 5);
   double longest = 0.0;
-  for (const auto& task : instance.tasks()) longest = std::max(longest, task.time(8));
+  for (int i = 0; i < instance.size(); ++i) longest = std::max(longest, instance.task(i).time(8));
   TwoPhaseOptions one;
   one.max_candidates = 1;
   const auto result = two_phase_schedule(instance, one);
@@ -124,7 +124,7 @@ TEST(Naive, GangSerializesEverything) {
   const auto schedule = gang_schedule(instance);
   EXPECT_TRUE(is_valid_schedule(schedule, instance));
   double expected = 0.0;
-  for (const auto& task : instance.tasks()) expected += task.time(8);
+  for (int i = 0; i < instance.size(); ++i) expected += instance.task(i).time(8);
   EXPECT_NEAR(schedule.makespan(), expected, 1e-9);
 }
 
@@ -140,12 +140,11 @@ TEST(Naive, HalfMaxSpeedupValid) {
 TEST(Naive, MrtBeatsOrMatchesNaiveOnAdversarialShapes) {
   // A single huge parallel task plus filler: LPT-sequential is terrible,
   // gang wastes the filler's parallelism -- MRT should beat both clearly.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(power_law_profile(40.0, 0.95, 16), "huge");
+  Instance instance(16);
+  instance.add_task(power_law_profile(40.0, 0.95, 16), "huge");
   for (int i = 0; i < 16; ++i) {
-    tasks.emplace_back(sequential_profile(1.0, 16), label("f", i));
+    instance.add_task(sequential_profile(1.0, 16), label("f", i));
   }
-  const Instance instance(16, std::move(tasks));
   const auto mrt = mrt_schedule(instance);
   const auto lpt = lpt_sequential_schedule(instance);
   const auto gang = gang_schedule(instance);
@@ -186,9 +185,8 @@ TEST(ThreeHalves, AcceptsWhenEverythingFitsTheShortShelf) {
   // All tasks meet d/2 on one processor and there are fewer tasks than
   // machines: the step must accept with a schedule no longer than 1.5 d
   // (after compaction, in fact no longer than d/2).
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 6; ++i) tasks.emplace_back(sequential_profile(0.4, 8));
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  for (int i = 0; i < 6; ++i) instance.add_task(sequential_profile(0.4, 8));
   const auto outcome = three_halves_dual_step(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value());
   EXPECT_TRUE(leq(outcome.schedule->makespan(), 0.5));

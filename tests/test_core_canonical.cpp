@@ -15,9 +15,8 @@ namespace malsched {
 namespace {
 
 TEST(Canonical, MinimalityOnKnownProfile) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 2.2, 1.8, 1.5});
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  instance.add_task(std::vector<double>{4.0, 2.2, 1.8, 1.5});
   const auto allotment = canonical_allotment(instance, 2.0);
   ASSERT_TRUE(allotment.feasible);
   EXPECT_EQ(allotment.procs[0], 3);  // t(2)=2.2 > 2.0, t(3)=1.8 <= 2.0
@@ -26,9 +25,8 @@ TEST(Canonical, MinimalityOnKnownProfile) {
 }
 
 TEST(Canonical, InfeasibleWhenDeadlineUnreachable) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 2.2});
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(std::vector<double>{4.0, 2.2});
   const auto allotment = canonical_allotment(instance, 1.0);
   EXPECT_FALSE(allotment.feasible);
   EXPECT_TRUE(certified_infeasible(instance, allotment));
@@ -36,9 +34,8 @@ TEST(Canonical, InfeasibleWhenDeadlineUnreachable) {
 
 TEST(Canonical, CertifiedInfeasibleByArea) {
   // Ten unit sequential tasks on 2 machines: canonical work 10 > 2 * 2.
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 10; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < 10; ++i) instance.add_task(sequential_profile(1.0, 2));
   const auto allotment = canonical_allotment(instance, 2.0);
   ASSERT_TRUE(allotment.feasible);
   EXPECT_TRUE(certified_infeasible(instance, allotment));
@@ -126,10 +123,9 @@ TEST(Canonical, Property2OnPackedInstances) {
 TEST(Canonical, AreaOfExactFitStacking) {
   // Two tasks of canonical width 2 on m=4: stacking fills exactly the first
   // 4 processors, so W equals the total canonical work.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{3.0, 1.9, 1.9, 1.9});
-  tasks.emplace_back(std::vector<double>{3.0, 1.8, 1.8, 1.8});
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  instance.add_task(std::vector<double>{3.0, 1.9, 1.9, 1.9});
+  instance.add_task(std::vector<double>{3.0, 1.8, 1.8, 1.8});
   const auto allotment = canonical_allotment(instance, 2.0);
   ASSERT_TRUE(allotment.feasible);
   EXPECT_EQ(allotment.total_procs, 4);
@@ -139,10 +135,9 @@ TEST(Canonical, AreaOfExactFitStacking) {
 TEST(Canonical, AreaTruncatesOverflowingTask) {
   // Widths 2 then 3 on m=4: the second task contributes only 2 of its 3
   // processors to the first-m area (Definition 1's fractional slice).
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{3.0, 1.9, 1.9, 1.9});
-  tasks.emplace_back(std::vector<double>{5.2, 2.7, 1.8, 1.8});
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  instance.add_task(std::vector<double>{3.0, 1.9, 1.9, 1.9});
+  instance.add_task(std::vector<double>{5.2, 2.7, 1.8, 1.8});
   const auto allotment = canonical_allotment(instance, 2.0);
   ASSERT_TRUE(allotment.feasible);
   ASSERT_EQ(allotment.procs[0], 2);
@@ -151,17 +146,15 @@ TEST(Canonical, AreaTruncatesOverflowingTask) {
 }
 
 TEST(Canonical, AreaWhenMachineNeverFills) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(0.5, 8));
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(sequential_profile(0.5, 8));
   const auto allotment = canonical_allotment(instance, 1.0);
   EXPECT_NEAR(canonical_area(instance, allotment), 0.5, 1e-12);
 }
 
 TEST(Canonical, ThresholdUsesMu) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 10));
-  const Instance instance(10, std::move(tasks));
+  Instance instance(10);
+  instance.add_task(sequential_profile(1.0, 10));
   EXPECT_NEAR(area_threshold(instance, 2.0), kMu * 10 * 2.0, 1e-12);
 }
 

@@ -131,9 +131,8 @@ TEST(DualStep, BranchSelectionFollowsAreaRegime) {
 TEST(DualSearch, SyntheticStepConvergesToThreshold) {
   // A synthetic dual step accepting exactly when guess >= 5.0; the search
   // must bracket 5.0 within (1+eps) and report certified bounds.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(1.0, 2));
   const DualStep step = [&](double guess) {
     DualStepResult result;
     if (guess >= 5.0) {
@@ -155,9 +154,8 @@ TEST(DualSearch, SyntheticStepConvergesToThreshold) {
 }
 
 TEST(DualSearch, UncertifiedRejectionsCountAsGaps) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(1.0, 2));
   int steps = 0;
   const DualStep step = [&](double guess) {
     ++steps;
@@ -182,7 +180,7 @@ TEST(DualSearch, EscapesZeroStaticLowerBound) {
   // An empty instance has a static lower bound of 0; before the ramp guard,
   // phase 1 could never escape `hi *= 2.0` from 0.0 and a step that only
   // accepts larger guesses exhausted the whole iteration budget and threw.
-  const Instance instance(2, {});
+  const Instance instance(2);
   ASSERT_EQ(makespan_lower_bound(instance), 0.0);
 
   int steps = 0;
@@ -217,9 +215,8 @@ TEST(DualSearch, RampStartEqualsStaticBoundOnRegularInstances) {
 }
 
 TEST(DualSearch, RejectsBadEpsilon) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(1.0, 2));
   DualSearchOptions options;
   options.epsilon = 0.0;
   EXPECT_THROW(
@@ -228,9 +225,8 @@ TEST(DualSearch, RejectsBadEpsilon) {
 }
 
 TEST(DualSearch, ThrowsWhenNothingAccepted) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(1.0, 2));
   DualSearchOptions options;
   options.max_iterations = 10;
   EXPECT_THROW(

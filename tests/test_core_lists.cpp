@@ -40,9 +40,8 @@ TEST(MalleableList, GuaranteeFormula) {
 
 TEST(MalleableList, RejectsWithCertificateOnly) {
   // Overloaded instance: rejection must fire (area certificate).
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 12; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < 12; ++i) instance.add_task(sequential_profile(1.0, 2));
   EXPECT_FALSE(malleable_list_schedule(instance, 1.0).has_value());
   EXPECT_TRUE(malleable_list_schedule(instance, 6.0).has_value());
 }
@@ -105,9 +104,8 @@ TEST(CanonicalList, ReallocationWidth) {
 }
 
 TEST(CanonicalList, RejectsOnlyWithCertificate) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 12; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < 12; ++i) instance.add_task(sequential_profile(1.0, 2));
   EXPECT_FALSE(canonical_list_schedule(instance, 1.0).schedule.has_value());
 }
 
@@ -175,11 +173,10 @@ TEST(CanonicalList, ReallocationFiresOnEngineeredInstance) {
   // below m = 12 so Property 2 does not reject, while the sort order places
   // the two width-4 tasks first and leaves exactly 4 idle processors --
   // fewer than the wide task's 6, triggering the reallocation.
-  std::vector<MalleableTask> engineered;
-  engineered.emplace_back(width_profile(4, 0.86, 12), "tall1");
-  engineered.emplace_back(width_profile(4, 0.85, 12), "tall2");
-  engineered.emplace_back(width_profile(6, 0.84, 12), "wide");
-  const Instance instance(12, std::move(engineered));
+  Instance instance(12);
+  instance.add_task(width_profile(4, 0.86, 12), "tall1");
+  instance.add_task(width_profile(4, 0.85, 12), "tall2");
+  instance.add_task(width_profile(6, 0.84, 12), "wide");
   const auto outcome = canonical_list_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value());
   EXPECT_TRUE(outcome.reallocated);

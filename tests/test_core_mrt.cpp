@@ -137,9 +137,8 @@ TEST(MrtScheduler, WorksOnTraceWorkload) {
 }
 
 TEST(MrtScheduler, SingleTaskInstance) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 2.5, 2.0, 1.75}, "only");
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  instance.add_task(std::vector<double>{4.0, 2.5, 2.0, 1.75}, "only");
   const auto result = mrt_schedule(instance);
   // One task: optimum is t(m) (monotone) and the scheduler must find it.
   EXPECT_NEAR(result.makespan, 1.75, 1e-9);
@@ -154,9 +153,8 @@ TEST(MrtScheduler, CreepingSingleTaskKeepsItsBoundBelowTheMakespan) {
   for (std::size_t p = 0; p < creeping.size(); ++p) {
     creeping[p] = 1.0 + static_cast<double>(p) * 0.9e-9;
   }
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(creeping, "creeping");
-  const Instance instance(64, std::move(tasks));
+  Instance instance(64);
+  instance.add_task(creeping, "creeping");
   EXPECT_EQ(instance.task(0).min_procs_for(1.0), 1);
   EXPECT_FALSE(certified_infeasible(instance, canonical_allotment(instance, 1.0)));
 

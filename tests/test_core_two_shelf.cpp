@@ -28,9 +28,8 @@ std::vector<double> width_profile(int width, double height, int machines) {
 }
 
 TEST(TwoShelf, CertifiedRejectOnImpossibleGuess) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 12; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < 12; ++i) instance.add_task(sequential_profile(1.0, 2));
   const auto outcome = two_shelf_schedule(instance, 1.0);
   EXPECT_TRUE(outcome.certified_reject);
   EXPECT_FALSE(outcome.schedule.has_value());
@@ -39,11 +38,10 @@ TEST(TwoShelf, CertifiedRejectOnImpossibleGuess) {
 TEST(TwoShelf, PartitionCountsAndThresholds) {
   // Construct one task per class: tall (t = 0.9 > lambda), medium
   // (0.5 < t = 0.6 <= lambda), small sequential (t = 0.3).
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(4, 0.9, 8), "tall");
-  tasks.emplace_back(width_profile(2, 0.6, 8), "medium");
-  tasks.emplace_back(sequential_profile(0.3, 8), "small");
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(width_profile(4, 0.9, 8), "tall");
+  instance.add_task(width_profile(2, 0.6, 8), "medium");
+  instance.add_task(sequential_profile(0.3, 8), "small");
   const auto outcome = two_shelf_schedule(instance, 1.0);
   EXPECT_EQ(outcome.s1_count, 1);
   EXPECT_EQ(outcome.s2_count, 1);
@@ -60,11 +58,10 @@ TEST(TwoShelf, LambdaScheduleStructure) {
   // migration, and the total work 3 * 3 * 0.75 = 6.75 stays below m so
   // Property 2 cannot reject. Verify the two-shelf shape: every task starts
   // at 0 (duration <= 1) or at 1 (finishing <= 1 + lambda).
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t1");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t2");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t3");
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(width_profile(3, 0.75, 8), "t1");
+  instance.add_task(width_profile(3, 0.75, 8), "t2");
+  instance.add_task(width_profile(3, 0.75, 8), "t3");
   const auto outcome = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value()) << "q1=" << outcome.q1;
   const auto& schedule = *outcome.schedule;
@@ -87,12 +84,11 @@ TEST(TwoShelf, SmallTasksFirstFitPackedWithinLambda) {
   // shelf processors within lambda.
   // Work budget: 6 * 0.8 + 10 * 0.2 = 6.8 <= m = 8, so the guess survives
   // Property 2.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(6, 0.8, 8), "bulk");
+  Instance instance(8);
+  instance.add_task(width_profile(6, 0.8, 8), "bulk");
   for (int i = 0; i < 10; ++i) {
-    tasks.emplace_back(sequential_profile(0.2, 8), label("s", i));
+    instance.add_task(sequential_profile(0.2, 8), label("s", i));
   }
-  const Instance instance(8, std::move(tasks));
   const auto outcome = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value());
   EXPECT_EQ(outcome.s3_count, 10);
@@ -108,16 +104,15 @@ TEST(TwoShelf, HugeTaskPlusUnshrinkableFillers) {
   // m = 8 and q1 = (6+3) - 8 = 1, so someone must migrate; only the big
   // task can. Either the knapsack or the trivial route must deliver.
   const int machines = 8;
-  std::vector<MalleableTask> tasks;
+  Instance instance(machines);
   std::vector<double> shrinkable(static_cast<std::size_t>(machines));
   for (int p = 1; p <= machines; ++p) {
     shrinkable[static_cast<std::size_t>(p) - 1] = 5.6 / static_cast<double>(p);
   }
-  tasks.emplace_back(shrinkable, "huge");
-  tasks.emplace_back(sequential_profile(0.8, machines), "flat1");
-  tasks.emplace_back(sequential_profile(0.8, machines), "flat2");
-  tasks.emplace_back(sequential_profile(0.8, machines), "flat3");
-  const Instance instance(machines, std::move(tasks));
+  instance.add_task(shrinkable, "huge");
+  instance.add_task(sequential_profile(0.8, machines), "flat1");
+  instance.add_task(sequential_profile(0.8, machines), "flat2");
+  instance.add_task(sequential_profile(0.8, machines), "flat3");
   const auto outcome = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value());
   EXPECT_TRUE(is_valid_schedule(*outcome.schedule, instance));
@@ -169,11 +164,10 @@ TEST(TwoShelf, ScalesWithDeadline) {
   // The construction must be scale-invariant: the engineered q1 = 1
   // instance accepted at d = 1 must also be accepted at d = 2 within
   // sqrt(3) * 2.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t1");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t2");
-  tasks.emplace_back(width_profile(3, 0.75, 8), "t3");
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(width_profile(3, 0.75, 8), "t1");
+  instance.add_task(width_profile(3, 0.75, 8), "t2");
+  instance.add_task(width_profile(3, 0.75, 8), "t3");
   const auto at_one = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(at_one.schedule.has_value());
   EXPECT_TRUE(leq(at_one.schedule->makespan(), kSqrt3));

@@ -103,7 +103,7 @@ std::uint64_t solve_digest(const SolveFigures& figures, const Schedule& schedule
 
 /// gamma_i(d) by definition: the fewest processors whose time is within
 /// `deadline` under the library tolerance, scanning the whole profile.
-std::optional<int> linear_min_procs_for(const std::vector<double>& profile, double deadline) {
+std::optional<int> linear_min_procs_for(std::span<const double> profile, double deadline) {
   for (std::size_t p = 0; p < profile.size(); ++p) {
     if (leq(profile[p], deadline)) return static_cast<int>(p) + 1;
   }
@@ -129,7 +129,8 @@ TEST_P(WorkspaceFamilyTest, GammaLookupMatchesLinearScan) {
   // must agree with the linear scan everywhere, including at the tolerance
   // boundary.
   std::vector<double> deadlines{0.0};
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     for (const double t : task.profile()) {
       deadlines.push_back(t);
       deadlines.push_back(std::nextafter(t, 0.0));
@@ -142,7 +143,7 @@ TEST_P(WorkspaceFamilyTest, GammaLookupMatchesLinearScan) {
   }
   for (const double d : deadlines) {
     for (int i = 0; i < instance.size(); ++i) {
-      const auto& task = instance.task(i);
+      const MalleableTask task = instance.task(i);
       EXPECT_EQ(task.min_procs_for(d), linear_min_procs_for(task, d))
           << "task " << i << " d " << d;
     }
@@ -229,11 +230,10 @@ TEST(DualWorkspace, HandlesPlateauProfilesAtToleranceBoundaries) {
       {2.0, 1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9},            // creeping, gamma = 2
       {4.0, 2.0, 2.0 * (1.0 + 0.9e-9), 1.6},             // creeps, then drops
   };
-  std::vector<MalleableTask> tasks;
-  for (const auto& profile : profiles) tasks.emplace_back(profile);
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  for (const auto& profile : profiles) instance.add_task(profile);
   for (int i = 0; i < instance.size(); ++i) {
-    const auto& task = instance.task(i);
+    const MalleableTask task = instance.task(i);
     const auto& given = profiles[static_cast<std::size_t>(i)];
     for (const double base :
          {0.25, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-10, 1.0 + 2.7e-9, 1.6, 2.0, 4.0, 8.0, 16.0}) {
@@ -471,11 +471,11 @@ TEST(DualWorkspace, DualSearchMatchesRecordedFigures) {
   check(generate_instance(WorkloadFamily::kStairs, stairs, 3),
         {9, 0.86331140036387688, 0.91561436348159664, 0.85864902108876007}, "stairs");
 
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
-  tasks.emplace_back(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
-  tasks.emplace_back(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
-  check(Instance(4, std::move(tasks)), {1, 4.0, 4.0, 4.0}, "plateau");
+  Instance tasks(4);
+  tasks.add_task(std::vector<double>{4.0, 4.0, 4.0, 4.0}, "flat");
+  tasks.add_task(std::vector<double>{8.0, 4.0, 4.0, 4.0}, "plateau");
+  tasks.add_task(std::vector<double>{1.0 + 1e-10, 1.0, 1.0 - 1e-13, 0.75}, "near-ties");
+  check(std::move(tasks), {1, 4.0, 4.0, 4.0}, "plateau");
 }
 
 // ------------------------------------------------------------ registry keys

@@ -107,10 +107,9 @@ TEST(LocalSearch, NeverWorseAndValid) {
 TEST(LocalSearch, FixesPathologicalAllotment) {
   // One perfectly parallel task forced to width 1 dominates the makespan;
   // the search must widen it.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(linear_profile(8.0, 8), "wide");
-  for (int i = 0; i < 4; ++i) tasks.emplace_back(sequential_profile(0.5, 8));
-  const Instance instance(8, std::move(tasks));
+  Instance instance(8);
+  instance.add_task(linear_profile(8.0, 8), "wide");
+  for (int i = 0; i < 4; ++i) instance.add_task(sequential_profile(0.5, 8));
   const std::vector<int> allotment{1, 1, 1, 1, 1};
   const std::vector<int> order{0, 1, 2, 3, 4};
   const auto seed_schedule = list_schedule(instance, allotment, order);
@@ -138,7 +137,7 @@ TEST(LocalSearch, RespectsRoundBudget) {
 // ------------------------------------------------------------ edge cases
 
 TEST(EdgeCases, EmptyInstanceSolves) {
-  const Instance instance(4, {});
+  const Instance instance(4);
   const auto result = mrt_schedule(instance);
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
   EXPECT_EQ(result.gaps, 0);
@@ -157,19 +156,17 @@ TEST(EdgeCases, SingleMachine) {
 }
 
 TEST(EdgeCases, IdenticalTasksSaturateCleanly) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 16; ++i) tasks.emplace_back(sequential_profile(1.0, 16));
-  const Instance instance(16, std::move(tasks));
+  Instance instance(16);
+  for (int i = 0; i < 16; ++i) instance.add_task(sequential_profile(1.0, 16));
   const auto result = mrt_schedule(instance);
   EXPECT_NEAR(result.makespan, 1.0, 1e-9);  // one task per processor
   EXPECT_NEAR(result.ratio, 1.0, 0.02);
 }
 
 TEST(EdgeCases, VeryWideMachineFewTasks) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(power_law_profile(10.0, 0.9, 512), "a");
-  tasks.emplace_back(power_law_profile(8.0, 0.9, 512), "b");
-  const Instance instance(512, std::move(tasks));
+  Instance instance(512);
+  instance.add_task(power_law_profile(10.0, 0.9, 512), "a");
+  instance.add_task(power_law_profile(8.0, 0.9, 512), "b");
   const auto result = mrt_schedule(instance);
   EXPECT_EQ(result.gaps, 0);
   EXPECT_TRUE(leq(result.ratio, kSqrt3 * 1.02 + 1e-9));

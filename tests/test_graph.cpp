@@ -19,11 +19,11 @@ namespace {
 
 TaskGraph diamond_graph() {
   // 0 -> {1, 2} -> 3 on 4 machines.
-  std::vector<MalleableTask> tasks;
+  Instance tasks(4);
   for (int i = 0; i < 4; ++i) {
-    tasks.emplace_back(power_law_profile(2.0 + i, 0.8, 4), label("n", i));
+    tasks.add_task(power_law_profile(2.0 + i, 0.8, 4), label("n", i));
   }
-  return TaskGraph(4, std::move(tasks), {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  return TaskGraph(std::move(tasks), {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
 }
 
 // ------------------------------------------------------------ construction
@@ -40,33 +40,33 @@ TEST(TaskGraph, BuildsDiamond) {
 }
 
 TEST(TaskGraph, RejectsCycle) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 3; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  EXPECT_THROW(TaskGraph(2, std::move(tasks), {{0, 1}, {1, 2}, {2, 0}}),
+  Instance tasks(2);
+  for (int i = 0; i < 3; ++i) tasks.add_task(sequential_profile(1.0, 2));
+  EXPECT_THROW(TaskGraph(std::move(tasks), {{0, 1}, {1, 2}, {2, 0}}),
                std::invalid_argument);
 }
 
 TEST(TaskGraph, RejectsBadEdges) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  EXPECT_THROW(TaskGraph(2, std::move(tasks), {{0, 5}}), std::invalid_argument);
-  std::vector<MalleableTask> tasks2;
-  tasks2.emplace_back(sequential_profile(1.0, 2));
-  EXPECT_THROW(TaskGraph(2, std::move(tasks2), {{0, 0}}), std::invalid_argument);
+  Instance tasks(2);
+  tasks.add_task(sequential_profile(1.0, 2));
+  EXPECT_THROW(TaskGraph(std::move(tasks), {{0, 5}}), std::invalid_argument);
+  Instance tasks2(2);
+  tasks2.add_task(sequential_profile(1.0, 2));
+  EXPECT_THROW(TaskGraph(std::move(tasks2), {{0, 0}}), std::invalid_argument);
 }
 
 TEST(TaskGraph, EmptyGraph) {
-  const TaskGraph graph(2, {}, {});
+  const TaskGraph graph(Instance(2), {});
   EXPECT_EQ(graph.size(), 0);
   EXPECT_EQ(graph.level_count(), 0);
   EXPECT_DOUBLE_EQ(graph.critical_path_lower_bound(), 0.0);
 }
 
 TEST(TaskGraph, CriticalPathOnChain) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{2.0, 1.2}, "a");
-  tasks.emplace_back(std::vector<double>{3.0, 1.8}, "b");
-  const TaskGraph graph(2, std::move(tasks), {{0, 1}});
+  Instance tasks(2);
+  tasks.add_task(std::vector<double>{2.0, 1.2}, "a");
+  tasks.add_task(std::vector<double>{3.0, 1.8}, "b");
+  const TaskGraph graph(std::move(tasks), {{0, 1}});
   // Chain: t_0(2) + t_1(2) = 1.2 + 1.8.
   EXPECT_NEAR(graph.critical_path_lower_bound(), 3.0, 1e-12);
   // Area bound: (2 + 3)/2 = 2.5 < 3 -> combined is the chain.
@@ -106,10 +106,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GraphSchedulerTest,
                                             ::testing::Values(1, 2, 3, 4, 5)));
 
 TEST(GraphScheduler, ChainIsScheduledBackToBack) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(linear_profile(4.0, 4), "a");
-  tasks.emplace_back(linear_profile(4.0, 4), "b");
-  const TaskGraph graph(4, std::move(tasks), {{0, 1}});
+  Instance tasks(4);
+  tasks.add_task(linear_profile(4.0, 4), "a");
+  tasks.add_task(linear_profile(4.0, 4), "b");
+  const TaskGraph graph(std::move(tasks), {{0, 1}});
   const auto result = layered_graph_schedule(graph);
   // Each task runs on all 4 processors (linear speedup): 1.0 + 1.0.
   EXPECT_NEAR(result.makespan, 2.0, 0.05);
@@ -130,14 +130,14 @@ TEST(GraphScheduler, WideGraphBenefitsFromLayeredOptimization) {
   // A root fanning out to many independent children: the layer containing
   // the children is a pure independent malleable instance, where the
   // sqrt(3) scheduler shines.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(linear_profile(2.0, 16), "root");
+  Instance tasks(16);
+  tasks.add_task(linear_profile(2.0, 16), "root");
   std::vector<std::pair<int, int>> edges;
   for (int c = 1; c <= 12; ++c) {
-    tasks.emplace_back(power_law_profile(3.0, 0.85, 16), label("c", c));
+    tasks.add_task(power_law_profile(3.0, 0.85, 16), label("c", c));
     edges.emplace_back(0, c);
   }
-  const TaskGraph graph(16, std::move(tasks), std::move(edges));
+  const TaskGraph graph(std::move(tasks), std::move(edges));
   const auto layered = layered_graph_schedule(graph);
   const auto ready = ready_list_graph_schedule(graph);
   EXPECT_TRUE(leq(layered.makespan, ready.makespan * 1.05));

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/instance.hpp"
@@ -25,39 +26,52 @@
 namespace malsched {
 namespace {
 
+/// A one-task instance on as many machines as `times` has entries (at least
+/// one): the per-task tests read its task(0) view.
+Instance one_task(const std::vector<double>& times, std::string_view name = {}) {
+  Instance instance(std::max(1, static_cast<int>(times.size())));
+  instance.add_task(times, name);
+  return instance;
+}
+
+std::vector<double> stored_profile(const MalleableTask& task) {
+  return {task.profile().begin(), task.profile().end()};
+}
+
 // -------------------------------------------------------------- validation
 
 TEST(MalleableTask, AcceptsMonotonicProfile) {
-  EXPECT_NO_THROW(MalleableTask({4.0, 2.5, 2.0, 1.8}));
+  EXPECT_NO_THROW(one_task({4.0, 2.5, 2.0, 1.8}));
 }
 
 TEST(MalleableTask, RejectsEmptyProfile) {
-  EXPECT_THROW(MalleableTask({}), std::invalid_argument);
+  EXPECT_THROW(one_task({}), std::invalid_argument);
 }
 
 TEST(MalleableTask, RejectsNonPositiveTimes) {
-  EXPECT_THROW(MalleableTask({1.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(MalleableTask({-1.0}), std::invalid_argument);
+  EXPECT_THROW(one_task({1.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(one_task({-1.0}), std::invalid_argument);
 }
 
 TEST(MalleableTask, RejectsIncreasingTime) {
   // t(2) > t(1): more processors may never slow the task down.
-  EXPECT_THROW(MalleableTask({1.0, 1.5}), std::invalid_argument);
+  EXPECT_THROW(one_task({1.0, 1.5}), std::invalid_argument);
 }
 
 TEST(MalleableTask, RejectsSuperLinearSpeedup) {
   // t = {4, 1}: work drops from 4 to 2 -- super-linear speedup.
-  EXPECT_THROW(MalleableTask({4.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(one_task({4.0, 1.0}), std::invalid_argument);
 }
 
 TEST(MalleableTask, ValidateReportsProblemLocation) {
-  const auto problem = MalleableTask::validate({4.0, 1.0});
+  const auto problem = MalleableTask::validate(std::vector<double>{4.0, 1.0});
   ASSERT_TRUE(problem.has_value());
   EXPECT_NE(problem->find("p=2"), std::string::npos);
 }
 
 TEST(MalleableTask, AccessorsAndBounds) {
-  const MalleableTask task({6.0, 3.5, 3.0}, "t");
+  const Instance instance = one_task({6.0, 3.5, 3.0}, "t");
+  const MalleableTask task = instance.task(0);
   EXPECT_EQ(task.max_procs(), 3);
   EXPECT_DOUBLE_EQ(task.seq_time(), 6.0);
   EXPECT_DOUBLE_EQ(task.time(2), 3.5);
@@ -81,7 +95,8 @@ TEST(MalleableTask, MinProcsForMatchesLinearScan) {
       const double lo = t * static_cast<double>(p + 1) / static_cast<double>(p + 2);
       t = rng.uniform(lo, t);
     }
-    const MalleableTask task(profile);
+    const Instance instance = one_task(profile);
+    const MalleableTask task = instance.task(0);
     const double deadline = rng.uniform(0.5, 12.0);
     const auto fast = task.min_procs_for(deadline);
     // Linear reference.
@@ -97,7 +112,8 @@ TEST(MalleableTask, MinProcsForMatchesLinearScan) {
 }
 
 TEST(MalleableTask, MinProcsForUnreachableDeadline) {
-  const MalleableTask task({4.0, 2.5});
+  const Instance instance = one_task({4.0, 2.5});
+  const MalleableTask task = instance.task(0);
   EXPECT_FALSE(task.min_procs_for(1.0).has_value());
   EXPECT_EQ(task.min_procs_for(2.5).value(), 2);
   EXPECT_EQ(task.min_procs_for(100.0).value(), 1);
@@ -112,18 +128,19 @@ TEST(MalleableTask, StoresTheRunningMinimumOfItsProfile) {
     creeping[p] = 1.0 + static_cast<double>(p) * 0.9e-9;
   }
   ASSERT_FALSE(MalleableTask::validate(creeping).has_value());
-  const MalleableTask task(creeping);
-  EXPECT_EQ(task.profile(), std::vector<double>(64, 1.0));
+  const Instance creeping_instance = one_task(creeping);
+  const MalleableTask task = creeping_instance.task(0);
+  EXPECT_EQ(stored_profile(task), std::vector<double>(64, 1.0));
   EXPECT_EQ(task.min_procs_for(1.0), 1);
 
   // A dip below earlier times is kept; only the rises are floored.
-  const MalleableTask dipping({2.0, 1.0, 1.0 + 0.9e-9, 0.75, 0.75 * (1.0 + 0.9e-9)});
-  EXPECT_EQ(dipping.profile(), (std::vector<double>{2.0, 1.0, 1.0, 0.75, 0.75}));
-  EXPECT_EQ(dipping.min_procs_for(1.0), 2);
+  const Instance dipping = one_task({2.0, 1.0, 1.0 + 0.9e-9, 0.75, 0.75 * (1.0 + 0.9e-9)});
+  EXPECT_EQ(stored_profile(dipping.task(0)), (std::vector<double>{2.0, 1.0, 1.0, 0.75, 0.75}));
+  EXPECT_EQ(dipping.task(0).min_procs_for(1.0), 2);
 
   // A non-increasing profile is stored as given.
   const std::vector<double> profile{4.0, 2.5, 2.5, 2.0, 1.8};
-  EXPECT_EQ(MalleableTask(profile).profile(), profile);
+  EXPECT_EQ(stored_profile(one_task(profile).task(0)), profile);
 }
 
 // -------------------------------------------------------------- monotonize
@@ -265,20 +282,94 @@ TEST(SpeedupModels, Names) {
 // ---------------------------------------------------------------- instance
 
 TEST(Instance, ValidatesProfileCoverage) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{2.0, 1.5});
-  EXPECT_THROW(Instance(3, std::move(tasks)), std::invalid_argument);
+  Instance instance(3);
+  instance.add_task(std::vector<double>{3.0, 2.0, 1.5}, "kept");
+  EXPECT_THROW(instance.add_task(std::vector<double>{2.0, 1.5}), std::invalid_argument);
+  EXPECT_THROW(instance.add_task(std::vector<double>{1.0, 1.5, 1.5}), std::invalid_argument);
+  // A rejected task leaves no trace in the arrays.
+  EXPECT_EQ(instance.size(), 1);
+  EXPECT_EQ(instance.times().size(), 3u);
+  EXPECT_EQ(instance.task(0).name(), "kept");
 }
 
 TEST(Instance, RejectsBadMachineCount) {
-  EXPECT_THROW(Instance(0, {}), std::invalid_argument);
+  EXPECT_THROW(Instance(0), std::invalid_argument);
+}
+
+TEST(Instance, TaskOutsideTheInstanceThrows) {
+  Instance instance(2);
+  instance.add_task(std::vector<double>{2.0, 1.5});
+  EXPECT_NO_THROW(static_cast<void>(instance.task(0)));
+  EXPECT_THROW(static_cast<void>(instance.task(1)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(instance.task(-1)), std::out_of_range);
+}
+
+TEST(Instance, EveryProfileLiesInOneContiguousArray) {
+  // Profiles of different lengths (a profile may cover more than m), back
+  // to back in times(), each view pointing at its own slice.
+  Instance instance(2);
+  instance.add_task(std::vector<double>{4.0, 3.0}, "a");
+  instance.add_task(std::vector<double>{6.0, 3.5, 3.0, 2.5}, "bb");
+  instance.add_task(std::vector<double>{2.0, 1.5, 1.2});
+  ASSERT_EQ(instance.offsets().size(), 4u);
+  EXPECT_EQ(instance.offsets().back(), instance.times().size());
+  EXPECT_EQ(instance.times().size(), 9u);
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
+    const auto slot = static_cast<std::size_t>(i);
+    EXPECT_EQ(task.profile().data(), instance.times().data() + instance.offsets()[slot]);
+    EXPECT_EQ(task.profile().size(), instance.offsets()[slot + 1] - instance.offsets()[slot]);
+    EXPECT_EQ(task.seq_time(), instance.seq_times()[slot]);
+    EXPECT_EQ(task.seq_time(), task.time(1));
+  }
+  EXPECT_EQ(instance.task(1).name(), "bb");
+  EXPECT_EQ(instance.task(2).name(), "");
+}
+
+TEST(Instance, CopyOwnsIndependentStorage) {
+  auto original = std::make_unique<Instance>(3);
+  original->add_task(std::vector<double>{4.0, 2.5, 2.0}, "a");
+  original->add_task(std::vector<double>{3.0, 1.6, 1.2}, "b");
+  const Instance copy = *original;
+  EXPECT_TRUE(copy == *original);
+  EXPECT_NE(copy.times().data(), original->times().data());
+  EXPECT_NE(copy.task(0).name().data(), original->task(0).name().data());
+  // Growing and then freeing the original leaves the copy intact (a copy
+  // sharing any array would read freed memory here under ASan).
+  original->add_task(std::vector<double>{1.0, 0.6, 0.5}, "c");
+  original.reset();
+  ASSERT_EQ(copy.size(), 2);
+  EXPECT_EQ(copy.task(1).name(), "b");
+  EXPECT_EQ(copy.task(1).time(3), 1.2);
+  EXPECT_EQ(copy.seq_times()[0], 4.0);
+}
+
+TEST(Instance, ContentEqualityKeepsTaskBoundaries) {
+  // The same concatenated profiles or names, split at different task
+  // boundaries, are different content; the offset arrays tell them apart.
+  const auto split = [](std::vector<double> first, std::vector<double> second,
+                        std::string_view first_name, std::string_view second_name) {
+    Instance instance(1);
+    instance.add_task(first, first_name);
+    instance.add_task(second, second_name);
+    return instance;
+  };
+  EXPECT_FALSE(split({4.0, 3.0}, {2.0}, "", "") == split({4.0}, {3.0, 2.0}, "", ""));
+  EXPECT_FALSE(split({4.0}, {2.0}, "ab", "c") == split({4.0}, {2.0}, "a", "bc"));
+  EXPECT_TRUE(split({4.0}, {2.0}, "ab", "c") == split({4.0}, {2.0}, "ab", "c"));
+  EXPECT_FALSE(split({4.0}, {2.0}, "a", "b") == split({4.0}, {2.5}, "a", "b"));
+  // Same tasks on another machine count.
+  Instance wider(1);
+  wider.add_task(std::vector<double>{4.0, 3.0});
+  Instance narrower(2);
+  narrower.add_task(std::vector<double>{4.0, 3.0});
+  EXPECT_FALSE(wider == narrower);
 }
 
 TEST(Instance, TotalSequentialWork) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(2.0, 4));
-  tasks.emplace_back(sequential_profile(3.0, 4));
-  const Instance instance(4, std::move(tasks));
+  Instance instance(4);
+  instance.add_task(sequential_profile(2.0, 4));
+  instance.add_task(sequential_profile(3.0, 4));
   EXPECT_DOUBLE_EQ(instance.total_sequential_work(), 5.0);
   EXPECT_EQ(instance.size(), 2);
   EXPECT_EQ(instance.machines(), 4);
@@ -287,10 +378,9 @@ TEST(Instance, TotalSequentialWork) {
 // -------------------------------------------------------------- instance io
 
 TEST(InstanceIo, RoundTripsExactly) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(amdahl_profile(3.14159, 0.123, 6), "alpha");
-  tasks.emplace_back(power_law_profile(2.71828, 0.77, 6));
-  const Instance original(6, std::move(tasks));
+  Instance original(6);
+  original.add_task(amdahl_profile(3.14159, 0.123, 6), "alpha");
+  original.add_task(power_law_profile(2.71828, 0.77, 6));
 
   const auto text = instance_to_string(original);
   const Instance copy = instance_from_string(text);
@@ -331,10 +421,9 @@ TEST(InstanceIo, WideProfileRoundTripsExactly) {
   // An honest machine count in the thousands: every one of the m values per
   // task is read back, in order, as the reader grows each profile.
   constexpr int kMachines = 4096;
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(amdahl_profile(9.5, 0.01, kMachines), "wide");
-  tasks.emplace_back(power_law_profile(4.0, 0.9, kMachines));
-  const Instance original(kMachines, std::move(tasks));
+  Instance original(kMachines);
+  original.add_task(amdahl_profile(9.5, 0.01, kMachines), "wide");
+  original.add_task(power_law_profile(4.0, 0.9, kMachines));
 
   const Instance copy = instance_from_string(instance_to_string(original));
 
@@ -349,6 +438,32 @@ TEST(InstanceIo, WideProfileRoundTripsExactly) {
   }
 }
 
+TEST(InstanceIo, WriteRefusesContentThatWouldNotReadBack) {
+  // A name with whitespace splits into two tokens, a name "-" reads back
+  // unnamed, and a profile longer than m is cut to m: each would read back
+  // as other content, or not at all, so nothing is written.
+  const auto refused = [](const Instance& instance) {
+    std::ostringstream out;
+    EXPECT_THROW(write_instance(out, instance), std::invalid_argument);
+    EXPECT_TRUE(out.str().empty()) << "wrote before refusing: " << out.str();
+  };
+  for (const char* name : {"a b", "tab\there", "line\nbreak", "-"}) {
+    Instance instance(2);
+    instance.add_task(std::vector<double>{2.0, 1.5}, "fine");
+    instance.add_task(std::vector<double>{2.0, 1.5}, name);
+    refused(instance);
+  }
+  Instance longer(2);
+  longer.add_task(std::vector<double>{4.0, 3.0, 2.5});
+  refused(longer);
+
+  // Dashes inside a name and empty names are fine.
+  Instance fine(2);
+  fine.add_task(std::vector<double>{2.0, 1.5}, "a-b");
+  fine.add_task(std::vector<double>{2.0, 1.5});
+  EXPECT_TRUE(instance_from_string(instance_to_string(fine)) == fine);
+}
+
 TEST(InstanceIo, RejectsNonMonotoneProfile) {
   std::istringstream in("malsched-instance v1\nm 2\ntask a 1.0 2.0\n");
   EXPECT_THROW(read_instance(in), std::runtime_error);
@@ -357,19 +472,17 @@ TEST(InstanceIo, RejectsNonMonotoneProfile) {
 // ------------------------------------------------------------- lower bounds
 
 TEST(LowerBounds, AreaAndCriticalPath) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(6.0, 2));           // crit 6, work 6
-  tasks.emplace_back(std::vector<double>{4.0, 2.0});        // crit 2, work 4
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(6.0, 2));           // crit 6, work 6
+  instance.add_task(std::vector<double>{4.0, 2.0});        // crit 2, work 4
   EXPECT_DOUBLE_EQ(area_lower_bound(instance), 5.0);
   EXPECT_DOUBLE_EQ(critical_path_lower_bound(instance), 6.0);
   EXPECT_DOUBLE_EQ(makespan_lower_bound(instance), 6.0);
 }
 
 TEST(LowerBounds, AreaDominatesWhenLoadIsHigh) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 10; ++i) tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < 10; ++i) instance.add_task(sequential_profile(1.0, 2));
   EXPECT_DOUBLE_EQ(makespan_lower_bound(instance), 5.0);
 }
 
@@ -378,10 +491,10 @@ TEST(LowerBounds, AreaDominatesWhenLoadIsHigh) {
 namespace {
 
 Instance handle_instance(double scale = 1.0) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0 * scale, 2.5 * scale, 2.0 * scale}, "a");
-  tasks.emplace_back(std::vector<double>{3.0 * scale, 1.6 * scale, 1.2 * scale}, "b");
-  return Instance(3, std::move(tasks));
+  Instance instance(3);
+  instance.add_task(std::vector<double>{4.0 * scale, 2.5 * scale, 2.0 * scale}, "a");
+  instance.add_task(std::vector<double>{3.0 * scale, 1.6 * scale, 1.2 * scale}, "b");
+  return instance;
 }
 
 }  // namespace
@@ -419,7 +532,7 @@ TEST(InstanceHandle, ContentIdentitySurvivesSeparateInterns) {
 
 TEST(InstanceHandle, InternTableHoldsWeakReferencesOnly) {
   // Entries die with their last handle: a re-intern after the handles are
-  // gone is a MISS (fresh allocation), and intern_table_size() prunes.
+  // gone is a MISS (fresh allocation).
   Instance probe = handle_instance(3.5);
   const void* first_allocation = nullptr;
   {
@@ -433,6 +546,37 @@ TEST(InstanceHandle, InternTableHoldsWeakReferencesOnly) {
       << "a dead entry must not count as a hit";
   EXPECT_TRUE(b.valid());
   static_cast<void>(first_allocation);  // dead; only proves the scope ended
+}
+
+TEST(InstanceHandle, InternTableStaysWithinTwiceItsLiveEntries) {
+  // Distinct content interned and dropped at once leaves a dead entry under
+  // a fingerprint no probe revisits. The table sweeps every dead entry once
+  // it holds twice what its last sweep left (with a small floor), so with
+  // kLive handles held it never holds much more than 2 * kLive entries,
+  // however many distinct contents went through it.
+  constexpr std::size_t kLive = 100;
+  constexpr std::size_t kChurn = 10000;
+  const auto content = [](std::size_t k) {
+    Instance instance(1);
+    instance.add_task(std::vector<double>{1.0 + static_cast<double>(k)}, "churn");
+    return instance;
+  };
+  const std::size_t held_before = InstanceHandle::intern_table_size();
+  std::vector<InstanceHandle> live;
+  for (std::size_t k = 0; k < kLive; ++k) live.push_back(InstanceHandle::intern(content(k)));
+  std::size_t most = 0;
+  for (std::size_t k = kLive; k < kLive + kChurn; ++k) {
+    static_cast<void>(InstanceHandle::intern(content(k)));
+    most = std::max(most, InstanceHandle::intern_table_size());
+  }
+  EXPECT_LT(most, 2 * (kLive + held_before + 1) + 64) << "dead entries piled up";
+  EXPECT_GE(InstanceHandle::intern_table_size(), kLive);
+  // No sweep dropped a live entry: each held content is still found.
+  const auto hits_before = InstanceHandle::intern_table_hits();
+  for (std::size_t k = 0; k < kLive; ++k) {
+    EXPECT_EQ(&InstanceHandle::intern(content(k)).instance(), &live[k].instance());
+  }
+  EXPECT_EQ(InstanceHandle::intern_table_hits(), hits_before + kLive);
 }
 
 TEST(InstanceHandle, InternOfASharedInstanceKeepsItsAllocation) {
@@ -449,11 +593,11 @@ TEST(InstanceHandle, InternOfASharedInstanceKeepsItsAllocation) {
 TEST(InstanceHandle, TaskNamesContributeToTheFingerprint) {
   // Bit-pattern hashing: renaming a task changes the fingerprint even when
   // every number is identical.
-  std::vector<MalleableTask> renamed;
-  renamed.emplace_back(std::vector<double>{4.0, 2.5, 2.0}, "a2");
-  renamed.emplace_back(std::vector<double>{3.0, 1.6, 1.2}, "b");
+  Instance renamed(3);
+  renamed.add_task(std::vector<double>{4.0, 2.5, 2.0}, "a2");
+  renamed.add_task(std::vector<double>{3.0, 1.6, 1.2}, "b");
   const auto base = InstanceHandle::intern(handle_instance());
-  const auto other = InstanceHandle::intern(Instance(3, std::move(renamed)));
+  const auto other = InstanceHandle::intern(std::move(renamed));
   EXPECT_NE(base.fingerprint(), other.fingerprint());
   EXPECT_FALSE(base == other);
 
@@ -461,11 +605,11 @@ TEST(InstanceHandle, TaskNamesContributeToTheFingerprint) {
   // and the same bytes split "ab"+"c" or "a"+"bc", must not alias. The
   // length word before each profile and each name keeps them apart.
   const auto split = [](std::vector<double> first, std::vector<double> second,
-                        std::string first_name, std::string second_name) {
-    std::vector<MalleableTask> tasks;
-    tasks.emplace_back(std::move(first), std::move(first_name));
-    tasks.emplace_back(std::move(second), std::move(second_name));
-    return InstanceHandle::intern(Instance(1, std::move(tasks)));
+                        std::string_view first_name, std::string_view second_name) {
+    Instance instance(1);
+    instance.add_task(first, first_name);
+    instance.add_task(second, second_name);
+    return InstanceHandle::intern(std::move(instance));
   };
   const auto profiles_43_2 = split({4.0, 3.0}, {2.0}, "", "");
   const auto profiles_4_32 = split({4.0}, {3.0, 2.0}, "", "");

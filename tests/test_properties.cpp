@@ -26,14 +26,14 @@ namespace {
 Instance fuzz_instance(Rng& rng) {
   const int machines = static_cast<int>(rng.uniform_int(1, 24));
   const int tasks = static_cast<int>(rng.uniform_int(1, 40));
-  std::vector<MalleableTask> list;
-  list.reserve(static_cast<std::size_t>(tasks));
+  Instance instance(machines);
+  instance.reserve(tasks);
   for (int i = 0; i < tasks; ++i) {
     std::vector<double> profile(static_cast<std::size_t>(machines));
     for (auto& t : profile) t = rng.log_uniform(0.01, 50.0);
-    list.emplace_back(monotonize(std::move(profile)), label("f", i));
+    instance.add_task(monotonize(std::move(profile)), label("f", i));
   }
-  return Instance(machines, std::move(list));
+  return instance;
 }
 
 class FuzzTest : public ::testing::TestWithParam<int> {};
@@ -64,13 +64,13 @@ TEST(Properties, ScaleInvariance) {
   const double base = mrt_schedule(instance).makespan;
 
   const double c = 37.5;
-  std::vector<MalleableTask> scaled_tasks;
-  for (const auto& task : instance.tasks()) {
-    auto profile = task.profile();
+  Instance scaled(instance.machines());
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
+    std::vector<double> profile(task.profile().begin(), task.profile().end());
     for (auto& t : profile) t *= c;
-    scaled_tasks.emplace_back(std::move(profile), task.name());
+    scaled.add_task(profile, task.name());
   }
-  const Instance scaled(instance.machines(), std::move(scaled_tasks));
   const double scaled_makespan = mrt_schedule(scaled).makespan;
   EXPECT_NEAR(scaled_makespan / base, c, c * 0.03);
 }
@@ -83,10 +83,12 @@ TEST(Properties, TaskOrderPermutationKeepsTheGuarantee) {
   Rng rng(99);
   for (int shuffle = 0; shuffle < 5; ++shuffle) {
     const auto perm = rng.permutation(static_cast<std::size_t>(instance.size()));
-    std::vector<MalleableTask> permuted;
-    permuted.reserve(perm.size());
-    for (const auto index : perm) permuted.push_back(instance.task(static_cast<int>(index)));
-    const Instance shuffled(instance.machines(), std::move(permuted));
+    Instance shuffled(instance.machines());
+    shuffled.reserve(instance.size());
+    for (const auto index : perm) {
+      const MalleableTask task = instance.task(static_cast<int>(index));
+      shuffled.add_task(task.profile(), task.name());
+    }
     const auto result = mrt_schedule(shuffled);
     EXPECT_EQ(result.gaps, 0);
     EXPECT_TRUE(leq(result.ratio, kSqrt3 * 1.02 + 1e-9));

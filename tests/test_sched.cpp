@@ -40,11 +40,11 @@ namespace malsched {
 namespace {
 
 Instance tiny_instance() {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{4.0, 2.0, 1.5}, "a");
-  tasks.emplace_back(std::vector<double>{3.0, 1.6, 1.2}, "b");
-  tasks.emplace_back(sequential_profile(1.0, 3), "c");
-  return Instance(3, std::move(tasks));
+  Instance tasks(3);
+  tasks.add_task(std::vector<double>{4.0, 2.0, 1.5}, "a");
+  tasks.add_task(std::vector<double>{3.0, 1.6, 1.2}, "b");
+  tasks.add_task(sequential_profile(1.0, 3), "c");
+  return tasks;
 }
 
 // ----------------------------------------------------------------- schedule
@@ -395,12 +395,11 @@ TEST(ListScheduler, PaperTieRuleLeftmostAtZeroRightmostLater) {
   // Two 1-proc tasks of equal length on 3 processors, then a third: the
   // first two start at 0 on the leftmost free columns; the third starts
   // later and must go to the rightmost tied column.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(2.0, 3));
-  tasks.emplace_back(sequential_profile(2.0, 3));
-  tasks.emplace_back(sequential_profile(2.0, 3));
-  tasks.emplace_back(sequential_profile(1.0, 3));
-  const Instance instance(3, std::move(tasks));
+  Instance instance(3);
+  instance.add_task(sequential_profile(2.0, 3));
+  instance.add_task(sequential_profile(2.0, 3));
+  instance.add_task(sequential_profile(2.0, 3));
+  instance.add_task(sequential_profile(1.0, 3));
   const std::vector<int> allotment{1, 1, 1, 1};
   const std::vector<int> order{0, 1, 2, 3};
   const auto schedule = list_schedule(instance, allotment, order);
@@ -413,9 +412,8 @@ TEST(ListScheduler, PaperTieRuleLeftmostAtZeroRightmostLater) {
 }
 
 TEST(ListScheduler, LeftmostPlacementOption) {
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < 4; ++i) tasks.emplace_back(sequential_profile(1.0, 3));
-  const Instance instance(3, std::move(tasks));
+  Instance instance(3);
+  for (int i = 0; i < 4; ++i) instance.add_task(sequential_profile(1.0, 3));
   const std::vector<int> allotment{1, 1, 1, 1};
   const std::vector<int> order{0, 1, 2, 3};
   const auto schedule =
@@ -500,10 +498,9 @@ TEST(Compaction, NeverIncreasesMakespanAndStaysValid) {
 }
 
 TEST(Compaction, ClosesArtificialGap) {
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 2), "a");
-  tasks.emplace_back(sequential_profile(1.0, 2), "b");
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(sequential_profile(1.0, 2), "a");
+  instance.add_task(sequential_profile(1.0, 2), "b");
   Schedule loose(2, 2);
   loose.assign(0, 0.0, 1.0, 0, 1);
   loose.assign(1, 5.0, 1.0, 0, 1);  // pointless idle gap
@@ -514,10 +511,9 @@ TEST(Compaction, ClosesArtificialGap) {
 TEST(Compaction, EqualStartsKeepTheLowerTaskFirst) {
   // Both tasks claim processor 0 at time 0; compaction takes equal starts
   // in task order, so task 0 keeps time 0 and task 1 follows it.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(sequential_profile(1.0, 1), "a");
-  tasks.emplace_back(sequential_profile(2.0, 1), "b");
-  const Instance instance(1, std::move(tasks));
+  Instance instance(1);
+  instance.add_task(sequential_profile(1.0, 1), "a");
+  instance.add_task(sequential_profile(2.0, 1), "b");
   Schedule stacked(1, 2);
   stacked.assign(1, 0.0, 2.0, 0, 1);
   stacked.assign(0, 0.0, 1.0, 0, 1);
@@ -532,9 +528,8 @@ TEST(Compaction, SignedZeroStartsAboveTheRadixCutoffKeepTheLowerTaskFirst) {
   // at -0.0 and the other at +0.0. The two zeros are equal starts, so task 0
   // goes first either way round; the rest fill processor 1.
   const int n = static_cast<int>(kRadixSortCutoff) + 8;
-  std::vector<MalleableTask> tasks;
-  for (int i = 0; i < n; ++i) tasks.emplace_back(sequential_profile(i == 1 ? 2.0 : 1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  for (int i = 0; i < n; ++i) instance.add_task(sequential_profile(i == 1 ? 2.0 : 1.0, 2));
   for (const auto& [start0, start1] : {std::pair{-0.0, 0.0}, std::pair{0.0, -0.0}}) {
     Schedule stacked(2, n);
     stacked.assign(0, start0, 1.0, 0, 1);
@@ -625,13 +620,13 @@ struct RandomSchedule {
 RandomSchedule random_schedule(int machines, Rng& rng, bool clean) {
   const int n = machines == 1 ? 150 : std::min(20 + 2 * machines, 600);
   constexpr std::array<double, 4> kSeqTimes{1.0, 2.0, 0.5, 1.5};
-  std::vector<MalleableTask> tasks;
+  Instance tasks(machines);
   for (int i = 0; i < n; ++i) {
     const double seq = kSeqTimes[static_cast<std::size_t>(rng.uniform_int(0, 3))];
-    tasks.emplace_back(rng.bernoulli(0.5) ? linear_profile(seq, machines)
-                                          : amdahl_profile(seq, 0.25, machines));
+    tasks.add_task(rng.bernoulli(0.5) ? linear_profile(seq, machines)
+                                      : amdahl_profile(seq, 0.25, machines));
   }
-  RandomSchedule out{Instance(machines, std::move(tasks)), Schedule(machines, n)};
+  RandomSchedule out{std::move(tasks), Schedule(machines, n)};
   const auto signed_zero = [&] { return rng.bernoulli(0.5) ? -0.0 : 0.0; };
   std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
   std::vector<double> starts;
@@ -782,11 +777,10 @@ TEST(Gantt, EmptyScheduleDoesNotCrash) {
 
 TEST(BruteForce, FindsOptimumOnTinyInstance) {
   // One big malleable task + two unit tasks on 2 machines.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{2.0, 1.0});
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  tasks.emplace_back(sequential_profile(1.0, 2));
-  const Instance instance(2, std::move(tasks));
+  Instance instance(2);
+  instance.add_task(std::vector<double>{2.0, 1.0});
+  instance.add_task(sequential_profile(1.0, 2));
+  instance.add_task(sequential_profile(1.0, 2));
   const auto result = brute_force_schedule(instance);
   ASSERT_TRUE(result.has_value());
   // OPT = 2: run the big task on both procs (1.0), then the two units.
@@ -829,7 +823,7 @@ TEST_P(BruteForceRandomTest, ReturnsAValidScheduleNoShorterThanTheLowerBound) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BruteForceRandomTest, ::testing::Values(1, 2, 3));
 
 TEST(BruteForce, EmptyInstance) {
-  const Instance instance(2, {});
+  const Instance instance(2);
   const auto result = brute_force_schedule(instance);
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->makespan, 0.0);

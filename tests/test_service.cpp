@@ -773,6 +773,47 @@ TEST(SchedulerService, GcSlotsReclaimsObservedDeliveredOutcomes) {
   EXPECT_EQ(service.stats().slots_reclaimed, 2u);
 }
 
+TEST(SchedulerService, GcSlotsHandsOutReclaimedOutcomesWhole) {
+  // The read that reclaims a slot moves its outcome out rather than copying
+  // it: every waited or polled outcome must still be the whole answer of a
+  // serial solve, and the ticket is spent afterwards.
+  ServiceConfig options;
+  options.threads = 1;
+  options.gc_slots = true;
+  SchedulerService service(options);
+  std::vector<SolveRequest> requests;
+  for (int i = 0; i < 4; ++i) {
+    requests.push_back({"mrt", {}, InstanceHandle::intern(small_instance(640 + i))});
+  }
+  requests.push_back(
+      {"naive", SolverOptions::from_string("policy=lpt-seq"), requests[0].instance});
+  std::vector<JobTicket> tickets;
+  for (const auto& request : requests) tickets.push_back(service.submit(request));
+
+  // Read before the delivery frontier may have passed it (kept for the
+  // stream, so copied), then after a drain (reclaimed in the same step).
+  EXPECT_EQ(outcome_payload(service.wait(tickets[0])), serial_payload(requests[0]));
+  service.drain();
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    const std::string expected = serial_payload(requests[i]);
+    if (i % 2 == 0) {
+      EXPECT_EQ(outcome_payload(service.wait(tickets[i])), expected) << "request " << i;
+    } else {
+      const auto polled = service.poll(tickets[i]);
+      ASSERT_TRUE(polled.has_value());
+      EXPECT_EQ(outcome_payload(*polled), expected) << "request " << i;
+    }
+    EXPECT_THROW(static_cast<void>(service.wait(tickets[i])), std::logic_error);
+  }
+  EXPECT_THROW(static_cast<void>(service.wait(tickets[0])), std::logic_error);
+
+  // A submit-time cache hit is delivered before wait() reads it: moved too.
+  const auto hit = service.wait(service.submit(requests[1]));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(outcome_payload(hit), serial_payload(requests[1]));
+  EXPECT_EQ(service.stats().slots_reclaimed, requests.size() + 1);
+}
+
 TEST(SchedulerService, GcOffKeepsOutcomesReadableForever) {
   SchedulerService service{ServiceConfig{}};  // gc_slots defaults off
   const auto handle = InstanceHandle::intern(small_instance(63));
@@ -1122,11 +1163,11 @@ TEST(SolveCache, InstanceAndKeyFingerprintsArePinned) {
   // process must compute the same ones: the hash is defined on bit patterns
   // and packed bytes, so these values hold on every compiler, build type and
   // host. A change here changes routing; pin the new values on purpose.
-  std::vector<MalleableTask> tasks;
-  tasks.emplace_back(std::vector<double>{6.0, 3.5, 2.75, 2.5}, "alpha");
-  tasks.emplace_back(std::vector<double>{1.0, 1.0, 1.0, 1.0}, "a task with a long name");
-  tasks.emplace_back(std::vector<double>{0.5, 0.375, 0.25, 0.25, 0.25});
-  const auto handle = InstanceHandle::intern(Instance(4, std::move(tasks)));
+  Instance tasks(4);
+  tasks.add_task(std::vector<double>{6.0, 3.5, 2.75, 2.5}, "alpha");
+  tasks.add_task(std::vector<double>{1.0, 1.0, 1.0, 1.0}, "a task with a long name");
+  tasks.add_task(std::vector<double>{0.5, 0.375, 0.25, 0.25, 0.25});
+  const auto handle = InstanceHandle::intern(std::move(tasks));
   EXPECT_EQ(handle.fingerprint(), 0x8c86115fcac6a559ull);
   EXPECT_EQ(SolveCache::make_key("mrt", SolverOptions::from_string("epsilon=0.05"), handle)
                 .fingerprint,

@@ -289,30 +289,52 @@ TEST(ShardedService, DistinctContentSplitsEvenlyAcrossShards) {
 // Cross-shard handle identity: equal content interned concurrently from
 // many threads converges on ONE allocation (the process-wide intern table),
 // with exactly one fingerprint computation per intern() and zero re-hashing
-// afterwards, all the way through a sharded submit/drain cycle.
+// afterwards, all the way through a sharded submit/drain cycle. Other
+// threads meanwhile intern and drop distinct content, so the table's sweeps
+// of dead entries run while the hits are being served.
 TEST(ShardedService, ConcurrentEqualContentInternsShareOneAllocationAndNeverRehash) {
-  constexpr int kThreads = 8;
+  constexpr int kThreads = 8;   // each interns its own copy of `content`, kRounds times
+  constexpr int kRounds = 16;
+  constexpr int kChurners = 2;  // each interns and drops kChurn distinct contents
+  constexpr int kChurn = 300;
   const Instance content = small_instance(7401, 24, 12);
 
   const auto hashes_before = InstanceHandle::content_hashes();
   const auto hits_before = InstanceHandle::intern_table_hits();
 
   std::vector<InstanceHandle> handles(kThreads);
+  std::atomic<int> moved{0};  // later interns that came back with another allocation
   {
     std::vector<std::thread> threads;
-    threads.reserve(kThreads);
+    threads.reserve(kThreads + kChurners);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&handles, &content, t] {
+      threads.emplace_back([&handles, &content, &moved, t] {
         handles[t] = InstanceHandle::intern(Instance{content});  // own copy each
+        for (int round = 1; round < kRounds; ++round) {
+          const auto again = InstanceHandle::intern(Instance{content});
+          if (&again.instance() != &handles[t].instance()) moved.fetch_add(1);
+        }
+      });
+    }
+    for (int c = 0; c < kChurners; ++c) {
+      threads.emplace_back([c] {
+        for (int k = 0; k < kChurn; ++k) {
+          Instance distinct(1);
+          distinct.add_task(std::vector<double>{1.0 + c * kChurn + k});
+          static_cast<void>(InstanceHandle::intern(std::move(distinct)));
+        }
       });
     }
     for (auto& thread : threads) thread.join();
   }
+  EXPECT_EQ(moved.load(), 0) << "a live entry was swept or missed";
 
   // One hash per intern (the probe itself), no extras.
-  EXPECT_EQ(InstanceHandle::content_hashes(), hashes_before + kThreads);
-  // Exactly one thread inserted; the other seven were served by the table.
-  EXPECT_EQ(InstanceHandle::intern_table_hits(), hits_before + kThreads - 1);
+  EXPECT_EQ(InstanceHandle::content_hashes(),
+            hashes_before + kThreads * kRounds + kChurners * kChurn);
+  // Exactly one thread inserted `content`; every other intern of it was
+  // served by the table, and no distinct content was.
+  EXPECT_EQ(InstanceHandle::intern_table_hits(), hits_before + kThreads * kRounds - 1);
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(&handles[t].instance(), &handles[0].instance())
         << "equal-content handles must share one allocation";

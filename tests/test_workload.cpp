@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/canonical.hpp"
+#include "model/instance_handle.hpp"
 #include "model/instance_io.hpp"
 #include "model/lower_bounds.hpp"
 #include "model/monotonize.hpp"
@@ -32,7 +36,8 @@ TEST_P(GeneratorFamilyTest, ProducesValidInstances) {
   if (family != WorkloadFamily::kPackedOpt1) {
     EXPECT_EQ(instance.size(), tasks);
   }
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     EXPECT_TRUE(is_monotonic_profile(task.profile()));
     EXPECT_FALSE(task.name().empty());
   }
@@ -55,6 +60,28 @@ TEST(Generators, DeterministicPerSeed) {
     const auto c = generate_instance(family, options, 124);
     EXPECT_EQ(instance_to_string(a), instance_to_string(b)) << to_string(family);
     EXPECT_NE(instance_to_string(a), instance_to_string(c)) << to_string(family);
+  }
+}
+
+TEST(Generators, EveryFamilyRoundTripsThroughTextToEqualContent) {
+  // Written and read back, each generator's instance is the same content: the
+  // same fingerprint, a deep compare that holds, and an equal handle.
+  GeneratorOptions options;
+  options.tasks = 24;
+  options.machines = 12;
+  std::vector<std::pair<std::string, Instance>> instances;
+  for (const auto family : all_workload_families()) {
+    instances.emplace_back(to_string(family), generate_instance(family, options, 61));
+  }
+  instances.emplace_back("ocean", ocean_instance(OceanOptions{}, 61));
+  instances.emplace_back("trace", trace_snapshot(TraceOptions{}, 61));
+  for (const auto& [family, instance] : instances) {
+    const auto original = InstanceHandle::intern(instance);
+    const Instance read_back = instance_from_string(instance_to_string(instance));
+    EXPECT_TRUE(read_back == instance) << family;
+    const auto round_trip = InstanceHandle::intern(read_back);
+    EXPECT_EQ(round_trip.fingerprint(), original.fingerprint()) << family;
+    EXPECT_TRUE(round_trip == original) << family;
   }
 }
 
@@ -92,7 +119,7 @@ TEST(PackedInstance, CoversTheWholeMachine) {
     const int machines = 12;
     const auto instance = packed_instance(machines, seed);
     double full_width_work = 0.0;
-    for (const auto& task : instance.tasks()) full_width_work += task.work(machines);
+    for (int i = 0; i < instance.size(); ++i) full_width_work += instance.task(i).work(machines);
     EXPECT_TRUE(geq(full_width_work, static_cast<double>(machines)));
   }
 }
@@ -111,7 +138,8 @@ TEST(Ocean, ValidAndStructured) {
   options.machines = 32;
   const auto instance = ocean_instance(options, 7);
   EXPECT_GE(instance.size(), options.base_grid * options.base_grid);
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     EXPECT_TRUE(is_monotonic_profile(task.profile()));
     EXPECT_EQ(task.name().rfind("blk-", 0), 0u) << task.name();
   }
@@ -144,7 +172,8 @@ TEST(Trace, ValidJobsWithPlateaus) {
   options.jobs = 40;
   const auto instance = trace_snapshot(options, 21);
   EXPECT_EQ(instance.size(), 40);
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     EXPECT_TRUE(is_monotonic_profile(task.profile()));
   }
 }
@@ -155,7 +184,8 @@ TEST(Trace, ParallelismCapRespected) {
   options.jobs = 30;
   options.max_parallelism_cap = 4;
   const auto instance = trace_snapshot(options, 22);
-  for (const auto& task : instance.tasks()) {
+  for (int i = 0; i < instance.size(); ++i) {
+    const MalleableTask task = instance.task(i);
     // Beyond the cap the profile must be flat.
     EXPECT_NEAR(task.time(5), task.time(32), task.time(5) * 1e-9);
   }
