@@ -36,9 +36,8 @@
 //   ./build/bench/bench_load --qps 500,2000,8000 --duration 3 --shards 1,2
 //   ./build/bench/bench_load --configs edf-budget --process bursty
 //
-// The artifact (LOAD_<rev>.json, schema v8; the load-specific fields are
-// optional properties of bench/bench_schema.json) is validated in CI by
-// bench/validate_bench_json.py.
+// The artifact (LOAD_<rev>.json, schema v9 in bench/bench_schema.json) is
+// validated in CI by bench/validate_bench_json.py.
 
 #include <algorithm>
 #include <chrono>
@@ -79,7 +78,8 @@ using namespace malsched;
 // and the optional top-level saturation_qps.
 // v8: the required run-level service_stats object (accumulate_stats over
 // every selected run, written by the shared api/stats_json.cpp writer).
-constexpr int kSchemaVersion = 8;
+// v9: every case field written below is required and no other is allowed.
+constexpr int kSchemaVersion = 9;
 
 /// One swept serving scenario. Budgets make EDF meaningful: with
 /// budget_range > 0 every request draws a uniform budget in
@@ -682,11 +682,6 @@ int main(int argc, char** argv) {
     json.kv("lower_bound", ref_lower_bounds.mean());
     json.kv("ratio", ref_ratios.mean());
     json.kv("wall_seconds", run.wall_seconds);
-    for (const char* field : {"iterations", "allocations", "cache_hit", "dedup_join",
-                              "fallback_used"}) {
-      json.key(field);
-      json.null_value();
-    }
     if (run.mismatches + run.unexpected_errors > 0) {
       json.kv("error_code", "solver_failure");
       json.kv("error", std::to_string(run.mismatches) + " outcome(s) differ from the " +
@@ -696,7 +691,7 @@ int main(int argc, char** argv) {
     json.kv("shard", row.shards);
     json.kv("qps", run.served_qps);
     json.kv("digest", reference_digest);
-    // v7 load fields (optional in the schema).
+    // The load fields (v7).
     json.kv("process", to_string(process));
     json.kv("offered_qps", row.offered_qps);
     json.kv("policy", row.scenario->policy);

@@ -3,13 +3,13 @@
 
 Standard library only (CI and the dev container both lack jsonschema), so
 this implements the subset of JSON Schema the checked-in schema uses:
-type (string or list, with "integer" meaning an integral number and
-"boolean" covering the per-case cache_hit/dedup_join flags of v3/v4),
-required, properties, items, enum, const (pins schema_version, so a v3
-artifact fails against the v4 schema instead of sliding through), minimum,
-minItems, and additionalProperties: false (the v8 service_stats rollup is
-a closed object, so a counter added to ServiceStats but not to the schema
-fails here as well as in the stats-exhaustiveness lint).
+type (string or list, with "integer" meaning an integral number), required,
+properties, items, enum, const (pins schema_version, so a v8 artifact fails
+against the v9 schema instead of sliding through), minimum, minItems, and
+additionalProperties: false (the service_stats rollup and each case are
+closed objects, so a counter added to ServiceStats but not to the schema
+fails here as well as in the stats-exhaustiveness lint, and a case field no
+schema names is refused).
 Unknown schema keywords are rejected loudly rather than silently ignored, so
 the schema cannot drift ahead of the validator.
 

@@ -27,13 +27,10 @@ using namespace malsched;
 int usage() {
   std::cerr <<
       "usage: solve_file [options] [instance-file]\n"
-      "  --algo NAME        a registered solver (see --list-algos); default mrt.\n"
-      "                     Legacy aliases: 2phase-ffdh, 2phase-list, 3/2,\n"
-      "                     lpt-seq, gang\n"
+      "  --algo NAME        a registered solver (see --list-algos); default mrt\n"
       "  --opt KEY=VALUE    solver option, repeatable (e.g. --opt rigid=nfdh)\n"
       "  --epsilon X        shorthand for --opt epsilon=X (solver default:\n"
       "                     0.01, except graph's layered strategy at 0.02)\n"
-      "  --local-search     shorthand for --opt local_search=1\n"
       "  --gantt            render the schedule\n"
       "  --list-algos       print the registered solvers and exit\n"
       "  --family NAME      generate instead of reading a file\n"
@@ -48,29 +45,6 @@ std::optional<WorkloadFamily> family_from_name(const std::string& name) {
     if (to_string(family) == name) return family;
   }
   return std::nullopt;
-}
-
-/// Maps the pre-registry algorithm names onto (solver, extra options). An
-/// explicit --opt always wins over what the alias implies.
-void apply_legacy_alias(std::string& algo, SolverOptions& options) {
-  const auto set_default = [&options](const std::string& key, const std::string& value) {
-    if (!options.has(key)) options.set(key, value);
-  };
-  if (algo == "2phase-ffdh") {
-    algo = "two_phase";
-    set_default("rigid", "ffdh");
-  } else if (algo == "2phase-nfdh") {
-    algo = "two_phase";
-    set_default("rigid", "nfdh");
-  } else if (algo == "2phase-list") {
-    algo = "two_phase";
-    set_default("rigid", "list");
-  } else if (algo == "3/2") {
-    algo = "two_shelves_32";
-  } else if (algo == "lpt-seq" || algo == "gang" || algo == "half-speedup") {
-    set_default("policy", algo);
-    algo = "naive";
-  }
 }
 
 }  // namespace
@@ -101,8 +75,6 @@ int main(int argc, char** argv) {
       option_tokens.push_back(next());
     } else if (arg == "--epsilon") {
       option_tokens.push_back("epsilon=" + next());
-    } else if (arg == "--local-search") {
-      option_tokens.emplace_back("local_search=1");
     } else if (arg == "--gantt") {
       gantt = true;
     } else if (arg == "--list-algos") {
@@ -176,7 +148,6 @@ int main(int argc, char** argv) {
   SolverOptions options;
   try {
     options = SolverOptions::from_tokens(option_tokens);
-    apply_legacy_alias(algo, options);
   } catch (const std::exception& err) {
     std::cerr << err.what() << "\n";
     return usage();

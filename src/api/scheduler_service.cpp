@@ -13,14 +13,6 @@ namespace malsched {
 
 namespace {
 
-SolveCacheConfig cache_config(const ServiceConfig& options) {
-  SolveCacheConfig config;
-  config.capacity = options.cache ? options.cache_capacity : 0;
-  config.max_bytes = options.cache_max_bytes;
-  config.ttl_seconds = options.cache_ttl_seconds;
-  return config;
-}
-
 /// Terminal slots never read their request again (run_job copies what it
 /// needs at dequeue); dropping the payload here keeps a long-lived service
 /// from pinning every instance it ever saw. Outcomes stay poll()-able.
@@ -48,7 +40,7 @@ const ServiceConfig& validated(const ServiceConfig& config) {
 SchedulerService::SchedulerService(ServiceConfig config)
     : options_(validated(config)),
       registry_(config.registry != nullptr ? config.registry : &SolverRegistry::global()),
-      cache_(cache_config(config)),
+      cache_(config.cache ? config.cache_capacity : 0),
       pool_(config.threads) {}
 
 SchedulerService::~SchedulerService() { shutdown(); }
@@ -357,7 +349,6 @@ SchedulerService::Inflight* SchedulerService::find_inflight_locked(const SolveCa
 void SchedulerService::run_job(std::uint64_t id) {
   SolveRequest request;
   bool use_cache = false;
-  bool use_dedup = false;
   bool degraded = false;
   CancelToken token;
   double deadline = 0.0;
@@ -373,12 +364,11 @@ void SchedulerService::run_job(std::uint64_t id) {
     degraded = slot.degraded;
     // A degraded job answers with the fallback solver: its result is NOT the
     // requested solver's result, so it must neither populate nor consult the
-    // cache, nor coalesce with real solves of the same key.
+    // cache, nor coalesce with real solves of the same key. In-flight dedup
+    // rides the same flag: a request that opted out must measure a real
+    // solve (not adopt someone else's), and a cache-disabled service is the
+    // documented way to force exactly that service-wide.
     use_cache = cache_.enabled() && request.use_cache && !degraded;
-    // Dedup rides the cache flags: a request that opted out must measure a
-    // real solve (not adopt someone else's), and a cache-disabled service
-    // is the documented way to force exactly that service-wide.
-    use_dedup = options_.dedup && use_cache;
   }
   const bool can_degrade =
       options_.overload_policy == "degrade" && !options_.fallback_solver.empty();
@@ -434,9 +424,7 @@ void SchedulerService::run_job(std::uint64_t id) {
       finish(id, std::move(outcome), nullptr);
       return;
     }
-  }
 
-  if (use_dedup) {
     // Atomic miss-or-join: the inflight check and leader registration share
     // one lock, so two identical misses cannot both become leaders -- the
     // second always joins the first. (A leader that finished BETWEEN our
@@ -483,7 +471,7 @@ void SchedulerService::run_job(std::uint64_t id) {
       const LockGuard lock(mutex_);
       ++stats_.deadline_misses;  // the fallback outcome won't carry the code
     }
-    finish(id, run_fallback(request, id, stopwatch), use_dedup ? &*key : nullptr);
+    finish(id, run_fallback(request, id, stopwatch), use_cache ? &*key : nullptr);
     return;
   }
   if (outcome.status == SolveStatus::kOk && use_cache) {
@@ -495,7 +483,7 @@ void SchedulerService::run_job(std::uint64_t id) {
     }
   }
   outcome.wall_seconds = stopwatch.seconds();
-  finish(id, std::move(outcome), use_dedup ? &*key : nullptr);
+  finish(id, std::move(outcome), use_cache ? &*key : nullptr);
 }
 
 SolveOutcome SchedulerService::run_fallback(const SolveRequest& request, std::uint64_t id,
@@ -865,12 +853,8 @@ ServiceStats SchedulerService::stats() const {
   const SolveCacheStats cache = cache_.stats();
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions();
-  out.cache_evictions_capacity = cache.evictions_capacity;
-  out.cache_evictions_bytes = cache.evictions_bytes;
-  out.cache_evictions_ttl = cache.evictions_ttl;
+  out.cache_evictions = cache.evictions;
   out.cache_entries = cache.entries;
-  out.cache_bytes = cache.bytes;
   return out;
 }
 

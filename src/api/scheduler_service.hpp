@@ -44,7 +44,7 @@
 ///    poll()/wait() bypass.
 ///  * **Content-addressed solve cache** -- completed results are memoized
 ///    under the interned fingerprint + solver + canonical options (see
-///    SolveCache; eviction by capacity, byte budget, and TTL, each counted).
+///    SolveCache; LRU eviction past `cache_capacity` entries, counted).
 ///    A hit returns the memoized result without dispatching -- and since
 ///    v2.1, without the worker round trip either: submit() probes the cache
 ///    on the calling thread and a hit creates the slot already terminal
@@ -62,8 +62,9 @@
 ///    (bytes included; `dedup_join` set, the leader's worker id stamped).
 ///    Joining is non-blocking -- the joiner's worker moves on immediately --
 ///    so dedup never idles a thread. `dedup_joins` counts registrations.
-///    Per-request opt-out rides SolveRequest::use_cache (a request that must
-///    measure a real solve must not adopt someone else's).
+///    Dedup follows the cache switches: ServiceConfig::cache turns both off
+///    service-wide, SolveRequest::use_cache per request (a request that
+///    must measure a real solve must not adopt someone else's).
 ///
 /// Robustness (deadlines, admission, degradation):
 ///
@@ -161,12 +162,8 @@ struct ServiceStats {
   std::uint64_t slots_reclaimed{0};  ///< outcome payloads freed by gc_slots
   std::uint64_t cache_hits{0};
   std::uint64_t cache_misses{0};
-  std::uint64_t cache_evictions{0};  ///< all causes (split below)
-  std::uint64_t cache_evictions_capacity{0};
-  std::uint64_t cache_evictions_bytes{0};
-  std::uint64_t cache_evictions_ttl{0};
+  std::uint64_t cache_evictions{0};  ///< LRU evictions past cache_capacity
   std::size_t cache_entries{0};
-  std::size_t cache_bytes{0};  ///< approximate resident footprint
   /// Retired: workers no longer share DualWorkspaces across solves, so this
   /// always reads 0. It stays only because the repository benchmark reads it
   /// (`api.workspace_reuses`) and goes away at the next benchmark change.

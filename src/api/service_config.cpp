@@ -1,6 +1,5 @@
 #include "api/service_config.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -14,12 +13,6 @@ std::vector<std::string> ServiceConfig::validate() const {
     errors.push_back("threads = " + std::to_string(threads) + " exceeds the sanity ceiling of " +
                      std::to_string(kMaxThreads) +
                      " (did a negative count wrap through unsigned?)");
-  }
-  if (std::isnan(cache_ttl_seconds) || std::isinf(cache_ttl_seconds)) {
-    errors.push_back("cache_ttl_seconds must be finite (0 means never expires)");
-  } else if (cache_ttl_seconds < 0.0) {
-    errors.push_back("cache_ttl_seconds = " + std::to_string(cache_ttl_seconds) +
-                     " is negative; use 0 for never-expires");
   }
   if (cache && cache_capacity == 0) {
     errors.push_back(

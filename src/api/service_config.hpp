@@ -9,11 +9,11 @@
 /// Both tiers construct from it identically -- `SchedulerService(config)`
 /// and `ShardedSchedulerService(config, shards)` (where `config` describes
 /// EACH shard: per-shard worker threads, per-shard cache budget). A
-/// nonsensical combination (negative TTL, cache enabled with a zero entry
-/// budget) would silently produce a service that behaves like a different
-/// configuration, so services call ensure_valid() at construction and
-/// reject bad configs with one readable std::invalid_argument listing EVERY
-/// violation, not just the first.
+/// nonsensical combination (a negative queue depth, cache enabled with a
+/// zero entry budget) would silently produce a service that behaves like a
+/// different configuration, so services call ensure_valid() at construction
+/// and reject bad configs with one readable std::invalid_argument listing
+/// EVERY violation, not just the first.
 namespace malsched {
 
 class SolverRegistry;
@@ -21,15 +21,12 @@ class SolverRegistry;
 struct ServiceConfig {
   /// Worker threads (per shard for the sharded tier); 0 = hardware_concurrency.
   unsigned threads{0};
-  /// Master switch for the solve cache; `cache_capacity` entries when on.
+  /// Master switch for the solve cache and, with it, in-flight dedup:
+  /// concurrent identical cache-consulting misses coalesce onto one solve.
   bool cache{true};
+  /// The cache's entry budget (LRU past it) -- the one memory bound of a
+  /// deployment's memoized results.
   std::size_t cache_capacity{1024};
-  /// Approximate cache byte budget; 0 = unlimited (see SolveCacheConfig).
-  std::size_t cache_max_bytes{0};
-  /// Cache entry time-to-live in seconds; 0 = never expires.
-  double cache_ttl_seconds{0.0};
-  /// Coalesce concurrent identical cache-consulting misses onto one solve.
-  bool dedup{true};
   /// Reclaim outcome payloads once delivered AND observed (see the service
   /// Retention contract).
   bool gc_slots{false};
@@ -90,13 +87,12 @@ struct ServiceConfig {
   static constexpr unsigned kMaxThreads = 1024;
 
   /// Every violation as one readable sentence; empty means valid.
-  /// Checked: `threads` <= kMaxThreads, `cache_ttl_seconds` finite and
-  /// non-negative, `cache` on implies `cache_capacity` > 0 (a zero
-  /// entry budget silently disables the cache -- say `cache = false`
-  /// instead), `max_queue_depth` >= 0, `overload_policy` one of
-  /// reject/shed_oldest/degrade, "degrade" implies a non-empty
-  /// `fallback_solver`, a non-empty `fallback_solver` exists in the
-  /// effective registry (`registry`, or the global one when null),
+  /// Checked: `threads` <= kMaxThreads, `cache` on implies
+  /// `cache_capacity` > 0 (a zero entry budget silently disables the cache
+  /// -- say `cache = false` instead), `max_queue_depth` >= 0,
+  /// `overload_policy` one of reject/shed_oldest/degrade, "degrade" implies
+  /// a non-empty `fallback_solver`, a non-empty `fallback_solver` exists in
+  /// the effective registry (`registry`, or the global one when null),
   /// `queue_discipline` one of fifo/edf, and `fast_path_max_tasks` >= 0.
   [[nodiscard]] std::vector<std::string> validate() const;
 

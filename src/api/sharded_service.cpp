@@ -28,11 +28,7 @@ void accumulate_stats(ServiceStats& total, const ServiceStats& shard) {
   total.cache_hits += shard.cache_hits;
   total.cache_misses += shard.cache_misses;
   total.cache_evictions += shard.cache_evictions;
-  total.cache_evictions_capacity += shard.cache_evictions_capacity;
-  total.cache_evictions_bytes += shard.cache_evictions_bytes;
-  total.cache_evictions_ttl += shard.cache_evictions_ttl;
   total.cache_entries += shard.cache_entries;
-  total.cache_bytes += shard.cache_bytes;
   total.workspace_reuses += shard.workspace_reuses;
   total.rejected += shard.rejected;
   total.shed += shard.shed;

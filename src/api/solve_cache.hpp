@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <string>
@@ -26,12 +25,8 @@
 /// two separately interned but identical instances carry the same
 /// fingerprint and hit the same entry.
 ///
-/// Eviction (API v2) has three causes, each counted separately:
-///   * capacity -- LRU past the fixed entry budget,
-///   * bytes    -- LRU past `max_bytes` (footprint is an estimate: entry
-///     struct + key strings + schedule assignments + stat keys),
-///   * ttl      -- entries older than `ttl_seconds`, expired lazily on the
-///     lookup/insert that finds them stale.
+/// Eviction is LRU past a fixed entry budget. Results never go stale --
+/// each one is a deterministic function of its key -- so no entry expires.
 ///
 /// Collisions are handled, not assumed away: entries whose 64-bit
 /// fingerprints collide are disambiguated by a full key comparison (solver,
@@ -47,35 +42,12 @@
 /// support/thread_annotations.hpp).
 namespace malsched {
 
-struct SolveCacheConfig {
-  /// Max memoized results; 0 disables the cache entirely (lookups miss
-  /// without counting, inserts drop).
-  std::size_t capacity{1024};
-  /// Approximate byte budget over all entries; 0 = unlimited. A single
-  /// over-budget entry is kept (evicting it for its own insert would make
-  /// the cache thrash on every oversized result).
-  std::size_t max_bytes{0};
-  /// Entries older than this are expired on access; 0 = never.
-  double ttl_seconds{0.0};
-  /// Monotone seconds source for TTL decisions; defaults to the steady
-  /// clock. A test hook -- production code leaves it empty.
-  std::function<double()> clock{};
-};
-
 struct SolveCacheStats {
   std::uint64_t hits{0};
-  std::uint64_t misses{0};       ///< lookups that found nothing (or expired)
+  std::uint64_t misses{0};  ///< lookups that found nothing
   std::uint64_t insertions{0};
-  std::uint64_t evictions_capacity{0};  ///< pushed out by the entry budget
-  std::uint64_t evictions_bytes{0};     ///< pushed out by the byte budget
-  std::uint64_t evictions_ttl{0};       ///< expired by age
-  std::size_t entries{0};  ///< current size
-  std::size_t bytes{0};    ///< current approximate footprint
-
-  /// All causes combined.
-  [[nodiscard]] std::uint64_t evictions() const noexcept {
-    return evictions_capacity + evictions_bytes + evictions_ttl;
-  }
+  std::uint64_t evictions{0};  ///< pushed out by the entry budget
+  std::size_t entries{0};      ///< current size
 };
 
 class SolveCache {
@@ -90,17 +62,18 @@ class SolveCache {
     InstanceHandle instance;  ///< always valid()
   };
 
-  explicit SolveCache(SolveCacheConfig config);
+  /// At most `capacity` memoized results; 0 disables the cache entirely
+  /// (lookups miss without counting, inserts drop).
+  explicit SolveCache(std::size_t capacity);
 
   [[nodiscard]] static Key make_key(const std::string& solver, const SolverOptions& options,
                                     InstanceHandle instance);
 
   /// The memoized result for `key` (nullptr on miss), refreshing its LRU
-  /// position; counts a hit, and a miss unless `count_miss` is false. An
-  /// entry past its TTL is evicted here and reported as a miss. Returned as
-  /// a shared_ptr so callers copy (or just read) OUTSIDE the cache lock --
-  /// results are immutable once inserted, and full SolverResult copies
-  /// carry whole Schedules.
+  /// position; counts a hit, and a miss unless `count_miss` is false.
+  /// Returned as a shared_ptr so callers copy (or just read) OUTSIDE the
+  /// cache lock -- results are immutable once inserted, and full
+  /// SolverResult copies carry whole Schedules.
   ///
   /// `count_miss = false` is for opportunistic probes backed by an
   /// authoritative later lookup (the service's submit-time fast path): the
@@ -110,15 +83,12 @@ class SolveCache {
   [[nodiscard]] std::shared_ptr<const SolverResult> lookup(const Key& key, bool count_miss = true)
       MALSCHED_EXCLUDES(mutex_);
 
-  /// Memoizes `result` under `key` (idempotent: re-inserting a live key
-  /// refreshes LRU without duplicating; re-inserting an expired one replaces
-  /// it), then evicts from the LRU tail until both budgets hold. The copy
-  /// into the cache happens before the lock.
+  /// Memoizes `result` under `key` (idempotent: re-inserting a resident
+  /// key refreshes LRU without duplicating), then evicts the LRU tail past
+  /// the entry budget. The copy into the cache happens before the lock.
   void insert(const Key& key, const SolverResult& result) MALSCHED_EXCLUDES(mutex_);
 
-  void clear() MALSCHED_EXCLUDES(mutex_);
-
-  [[nodiscard]] bool enabled() const noexcept { return config_.capacity > 0; }
+  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
   /// One consistent snapshot, copied under the cache mutex.
   [[nodiscard]] SolveCacheStats stats() const MALSCHED_EXCLUDES(mutex_);
@@ -132,21 +102,16 @@ class SolveCache {
   struct Entry {
     Key key;
     std::shared_ptr<const SolverResult> result;  ///< immutable once inserted
-    double inserted_at{0.0};  ///< clock seconds at insertion (TTL anchor)
-    std::size_t bytes{0};     ///< approximate footprint charged to the budget
   };
   using EntryList = std::list<Entry>;
 
-  [[nodiscard]] double now() const;
-  [[nodiscard]] bool expired(const Entry& entry, double at) const noexcept;
   void erase_locked(EntryList::iterator it) MALSCHED_REQUIRES(mutex_);
 
-  SolveCacheConfig config_;  ///< immutable after construction
+  const std::size_t capacity_;
   mutable Mutex mutex_;
   EntryList entries_ MALSCHED_GUARDED_BY(mutex_);  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::vector<EntryList::iterator>> index_
       MALSCHED_GUARDED_BY(mutex_);
-  std::size_t bytes_ MALSCHED_GUARDED_BY(mutex_){0};  ///< sum of Entry::bytes
   SolveCacheStats stats_ MALSCHED_GUARDED_BY(mutex_);
 };
 

@@ -26,16 +26,8 @@ void write_service_stats(JsonWriter& json, const ServiceStats& stats) {
   json.value(static_cast<unsigned long long>(stats.cache_misses));
   json.key("cache_evictions");
   json.value(static_cast<unsigned long long>(stats.cache_evictions));
-  json.key("cache_evictions_capacity");
-  json.value(static_cast<unsigned long long>(stats.cache_evictions_capacity));
-  json.key("cache_evictions_bytes");
-  json.value(static_cast<unsigned long long>(stats.cache_evictions_bytes));
-  json.key("cache_evictions_ttl");
-  json.value(static_cast<unsigned long long>(stats.cache_evictions_ttl));
   json.key("cache_entries");
   json.value(static_cast<unsigned long long>(stats.cache_entries));
-  json.key("cache_bytes");
-  json.value(static_cast<unsigned long long>(stats.cache_bytes));
   json.key("workspace_reuses");
   json.value(static_cast<unsigned long long>(stats.workspace_reuses));
   json.key("rejected");

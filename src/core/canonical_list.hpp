@@ -6,6 +6,7 @@
 #include "model/instance.hpp"
 #include "sched/schedule.hpp"
 #include "support/cancellation.hpp"
+#include "support/math_utils.hpp"
 
 /// The Canonical List Algorithm of Section 3.2 (Theorem 2) with the
 /// appendix's reallocation refinement.
@@ -44,7 +45,7 @@ struct CanonicalListScratch {
 
 struct CanonicalListOptions {
   /// Regime parameter; the paper's choice is sqrt(3)/2.
-  double mu{0.8660254037844386};
+  double mu{kMu};
   /// Apply the appendix's reallocation rule.
   bool use_reallocation{true};
   /// Cooperative cancellation/deadline probe, ticked once per placed task

@@ -61,7 +61,7 @@ DualSearchResult dual_search(const Instance& instance, const DualStep& step,
   double lo = static_lb;
   double hi = dual_ramp_start(instance, static_lb);
   bool have_hi = false;
-  while (iterations < options.max_iterations && !have_hi) {
+  while (iterations < kMaxDualSteps && !have_hi) {
     options.cancel.poll();
     ++iterations;
     auto outcome = step(hi);
@@ -81,7 +81,7 @@ DualSearchResult dual_search(const Instance& instance, const DualStep& step,
 
   // Phase 2: geometric bisection of [lo, hi]; hi always carries an accepted
   // schedule, lo sits below every accepted guess seen so far.
-  while (iterations < options.max_iterations && hi > lo * (1.0 + options.epsilon)) {
+  while (iterations < kMaxDualSteps && hi > lo * (1.0 + options.epsilon)) {
     options.cancel.poll();
     ++iterations;
     const double mid = std::sqrt(lo * hi);

@@ -32,11 +32,12 @@ struct DualStepResult {
 /// A dual algorithm: guess -> accept-or-reject.
 using DualStep = std::function<DualStepResult(double guess)>;
 
+/// Hard cap on dual steps per search (exponential ramp-up + bisection).
+inline constexpr int kMaxDualSteps = 200;
+
 struct DualSearchOptions {
   /// Terminate when hi <= (1+epsilon) * lo.
   double epsilon{0.01};
-  /// Hard cap on dual steps (exponential ramp-up + bisection).
-  int max_iterations{200};
   /// Cooperative cancellation/deadline probe, polled once per dual step
   /// (each step is expensive, so no striding). Unarmed by default: the
   /// search then behaves byte-identically to a check-free build.
@@ -61,7 +62,7 @@ struct DualSearchResult {
 /// benchmark's mixed pools. `step` must accept for every sufficiently large
 /// guess (all algorithms in this library do: at d = sum of sequential times
 /// a trivial schedule fits); throws std::runtime_error if no guess is
-/// accepted within the iteration budget.
+/// accepted within kMaxDualSteps.
 [[nodiscard]] DualSearchResult dual_search(const Instance& instance, const DualStep& step,
                                            const DualSearchOptions& options = {});
 

@@ -27,12 +27,12 @@ struct Partition {
 };
 
 Partition make_partition(const Instance& instance, const CanonicalAllotment& canonical,
-                         double deadline, double lambda, TwoShelfScratch& scratch) {
+                         double deadline, TwoShelfScratch& scratch) {
   Partition part{&scratch.s1, &scratch.s2, &scratch.s3, 0, 0, 0};
   scratch.s1.clear();
   scratch.s2.clear();
   scratch.s3.clear();
-  const double lambda_d = lambda * deadline;
+  const double lambda_d = kLambda * deadline;
   const double half_d = deadline / 2.0;
   long long s1_procs = 0;
   for (int i = 0; i < instance.size(); ++i) {
@@ -67,11 +67,10 @@ Partition make_partition(const Instance& instance, const CanonicalAllotment& can
 std::optional<Schedule> build_lambda_schedule(const Instance& instance,
                                               const CanonicalAllotment& canonical,
                                               const Partition& part, double deadline,
-                                              double lambda,
                                               const std::vector<TwoShelfMigrant>& migrants,
                                               TwoShelfScratch& scratch) {
   const int machines = instance.machines();
-  const double lambda_d = lambda * deadline;
+  const double lambda_d = kLambda * deadline;
   Schedule schedule(machines, instance.size());
 
   scratch.migrated.assign(static_cast<std::size_t>(instance.size()), 0);
@@ -127,10 +126,10 @@ std::optional<Schedule> build_lambda_schedule(const Instance& instance,
 std::optional<Schedule> build_trivial_schedule(const Instance& instance,
                                                const CanonicalAllotment& canonical,
                                                const Partition& part, double deadline,
-                                               double lambda, const TwoShelfMigrant& lone,
+                                               const TwoShelfMigrant& lone,
                                                TwoShelfScratch& scratch) {
   const int machines = instance.machines();
-  const double lambda_d = lambda * deadline;
+  const double lambda_d = kLambda * deadline;
   Schedule schedule(machines, instance.size());
 
   ShelfAllocator shelf1(machines);
@@ -177,7 +176,7 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
                               double deadline, const TwoShelfOptions& options,
                               TwoShelfScratch& scratch) {
   TwoShelfOutcome outcome;
-  const auto part = make_partition(instance, canonical, deadline, options.lambda, scratch);
+  const auto part = make_partition(instance, canonical, deadline, scratch);
   outcome.s1_count = static_cast<int>(part.s1->size());
   outcome.s2_count = static_cast<int>(part.s2->size());
   outcome.s3_count = static_cast<int>(part.s3->size());
@@ -188,7 +187,7 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
   outcome.knapsack_capacity = capacity;
 
   // Knapsack candidates: S1 tasks that *can* meet the lambda*d deadline.
-  const double lambda_d = options.lambda * deadline;
+  const double lambda_d = kLambda * deadline;
   auto& candidates = scratch.candidates;
   auto& items = scratch.items;
   candidates.clear();
@@ -207,8 +206,7 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
     for (const int idx : selection.items) {
       migrants.push_back(candidates[static_cast<std::size_t>(idx)]);
     }
-    return build_lambda_schedule(instance, canonical, part, deadline, options.lambda, migrants,
-                                 scratch);
+    return build_lambda_schedule(instance, canonical, part, deadline, migrants, scratch);
   };
 
   if (capacity >= 0) {
@@ -254,17 +252,15 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
     }
   }
 
-  if (options.try_trivial) {
-    // Section 4.5: one huge task alone on the short shelf, everything else
-    // (S1 remainder, S2, S3) packed on the long shelf.
-    for (const auto& candidate : candidates) {
-      if (candidate.gamma >= part.q1 + part.q2 + part.q3) {
-        if (auto schedule = build_trivial_schedule(instance, canonical, part, deadline,
-                                                   options.lambda, candidate, scratch)) {
-          outcome.used_trivial = true;
-          outcome.schedule = std::move(schedule);
-          return outcome;
-        }
+  // Section 4.5: one huge task alone on the short shelf, everything else
+  // (S1 remainder, S2, S3) packed on the long shelf.
+  for (const auto& candidate : candidates) {
+    if (candidate.gamma >= part.q1 + part.q2 + part.q3) {
+      if (auto schedule =
+              build_trivial_schedule(instance, canonical, part, deadline, candidate, scratch)) {
+        outcome.used_trivial = true;
+        outcome.schedule = std::move(schedule);
+        return outcome;
       }
     }
   }

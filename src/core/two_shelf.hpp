@@ -78,14 +78,13 @@ enum class KnapsackMode {
   kFptas,  ///< approximation scheme on (P) with fallback to (P') (Section 4.4)
 };
 
+/// The second shelf is kLambda * d long (support/math_utils.hpp), the
+/// paper's lambda = sqrt(3) - 1, and the Section 4.5 scan for trivial
+/// solutions always runs after the knapsack.
 struct TwoShelfOptions {
-  /// Second-shelf length as a fraction of d; the paper's lambda = sqrt(3)-1.
-  double lambda{0.7320508075688772};
   KnapsackMode knapsack{KnapsackMode::kExact};
   /// Epsilon for the FPTAS backend (ignored in exact mode).
   double fptas_eps{0.05};
-  /// Also scan for the paper's trivial solutions (Section 4.5).
-  bool try_trivial{true};
   /// Cooperative cancellation/deadline probe, forwarded into the knapsack
   /// branch-and-bound (ticked per explored node, strided) -- the one
   /// potentially exponential corner of the construction. Unarmed by default

@@ -30,9 +30,6 @@ class TaskGraph {
   [[nodiscard]] const std::vector<int>& predecessors(int task) const {
     return predecessors_.at(static_cast<std::size_t>(task));
   }
-  [[nodiscard]] const std::vector<int>& successors(int task) const {
-    return successors_.at(static_cast<std::size_t>(task));
-  }
 
   /// A topological order (stable: ties by index).
   [[nodiscard]] const std::vector<int>& topological_order() const noexcept { return topo_; }

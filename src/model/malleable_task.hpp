@@ -61,11 +61,6 @@ class MalleableTask {
   /// Speedup t(1) / t(p).
   [[nodiscard]] double speedup(int procs) const { return seq_time() / time(procs); }
 
-  /// Efficiency speedup(p) / p, in (0, 1] under monotonicity.
-  [[nodiscard]] double efficiency(int procs) const {
-    return speedup(procs) / static_cast<double>(procs);
-  }
-
   /// Smallest p with t(p) <= deadline (under the library tolerance), or
   /// std::nullopt when even max_procs() processors cannot meet it. This is
   /// the *canonical number of processors* of the paper when deadline is the

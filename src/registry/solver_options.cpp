@@ -109,7 +109,6 @@ std::string known_keys(const std::vector<OptionSpec>& specs) {
 }  // namespace
 
 void SolverOptions::validate(const std::vector<OptionSpec>& specs) const {
-  const bool strict = get_bool("strict", true);
   for (const auto& [key, value] : entries_) {
     const OptionSpec* spec = nullptr;
     for (const auto& candidate : specs) {
@@ -119,12 +118,10 @@ void SolverOptions::validate(const std::vector<OptionSpec>& specs) const {
       }
     }
     if (spec == nullptr) {
-      if (!strict) continue;
       std::string message = "SolverOptions: unknown option '" + key + "'";
       const std::string suggestion = closest_option_name(key, specs);
       if (!suggestion.empty()) message += " (did you mean '" + suggestion + "'?)";
-      message += "; declared options: " + known_keys(specs) +
-                 " -- pass strict=0 to ignore undeclared keys";
+      message += "; declared options: " + known_keys(specs);
       throw std::invalid_argument(message);
     }
     switch (spec->type) {

@@ -33,7 +33,7 @@ class SolverOptions {
   static SolverOptions from_tokens(const std::vector<std::string>& tokens);
 
   /// Parses a single spec string: tokens separated by commas and/or
-  /// whitespace, e.g. "epsilon=0.02,rigid=ffdh local_search". Stray
+  /// whitespace, e.g. "epsilon=0.02,rigid=ffdh compaction". Stray
   /// separators (leading, trailing, or repeated ",,"/", ") produce empty
   /// tokens, which are skipped; the edge cases of from_tokens apply
   /// otherwise.
@@ -64,11 +64,6 @@ class SolverOptions {
   ///   * a value that fails its declared type (bool/int/double parse, or an
   ///     enum value outside the allowed set), or
   ///   * a numeric value outside the declared inclusive range.
-  ///
-  /// `strict=0` in the bag downgrades the unknown-key check to pass-through
-  /// (forward-compat escape hatch); declared keys are still type- and
-  /// range-checked. The `strict` key itself must appear in `specs` (the
-  /// registry appends it to every declared table).
   void validate(const std::vector<OptionSpec>& specs) const;
 
   /// All options in key order (for logging and round-tripping).

@@ -10,7 +10,6 @@
 #include "core/mrt_scheduler.hpp"
 #include "graph/graph_scheduler.hpp"
 #include "graph/task_graph.hpp"
-#include "sched/local_search.hpp"
 #include "sched/validate.hpp"
 #include "support/failpoint.hpp"
 #include "support/stopwatch.hpp"
@@ -221,24 +220,6 @@ void SolverRegistry::add_with_context(std::string name, std::string summary, Con
     throw std::invalid_argument("SolverRegistry: duplicate solver '" + name + "'");
   }
 
-  // Declared tables get the facade-level keys appended (unless the solver
-  // already declared them), so `local_search=1`/`strict=0` validate for
-  // every schema'd solver without each table repeating them.
-  if (!options.empty()) {
-    const auto declares = [&options](const char* key) {
-      return std::any_of(options.begin(), options.end(),
-                         [key](const OptionSpec& spec) { return spec.name == key; });
-    };
-    if (!declares("local_search")) {
-      options.push_back(OptionSpec::boolean(
-          "local_search", false, "makespan local-search post-pass (facade-level)"));
-    }
-    if (!declares("strict")) {
-      options.push_back(OptionSpec::boolean(
-          "strict", true, "reject unknown option keys (0 = ignore them)"));
-    }
-  }
-
   Entry entry{name, std::move(summary), "", std::move(fn), std::move(options), contiguous};
 
   // The option portion of the one-liner is derived, never hand-written, so
@@ -328,12 +309,6 @@ SolverResult SolverRegistry::solve(const SolveRequest& request,
 
   SolverResult result = solver.fn(instance, options, merged);
   result.solver = solver.name;
-
-  if (options.get_bool("local_search", false)) {
-    auto improved = improve_schedule(instance, result.schedule);
-    result.stats.emplace_back("local_search.rounds", improved.rounds);
-    result.schedule = std::move(improved.schedule);
-  }
 
   // Every solver-specific bound is certified; the area/critical-path bound
   // always is, so the facade reports the tighter of the two. The handle

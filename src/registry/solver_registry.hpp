@@ -32,12 +32,10 @@
 ///   graph             layered DAG scheduler on the flat      epsilon, strategy=layered|
 ///                     instance (no precedence edges)         ready-list
 ///
-/// Every solver additionally honors `local_search=1` (the makespan local
-/// search post-pass, applied by the facade) and `strict=0` (downgrade
-/// unknown-key rejection to pass-through). Option bags are validated against
-/// the solver's declared OptionSpec table before dispatch: unknown keys fail
-/// fast with a did-you-mean suggestion, mistyped or out-of-range values with
-/// a readable error. solve() always validates the schedule before
+/// Option bags are validated against the solver's declared OptionSpec table
+/// before dispatch, and the table is all a solver accepts: an undeclared key
+/// fails fast with a did-you-mean suggestion, a mistyped or out-of-range
+/// value with a readable error. solve() always validates the schedule before
 /// returning -- a result is never handed out unchecked -- and stamps the
 /// wall time of the whole dispatch.
 ///
@@ -72,7 +70,7 @@ class SolverRegistry {
  public:
   /// A solver fills `solver` (optional -- the facade overwrites it),
   /// `schedule`, `lower_bound`, and `stats`; the facade computes makespan and
-  /// ratio, runs the optional post-pass, validates, and stamps wall time.
+  /// ratio, validates, and stamps wall time.
   using SolverFn = std::function<SolverResult(const Instance&, const SolverOptions&)>;
 
   /// As SolverFn, with the per-call SolveContext (cancellation, deadline).
@@ -87,10 +85,9 @@ class SolverRegistry {
     /// time, so the help text cannot drift from the declared specs.
     std::string description;
     ContextSolverFn fn;
-    /// Declared option schema. Non-empty tables get strict validation (plus
-    /// the facade-level `local_search`/`strict` keys, appended
-    /// automatically); an EMPTY table means free-form options -- no
-    /// validation, for custom solvers that have not declared a schema.
+    /// Declared option schema. A non-empty table is validated strictly
+    /// (every key must be declared); an EMPTY table means free-form options
+    /// -- no validation, for custom solvers that have not declared a schema.
     std::vector<OptionSpec> options;
     /// Whether the solver guarantees contiguous processor intervals (the
     /// paper's setting); validation enforces exactly what is promised.
@@ -124,8 +121,8 @@ class SolverRegistry {
   /// spec-derived option list; throws on unknown names.
   [[nodiscard]] const std::string& description(const std::string& name) const;
 
-  /// The declared option schema (facade keys included); empty for free-form
-  /// solvers. Throws on unknown names.
+  /// The declared option schema; empty for free-form solvers. Throws on
+  /// unknown names.
   [[nodiscard]] const std::vector<OptionSpec>& option_specs(const std::string& name) const;
 
   /// Rendered per-option help table (name, type/range, default, help line),

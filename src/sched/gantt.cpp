@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <sstream>
+#include <string>
 #include <vector>
 
 namespace malsched {
@@ -54,25 +54,16 @@ void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& i
   if (rows < schedule.machines()) {
     out << "     (" << schedule.machines() - rows << " more processors elided)\n";
   }
-  if (options.show_legend) {
-    out << "legend:";
-    const int shown = std::min(schedule.num_tasks(), 26);
-    for (int i = 0; i < shown; ++i) {
-      if (!schedule.is_assigned(i)) continue;
-      const auto& assignment = schedule.of(i);
-      out << " " << letter_for(i) << "=t" << i << "(p" << assignment.procs() << ")";
-    }
-    if (schedule.num_tasks() > shown) out << " ...";
-    out << "\n";
+  out << "legend:";
+  const int shown = std::min(schedule.num_tasks(), 26);
+  for (int i = 0; i < shown; ++i) {
+    if (!schedule.is_assigned(i)) continue;
+    const auto& assignment = schedule.of(i);
+    out << " " << letter_for(i) << "=t" << i << "(p" << assignment.procs() << ")";
   }
+  if (schedule.num_tasks() > shown) out << " ...";
+  out << "\n";
   (void)instance;
-}
-
-std::string gantt_to_string(const Schedule& schedule, const Instance& instance,
-                            const GanttOptions& options) {
-  std::ostringstream out;
-  render_gantt(out, schedule, instance, options);
-  return out.str();
 }
 
 }  // namespace malsched

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <ostream>
-#include <string>
 
 #include "model/instance.hpp"
 #include "sched/schedule.hpp"
@@ -14,18 +13,14 @@
 namespace malsched {
 
 struct GanttOptions {
-  int width{72};          ///< number of time columns
-  int max_rows{48};       ///< processors beyond this are elided
-  bool show_legend{true}; ///< print task letter -> name/duration legend
+  int width{72};     ///< number of time columns
+  int max_rows{48};  ///< processors beyond this are elided
 };
 
 /// Renders `schedule` to `out`. Idle cells print '.', task cells a letter
-/// cycling A..Z then a..z.
+/// cycling A..Z then a..z; a legend line maps the first 26 letters to their
+/// task and processor count.
 void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& instance,
                   const GanttOptions& options = {});
-
-/// Convenience string form.
-[[nodiscard]] std::string gantt_to_string(const Schedule& schedule, const Instance& instance,
-                                          const GanttOptions& options = {});
 
 }  // namespace malsched

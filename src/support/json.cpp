@@ -164,12 +164,6 @@ void JsonWriter::value(double number) {
   if (stack_.empty()) done_ = true;
 }
 
-void JsonWriter::null_value() {
-  accept_value("null_value");
-  out_ += "null";
-  if (stack_.empty()) done_ = true;
-}
-
 const std::string& JsonWriter::str() const {
   if (!done_) {
     throw std::logic_error(stack_.empty() ? "JsonWriter: str() before any value was written"

@@ -48,7 +48,6 @@ class JsonWriter {
   /// Non-finite doubles render as null; integral values render without a
   /// fraction ("64", not "64.0"), everything else with round-trip precision.
   void value(double number);
-  void null_value();
 
   /// key() + value() in one call, for flat objects.
   template <typename Value>

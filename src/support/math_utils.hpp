@@ -40,12 +40,4 @@ inline constexpr double kMu = kSqrt3 / 2.0;
   return leq(a, b) && leq(b, a);
 }
 
-/// True when `a < b` by more than the library tolerance.
-[[nodiscard]] inline bool lt_strict(double a, double b) noexcept { return !geq(a, b); }
-
-/// Integer ceiling of a / b for positive integers.
-[[nodiscard]] inline long long ceil_div(long long a, long long b) noexcept {
-  return (a + b - 1) / b;
-}
-
 }  // namespace malsched

@@ -57,7 +57,6 @@ class MALSCHED_CAPABILITY("mutex") Mutex {
 
   void lock() MALSCHED_ACQUIRE() { mutex_.lock(); }
   void unlock() MALSCHED_RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() MALSCHED_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
   /// For negative-capability annotations (e.g. MALSCHED_REQUIRES(!mutex_)).
   const Mutex& operator!() const { return *this; }

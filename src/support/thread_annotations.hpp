@@ -70,10 +70,6 @@
 #define MALSCHED_RELEASE_SHARED(...) \
   MALSCHED_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns `b`.
-#define MALSCHED_TRY_ACQUIRE(b, ...) \
-  MALSCHED_THREAD_ANNOTATION__(try_acquire_capability(b, __VA_ARGS__))
-
 /// Function precondition: the caller must NOT hold the listed capabilities
 /// (the function acquires them itself -- self-deadlock prevention).
 #define MALSCHED_EXCLUDES(...) MALSCHED_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))

@@ -37,10 +37,10 @@ Instance small_instance(std::uint64_t seed = 3) {
 // ------------------------------------------------------------ SolverOptions
 
 TEST(SolverOptions, ParsesTokensAndTypes) {
-  const auto options = SolverOptions::from_tokens({"epsilon=0.05", "rigid=nfdh", "local_search"});
+  const auto options = SolverOptions::from_tokens({"epsilon=0.05", "rigid=nfdh", "compaction"});
   EXPECT_DOUBLE_EQ(options.get_double("epsilon", 0.0), 0.05);
   EXPECT_EQ(options.get_string("rigid"), "nfdh");
-  EXPECT_TRUE(options.get_bool("local_search", false));  // bare key means =1
+  EXPECT_TRUE(options.get_bool("compaction", false));  // bare key means =1
   EXPECT_EQ(options.get_int("absent", 7), 7);
 }
 
@@ -91,18 +91,19 @@ TEST(SolverOptions, OnlyTheFirstEqualsSplits) {
 
 TEST(SolverOptions, SeparatorsInsideKeysAndValuesAreRefused) {
   // str() joins entries with ',' and keys the solve cache. Were a ',' legal
-  // in a value, {strict=0, a="1,epsilon=0.5"} would render exactly like
-  // {a=1, epsilon=0.5, strict=0}, and the cache would answer one bag with
-  // the other's schedule.
-  EXPECT_THROW(static_cast<void>(SolverOptions::from_tokens({"strict=0", "a=1,epsilon=0.5"})),
-               std::invalid_argument);
+  // in a value, {compaction=0, a="1,epsilon=0.5"} would render exactly like
+  // {a=1, compaction=0, epsilon=0.5}, and the cache would answer one bag
+  // with the other's schedule.
+  EXPECT_THROW(
+      static_cast<void>(SolverOptions::from_tokens({"compaction=0", "a=1,epsilon=0.5"})),
+      std::invalid_argument);
   EXPECT_THROW(SolverOptions{}.set("a=b", "1"), std::invalid_argument);
   EXPECT_THROW(SolverOptions{}.set("a,b", "1"), std::invalid_argument);
   EXPECT_THROW(SolverOptions{}.set("a", "1,2"), std::invalid_argument);
   // '=' stays legal inside a value, and ordinary bags render as before.
   SolverOptions bag;
-  bag.set("a", "=b").set("strict", "0");
-  EXPECT_EQ(bag.str(), "a==b,strict=0");
+  bag.set("a", "=b").set("compaction", "0");
+  EXPECT_EQ(bag.str(), "a==b,compaction=0");
 }
 
 TEST(SolverOptions, StrIsInjectiveOverEveryBagSetAccepts) {
@@ -150,7 +151,6 @@ std::vector<OptionSpec> demo_specs() {
       OptionSpec::real("epsilon", 0.01, 1e-9, 10.0, "termination threshold"),
       OptionSpec::integer("rounds", 4, 1, 64, "iteration budget"),
       OptionSpec::enumeration("rigid", "ffdh", {"ffdh", "nfdh", "list"}, "packing algo"),
-      OptionSpec::boolean("strict", true, "reject unknown keys"),
   };
 }
 
@@ -168,7 +168,8 @@ TEST(OptionSpec, UnknownKeyFailsFastWithDidYouMean) {
     const std::string message = err.what();
     EXPECT_NE(message.find("unknown option 'epsilom'"), std::string::npos) << message;
     EXPECT_NE(message.find("did you mean 'epsilon'?"), std::string::npos) << message;
-    EXPECT_NE(message.find("strict=0"), std::string::npos) << message;
+    EXPECT_NE(message.find("declared options: epsilon, rounds, rigid"), std::string::npos)
+        << message;
   }
 }
 
@@ -182,13 +183,6 @@ TEST(OptionSpec, UnknownKeyWithoutACloseNameListsTheDeclaredOnes) {
     EXPECT_EQ(message.find("did you mean"), std::string::npos) << message;
     EXPECT_NE(message.find("epsilon"), std::string::npos) << message;
   }
-}
-
-TEST(OptionSpec, StrictZeroTunnelsUnknownKeysButStillTypesKnownOnes) {
-  EXPECT_NO_THROW(SolverOptions::from_string("epsilom=0.02,strict=0").validate(demo_specs()));
-  // Declared keys are still checked even in non-strict mode.
-  EXPECT_THROW(SolverOptions::from_string("epsilon=fast,strict=0").validate(demo_specs()),
-               std::invalid_argument);
 }
 
 TEST(OptionSpec, OutOfRangeAndBadEnumValuesAreRejectedReadably) {
@@ -412,13 +406,56 @@ TEST(SolverRegistry, TypodKeyFailsFastInsteadOfSolvingWithTheDefault) {
     EXPECT_NE(std::string(err.what()).find("did you mean 'epsilon'?"), std::string::npos)
         << err.what();
   }
-  // strict=0 restores the old pass-through behavior: the typo is ignored and
-  // the solve equals the default-option one.
-  const auto escaped = registry.solve(
-      SolveRequest("mrt", SolverOptions::from_string("epsilom=0.02,strict=0"), instance));
-  const auto plain = registry.solve(SolveRequest("mrt", {}, instance));
-  EXPECT_DOUBLE_EQ(escaped.makespan, plain.makespan);
-  EXPECT_DOUBLE_EQ(escaped.lower_bound, plain.lower_bound);
+}
+
+TEST(SolverRegistry, EveryUndeclaredKeyIsRefusedBeforeDispatch) {
+  // A solver accepts exactly its declared table: no facade-level key rides
+  // along, and no key switches the check off.
+  const auto instance = InstanceHandle::intern(small_instance());
+  const auto& registry = SolverRegistry::global();
+  const auto refused = [&](const std::string& solver, const std::string& options) {
+    try {
+      static_cast<void>(
+          registry.solve(SolveRequest(solver, SolverOptions::from_string(options), instance)));
+    } catch (const std::invalid_argument& err) {
+      return std::string(err.what());
+    }
+    ADD_FAILURE() << solver << " accepted '" << options << "'";
+    return std::string();
+  };
+  for (const auto& name : registry.names()) {
+    const auto& specs = registry.option_specs(name);
+    ASSERT_FALSE(specs.empty()) << name;
+    EXPECT_NE(refused(name, "local_search=1").find("unknown option 'local_search'"),
+              std::string::npos)
+        << name;
+    EXPECT_NE(refused(name, "strict=0").find("unknown option 'strict'"), std::string::npos)
+        << name;
+    // A one-letter typo of a declared key still names the key it meant.
+    std::string typo = specs.front().name;
+    typo.back() = typo.back() == 'q' ? 'x' : 'q';
+    EXPECT_NE(refused(name, typo + "=1").find("did you mean '" + specs.front().name + "'?"),
+              std::string::npos)
+        << name << " / " << typo;
+  }
+
+  // The refusal comes before the solver runs.
+  SolverRegistry custom;
+  int dispatched = 0;
+  custom.add(
+      "counting", "counts its dispatches",
+      [&dispatched](const Instance& input, const SolverOptions&) {
+        ++dispatched;
+        return SolverResult{"", Schedule(input.machines(), input.size()), 0, 0, 0, 0, {}};
+      },
+      {OptionSpec::real("epsilon", 0.01, 1e-9, 10.0, "termination threshold")});
+  for (const char* options : {"local_search=1", "strict=0", "epsilon=0.1,strict=0"}) {
+    EXPECT_THROW(static_cast<void>(custom.solve(SolveRequest(
+                     "counting", SolverOptions::from_string(options), instance))),
+                 std::invalid_argument)
+        << options;
+  }
+  EXPECT_EQ(dispatched, 0);
 }
 
 TEST(SolverRegistry, OutOfRangeValuesAreRejectedBeforeDispatch) {
@@ -443,10 +480,6 @@ TEST(SolverRegistry, DescriptionsDeriveTheirOptionListFromTheSpecs) {
           << name << " description misses option " << spec.name;
     }
   }
-  // The facade-level keys are declared everywhere without being repeated in
-  // each registration table.
-  EXPECT_NE(registry.description("naive").find("local_search"), std::string::npos);
-  EXPECT_NE(registry.description("naive").find("strict"), std::string::npos);
 }
 
 TEST(SolverRegistry, OptionHelpRendersTheSpecTable) {
@@ -482,17 +515,6 @@ TEST(SolverRegistry, FreeFormSolversSkipValidation) {
       registry.solve(SolveRequest("echo", SolverOptions::from_string("whatever=really,epsilom=1"),
                                   InstanceHandle::intern(small_instance())));
   EXPECT_TRUE(result.schedule.complete());
-}
-
-TEST(SolverRegistry, LocalSearchPostPassNeverDegrades) {
-  const auto instance = InstanceHandle::intern(small_instance(17));
-  const auto& registry = SolverRegistry::global();
-  const auto base =
-      registry.solve(SolveRequest("naive", SolverOptions::from_string("policy=lpt-seq"), instance));
-  const auto improved = registry.solve(SolveRequest(
-      "naive", SolverOptions::from_string("policy=lpt-seq,local_search=1"), instance));
-  EXPECT_TRUE(leq(improved.makespan, base.makespan));
-  EXPECT_GE(improved.stat("local_search.rounds", -1.0), 0.0);
 }
 
 TEST(SolverRegistry, ResultSummaryMentionsSolverAndNumbers) {

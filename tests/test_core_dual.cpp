@@ -96,7 +96,7 @@ TEST(DualStep, CertificatesAgreeWithBruteForceOnTinyInstances) {
       const double guess = brute->makespan * factor;
       const auto outcome = mrt_dual_step(instance, guess);
       if (outcome.certified_reject) {
-        EXPECT_TRUE(lt_strict(guess, brute->makespan))
+        EXPECT_FALSE(geq(guess, brute->makespan))
             << "certificate contradicts a known schedule of length "
             << brute->makespan;
       }
@@ -227,11 +227,8 @@ TEST(DualSearch, RejectsBadEpsilon) {
 TEST(DualSearch, ThrowsWhenNothingAccepted) {
   Instance instance(2);
   instance.add_task(sequential_profile(1.0, 2));
-  DualSearchOptions options;
-  options.max_iterations = 10;
-  EXPECT_THROW(
-      dual_search(instance, [](double) { return DualStepResult{}; }, options),
-      std::runtime_error);
+  EXPECT_THROW(dual_search(instance, [](double) { return DualStepResult{}; }),
+               std::runtime_error);
 }
 
 TEST(DualSearch, TighterEpsilonTightensTheBracket) {

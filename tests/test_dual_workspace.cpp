@@ -426,7 +426,7 @@ TEST_P(CertifiedBoundTest, BracketClosesWithinEpsilon) {
     const auto report = validate_schedule(result.schedule, instance);
     ASSERT_TRUE(report.ok) << report.str();
     ASSERT_EQ(result.gaps, 0);
-    EXPECT_LT(result.iterations, mrt.search.max_iterations);
+    EXPECT_LT(result.iterations, kMaxDualSteps);
     EXPECT_GE(result.lower_bound, makespan_lower_bound(instance));
     EXPECT_TRUE(leq(result.makespan, kSqrt3 * result.final_guess))
         << "makespan " << result.makespan << " guess " << result.final_guess;

@@ -1,17 +1,13 @@
-// Tests for the extension features: branch-and-bound knapsack, the makespan
-// local search, and end-to-end edge cases (empty instances, single
-// machines).
+// Tests for the extension features: branch-and-bound knapsack and
+// end-to-end edge cases (empty instances, single machines).
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <stdexcept>
 
 #include "core/mrt_scheduler.hpp"
 #include "knapsack/knapsack.hpp"
 #include "model/speedup_models.hpp"
-#include "sched/list_scheduler.hpp"
-#include "sched/local_search.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -78,60 +74,6 @@ TEST(BranchAndBound, EmptyAndZeroCapacity) {
   EXPECT_EQ(knapsack_branch_and_bound({}, 10).profit, 0);
   const std::vector<KnapsackItem> items{{5, 7}};
   EXPECT_EQ(knapsack_branch_and_bound(items, 0).profit, 0);
-}
-
-// -------------------------------------------------------------- local search
-
-TEST(LocalSearch, NeverWorseAndValid) {
-  Rng rng(606);
-  for (int trial = 0; trial < 15; ++trial) {
-    GeneratorOptions options;
-    options.tasks = 20;
-    options.machines = 10;
-    const auto instance =
-        generate_instance(WorkloadFamily::kUniform, options, rng.fork_seed());
-    // Deliberately bad seed schedule: random allotments, random order.
-    std::vector<int> allotment(static_cast<std::size_t>(instance.size()));
-    for (auto& p : allotment) p = static_cast<int>(rng.uniform_int(1, instance.machines()));
-    std::vector<int> order(static_cast<std::size_t>(instance.size()));
-    std::iota(order.begin(), order.end(), 0);
-    const auto seed_schedule = list_schedule(instance, allotment, order);
-
-    const auto result = improve_schedule(instance, seed_schedule);
-    EXPECT_TRUE(is_valid_schedule(result.schedule, instance));
-    EXPECT_TRUE(leq(result.makespan, seed_schedule.makespan()));
-    EXPECT_EQ(result.improved, result.makespan < seed_schedule.makespan() - kAbsEps);
-  }
-}
-
-TEST(LocalSearch, FixesPathologicalAllotment) {
-  // One perfectly parallel task forced to width 1 dominates the makespan;
-  // the search must widen it.
-  Instance instance(8);
-  instance.add_task(linear_profile(8.0, 8), "wide");
-  for (int i = 0; i < 4; ++i) instance.add_task(sequential_profile(0.5, 8));
-  const std::vector<int> allotment{1, 1, 1, 1, 1};
-  const std::vector<int> order{0, 1, 2, 3, 4};
-  const auto seed_schedule = list_schedule(instance, allotment, order);
-  ASSERT_NEAR(seed_schedule.makespan(), 8.0, 1e-9);
-  const auto result = improve_schedule(instance, seed_schedule);
-  EXPECT_TRUE(result.improved);
-  EXPECT_LT(result.makespan, 4.0);
-}
-
-TEST(LocalSearch, RespectsRoundBudget) {
-  GeneratorOptions options;
-  options.tasks = 24;
-  options.machines = 12;
-  const auto instance = generate_instance(WorkloadFamily::kBimodal, options, 3);
-  std::vector<int> allotment(static_cast<std::size_t>(instance.size()), 1);
-  std::vector<int> order(static_cast<std::size_t>(instance.size()));
-  std::iota(order.begin(), order.end(), 0);
-  const auto seed_schedule = list_schedule(instance, allotment, order);
-  LocalSearchOptions budget;
-  budget.max_rounds = 1;
-  const auto result = improve_schedule(instance, seed_schedule, budget);
-  EXPECT_LE(result.rounds, 1);
 }
 
 // ------------------------------------------------------------ edge cases

@@ -77,7 +77,6 @@ TEST(MalleableTask, AccessorsAndBounds) {
   EXPECT_DOUBLE_EQ(task.time(2), 3.5);
   EXPECT_DOUBLE_EQ(task.work(2), 7.0);
   EXPECT_NEAR(task.speedup(3), 2.0, 1e-12);
-  EXPECT_NEAR(task.efficiency(3), 2.0 / 3.0, 1e-12);
   EXPECT_EQ(task.name(), "t");
   EXPECT_THROW(static_cast<void>(task.time(0)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(task.time(4)), std::out_of_range);

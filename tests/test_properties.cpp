@@ -1,6 +1,6 @@
 // Cross-cutting property and fuzz tests: the solver pipeline under random
 // (repaired) profiles, scale and permutation robustness, serialization
-// round-trips through the solver, and composition with the post-passes.
+// round-trips through the solver, and composition with compaction.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "model/lower_bounds.hpp"
 #include "model/monotonize.hpp"
 #include "sched/compaction.hpp"
-#include "sched/local_search.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
 #include "support/rng.hpp"
@@ -117,9 +116,7 @@ TEST(Properties, PostPassesComposeMonotonically) {
     const auto result = mrt_schedule(instance);
     const auto compacted = compact_schedule(result.schedule, instance);
     EXPECT_TRUE(leq(compacted.makespan(), result.makespan));
-    const auto searched = improve_schedule(instance, compacted);
-    EXPECT_TRUE(leq(searched.makespan, compacted.makespan()));
-    EXPECT_TRUE(is_valid_schedule(searched.schedule, instance));
+    EXPECT_TRUE(is_valid_schedule(compacted, instance));
   }
 }
 

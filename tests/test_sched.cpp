@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -761,7 +762,9 @@ TEST(Gantt, RendersGridAndLegend) {
   schedule.assign(0, 0.0, 2.0, 0, 2);
   schedule.assign(1, 0.0, 3.0, 2, 1);
   schedule.assign(2, 2.0, 1.0, 0, 1);
-  const auto text = gantt_to_string(schedule, instance);
+  std::ostringstream out;
+  render_gantt(out, schedule, instance);
+  const auto text = out.str();
   EXPECT_NE(text.find("P0"), std::string::npos);
   EXPECT_NE(text.find("legend:"), std::string::npos);
   EXPECT_NE(text.find('A'), std::string::npos);
@@ -770,7 +773,9 @@ TEST(Gantt, RendersGridAndLegend) {
 TEST(Gantt, EmptyScheduleDoesNotCrash) {
   const auto instance = tiny_instance();
   const Schedule schedule(3, 3);
-  EXPECT_NE(gantt_to_string(schedule, instance).find("empty"), std::string::npos);
+  std::ostringstream out;
+  render_gantt(out, schedule, instance);
+  EXPECT_NE(out.str().find("empty"), std::string::npos);
 }
 
 // -------------------------------------------------------------- brute force

@@ -1127,9 +1127,7 @@ TEST(SolveCache, ContentAddressingSurvivesRegenerationAndCatchesDifferences) {
   EXPECT_NE(key_a.fingerprint, key_c.fingerprint);
   EXPECT_NE(key_a.fingerprint, key_d.fingerprint);
 
-  SolveCacheConfig config;
-  config.capacity = 4;
-  SolveCache cache(config);
+  SolveCache cache(4);
   const auto result = SolverRegistry::global().solve(SolveRequest("mrt", options, base));
   cache.insert(key_a, result);
   EXPECT_NE(cache.lookup(key_b), nullptr);  // same content, new object
@@ -1174,126 +1172,109 @@ TEST(SolveCache, InstanceAndKeyFingerprintsArePinned) {
             0x0b7581f232389784ull);
 }
 
-TEST(SolveCache, TtlExpiresEntriesAndCountsTheCause) {
-  double fake_now = 0.0;
-  SolveCacheConfig config;
-  config.capacity = 8;
-  config.ttl_seconds = 10.0;
-  config.clock = [&fake_now] { return fake_now; };
-  SolveCache cache(config);
-
-  const auto handle = InstanceHandle::intern(small_instance(76));
-  const auto key = SolveCache::make_key("mrt", {}, handle);
-  const auto result = SolverRegistry::global().solve(SolveRequest("mrt", {}, handle));
-  cache.insert(key, result);
-
-  fake_now = 5.0;
-  EXPECT_NE(cache.lookup(key), nullptr);  // young enough: hit
-  fake_now = 16.0;
-  EXPECT_EQ(cache.lookup(key), nullptr);  // stale: expired on access
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions_ttl, 1u);
-  EXPECT_EQ(stats.evictions_capacity, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-
-  // Re-inserting after expiry starts a fresh lifetime.
-  cache.insert(key, result);
-  fake_now = 20.0;
-  EXPECT_NE(cache.lookup(key), nullptr);
+// A placeholder result whose solver field names the copy the cache holds.
+SolverResult labelled_result(const std::string& label) {
+  return SolverResult{label, Schedule(8, 0), 0.0, 0.0, 0.0, 0.0, {}};
 }
 
-TEST(SolveCache, TtlRefreshOfAnExpiredKeyReplacesTheEntry) {
-  double fake_now = 0.0;
-  SolveCacheConfig config;
-  config.capacity = 4;
-  config.ttl_seconds = 1.0;
-  config.clock = [&fake_now] { return fake_now; };
-  SolveCache cache(config);
-  const auto handle = InstanceHandle::intern(small_instance(77));
-  const auto key = SolveCache::make_key("mrt", {}, handle);
-  const auto result = SolverRegistry::global().solve(SolveRequest("mrt", {}, handle));
-  cache.insert(key, result);
-  fake_now = 5.0;
-  cache.insert(key, result);  // idempotent path meets an expired entry
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.evictions_ttl, 1u);
-  EXPECT_EQ(stats.insertions, 2u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_NE(cache.lookup(key), nullptr);  // fresh lifetime from 5.0
-}
-
-TEST(SolveCache, ByteBudgetEvictsLruButKeepsASingleOversizedEntry) {
-  const auto handle_a = InstanceHandle::intern(small_instance(78));
-  const auto handle_b = InstanceHandle::intern(small_instance(79));
-  const auto options = SolverOptions::from_string("policy=lpt-seq");
-  const auto key_a = SolveCache::make_key("naive", options, handle_a);
-  const auto key_b = SolveCache::make_key("naive", options, handle_b);
-  const auto result_a = SolverRegistry::global().solve(SolveRequest("naive", options, handle_a));
-  const auto result_b = SolverRegistry::global().solve(SolveRequest("naive", options, handle_b));
-
-  // Measure one entry's approximate footprint with an unbounded cache.
-  SolveCacheConfig probe_config;
-  SolveCache probe(probe_config);
-  probe.insert(key_a, result_a);
-  const std::size_t one_entry = probe.stats().bytes;
-  ASSERT_GT(one_entry, 0u);
-
-  SolveCacheConfig config;
-  config.max_bytes = one_entry + one_entry / 2;  // room for one, not two
-  SolveCache cache(config);
-  cache.insert(key_a, result_a);
-  cache.insert(key_b, result_b);  // over budget: evicts LRU (key_a)
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.evictions_bytes, 1u);
-  EXPECT_EQ(stats.evictions_capacity, 0u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(cache.lookup(key_a), nullptr);
-  EXPECT_NE(cache.lookup(key_b), nullptr);
-
-  // A single entry larger than the whole budget stays resident: evicting
-  // the entry an insert just paid for would make every oversized result
-  // thrash.
-  SolveCacheConfig tiny;
-  tiny.max_bytes = 1;
-  SolveCache small_cache(tiny);
-  small_cache.insert(key_a, result_a);
-  auto tiny_stats = small_cache.stats();
-  EXPECT_EQ(tiny_stats.entries, 1u);
-  EXPECT_EQ(tiny_stats.evictions_bytes, 0u);
-  EXPECT_NE(small_cache.lookup(key_a), nullptr);
-}
-
-TEST(SolveCache, ChargesFlatAssignmentsAndTheScatteredTable) {
-  // An entry is charged 32 bytes per assignment, plus 4 per processor of
-  // every scattered set in the schedule's table.
-  const auto handle = InstanceHandle::intern(small_instance(80));
-  const auto key = SolveCache::make_key("naive", SolverOptions::from_string(""), handle);
-  const auto charged = [&](const Schedule& schedule) {
-    SolveCache cache(SolveCacheConfig{});
-    cache.insert(key, SolverResult{"probe", schedule, 0.0, 0.0, 0.0, 0.0, {}});
-    return cache.stats().bytes;
+TEST(SolveCache, LookupRefreshesRecencySoTheEntryBudgetEvictsTheLeastRecentlyUsed) {
+  const auto key = [](std::uint64_t seed) {
+    return SolveCache::make_key("mrt", {}, InstanceHandle::intern(small_instance(seed)));
   };
-  const std::size_t fixed = sizeof(SolveCache::Key) + sizeof(SolverResult) +
-                            key.solver.size() + key.options.size() + std::string("probe").size();
-  Schedule contiguous(8, 3);
-  contiguous.assign(0, 0.0, 1.0, 0, 3);
-  contiguous.assign(1, 0.0, 1.0, 3, 2);
-  contiguous.assign(2, 1.0, 1.0, 7, 1);
-  Schedule scattered(8, 3);
-  scattered.assign_scattered(0, 0.0, 1.0, {0, 2, 4});
-  scattered.assign(1, 0.0, 1.0, 5, 2);
-  scattered.assign_scattered(2, 1.0, 1.0, {7});
-  EXPECT_EQ(charged(Schedule(8, 0)), fixed);
-  EXPECT_EQ(charged(contiguous), fixed + 3 * 32);
-  EXPECT_EQ(charged(scattered), fixed + 3 * 32 + 4 * sizeof(int));
+  const auto key_a = key(86);
+  const auto key_b = key(87);
+  const auto key_c = key(88);
+  SolveCache cache(2);
+  cache.insert(key_a, labelled_result("a"));
+  cache.insert(key_b, labelled_result("b"));  // LRU order: b, a
+  ASSERT_NE(cache.lookup(key_a), nullptr);    // refreshes a: a, b
+  cache.insert(key_c, labelled_result("c"));  // evicts b, not the older a
+  EXPECT_EQ(cache.lookup(key_b), nullptr);
+  ASSERT_NE(cache.lookup(key_a), nullptr);
+  EXPECT_EQ(cache.lookup(key_a)->solver, "a");
+  ASSERT_NE(cache.lookup(key_c), nullptr);
+  EXPECT_EQ(cache.lookup(key_c)->solver, "c");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(SolveCache, ReinsertingAResidentKeyKeepsTheFirstCopyAndRefreshesItsRecency) {
+  // Two workers that race the same miss both insert; the second insert
+  // neither duplicates the entry nor counts, and it moves the key to the
+  // front as a lookup would.
+  const auto key = [](std::uint64_t seed) {
+    return SolveCache::make_key("mrt", {}, InstanceHandle::intern(small_instance(seed)));
+  };
+  const auto key_a = key(89);
+  const auto key_b = key(90);
+  const auto key_c = key(91);
+  SolveCache cache(2);
+  cache.insert(key_a, labelled_result("a first"));
+  cache.insert(key_b, labelled_result("b"));
+  cache.insert(key_a, labelled_result("a second"));  // LRU order: a, b
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  ASSERT_NE(cache.lookup(key_a), nullptr);
+  EXPECT_EQ(cache.lookup(key_a)->solver, "a first");
+
+  cache.insert(key_b, labelled_result("b again"));  // LRU order: b, a
+  cache.insert(key_c, labelled_result("c"));        // evicts a, not the re-inserted b
+  EXPECT_EQ(cache.lookup(key_a), nullptr);
+  ASSERT_NE(cache.lookup(key_b), nullptr);
+  EXPECT_EQ(cache.lookup(key_b)->solver, "b");
+  stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
+TEST(SolveCache, FingerprintCollisionsShareABucketAndLeaveItOneByOne) {
+  // Keys whose fingerprints collide stay apart behind the full-key compare,
+  // and evicting one leaves the other findable in the bucket they share.
+  const auto key = [](std::uint64_t seed) {
+    return SolveCache::make_key("mrt", {}, InstanceHandle::intern(small_instance(seed)));
+  };
+  const auto key_a = key(92);
+  auto key_b = key(93);
+  key_b.fingerprint = key_a.fingerprint;
+  const auto key_c = key(94);
+  const auto key_d = key(95);
+  const auto key_e = key(96);
+  SolveCache cache(2);
+  cache.insert(key_a, labelled_result("a"));
+  cache.insert(key_b, labelled_result("b"));  // not a re-insert of a
+  EXPECT_EQ(cache.stats().insertions, 2u);
+  ASSERT_NE(cache.lookup(key_a), nullptr);
+  EXPECT_EQ(cache.lookup(key_a)->solver, "a");
+  ASSERT_NE(cache.lookup(key_b), nullptr);  // LRU order: b, a
+  EXPECT_EQ(cache.lookup(key_b)->solver, "b");
+
+  cache.insert(key_c, labelled_result("c"));  // evicts a out of the shared bucket
+  EXPECT_EQ(cache.lookup(key_a), nullptr);
+  ASSERT_NE(cache.lookup(key_b), nullptr);
+  EXPECT_EQ(cache.lookup(key_b)->solver, "b");
+  cache.insert(key_d, labelled_result("d"));  // evicts c; LRU order: d, b
+  cache.insert(key_e, labelled_result("e"));  // evicts b, the bucket's last key
+  EXPECT_EQ(cache.lookup(key_b), nullptr);
+  EXPECT_EQ(cache.lookup(key_a), nullptr);
+  cache.insert(key_a, labelled_result("a again"));  // evicts d; a new bucket
+  ASSERT_NE(cache.lookup(key_a), nullptr);
+  EXPECT_EQ(cache.lookup(key_a)->solver, "a again");
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 6u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(stats.entries, 2u);
 }
 
 TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
+  // cache_capacity is the cache's entry budget: one entry holds the most
+  // recent result, and each further distinct result evicts one.
   ServiceConfig options;
   options.threads = 1;
-  options.cache_max_bytes = 1;  // every second entry exceeds the budget
+  options.cache_capacity = 1;
   SchedulerService service(options);
   const auto submit_seed = [&](std::uint64_t seed) {
     return service.wait(service.submit(SolveRequest{
@@ -1302,17 +1283,19 @@ TEST(SchedulerService, CacheBudgetsPlumbThroughServiceOptions) {
   };
   static_cast<void>(submit_seed(83));
   static_cast<void>(submit_seed(84));
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.cache_evictions_bytes, 1u);
-  EXPECT_EQ(stats.cache_evictions, 1u);  // total == split sum
+  static_cast<void>(submit_seed(85));
+  auto stats = service.stats();
+  EXPECT_EQ(stats.cache_evictions, 2u);
   EXPECT_EQ(stats.cache_entries, 1u);
-  EXPECT_GT(stats.cache_bytes, 0u);
+  EXPECT_EQ(stats.cache_misses, 3u);
+  EXPECT_TRUE(submit_seed(85).cache_hit);
+  stats = service.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_evictions, 2u);
 }
 
 TEST(SolveCache, ZeroCapacityDisablesEverything) {
-  SolveCacheConfig config;
-  config.capacity = 0;
-  SolveCache cache(config);
+  SolveCache cache(0);
   EXPECT_FALSE(cache.enabled());
   const auto instance = InstanceHandle::intern(small_instance(73));
   const auto key = SolveCache::make_key("mrt", {}, instance);

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -424,16 +423,6 @@ TEST(ServiceConfigTest, DefaultsAreValidAndViolationsReadReasonably) {
   EXPECT_TRUE(ServiceConfig{}.validate().empty());
   EXPECT_NO_THROW(ServiceConfig{}.ensure_valid());
 
-  ServiceConfig negative_ttl;
-  negative_ttl.cache_ttl_seconds = -1.0;
-  const auto ttl_errors = negative_ttl.validate();
-  ASSERT_EQ(ttl_errors.size(), 1u);
-  EXPECT_NE(ttl_errors[0].find("cache_ttl_seconds"), std::string::npos);
-
-  ServiceConfig nan_ttl;
-  nan_ttl.cache_ttl_seconds = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(nan_ttl.validate().size(), 1u);
-
   ServiceConfig zero_capacity;
   zero_capacity.cache = true;
   zero_capacity.cache_capacity = 0;
@@ -452,7 +441,7 @@ TEST(ServiceConfigTest, DefaultsAreValidAndViolationsReadReasonably) {
 
   // Multiple violations are ALL reported, in one readable message.
   ServiceConfig doubly_bad;
-  doubly_bad.cache_ttl_seconds = -2.0;
+  doubly_bad.max_queue_depth = -2;
   doubly_bad.cache_capacity = 0;
   EXPECT_EQ(doubly_bad.validate().size(), 2u);
   try {
@@ -460,14 +449,14 @@ TEST(ServiceConfigTest, DefaultsAreValidAndViolationsReadReasonably) {
     FAIL() << "ensure_valid() must throw";
   } catch (const std::invalid_argument& err) {
     const std::string message = err.what();
-    EXPECT_NE(message.find("cache_ttl_seconds"), std::string::npos);
+    EXPECT_NE(message.find("max_queue_depth"), std::string::npos);
     EXPECT_NE(message.find("cache_capacity"), std::string::npos);
   }
 }
 
 TEST(ServiceConfigTest, BothTiersRejectInvalidConfigsAtConstruction) {
   ServiceConfig bad;
-  bad.cache_ttl_seconds = -1.0;
+  bad.max_queue_depth = -1;
   EXPECT_THROW(SchedulerService{bad}, std::invalid_argument);
   EXPECT_THROW(ShardedSchedulerService(bad, 2), std::invalid_argument);
   EXPECT_THROW(ShardedSchedulerService({}, 0), std::invalid_argument);
