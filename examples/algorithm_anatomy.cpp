@@ -45,7 +45,7 @@ void figure1_malleable_list() {
     instance.add_task(sequential_profile(0.35 + 0.05 * i, 10), "seq" + std::to_string(i));
   }
   const auto schedule = malleable_list_schedule(instance, 1.0);
-  render_gantt(std::cout, *schedule, instance);
+  render_gantt(std::cout, *schedule);
   std::cout << "guarantee at m=10: 2 - 2/11 = " << malleable_list_guarantee(10)
             << " * guess; measured " << schedule->makespan() << "\n\n";
 }
@@ -59,7 +59,7 @@ void figure2_canonical_list_stairs() {
   const double guess = 1.05 * makespan_lower_bound(instance);
   const auto outcome = canonical_list_schedule(instance, guess);
   if (outcome.schedule) {
-    render_gantt(std::cout, *outcome.schedule, instance);
+    render_gantt(std::cout, *outcome.schedule);
     std::cout << "W = " << outcome.canonical_area << " vs mu*m*d = "
               << kMu * 12 * guess << " (area condition "
               << (outcome.area_condition ? "holds" : "fails") << ")\n\n";
@@ -84,7 +84,7 @@ void figures3to5_two_shelf() {
             << " |S3|=" << outcome.s3_count << "  q1=" << outcome.q1 << " q2=" << outcome.q2
             << " q3=" << outcome.q3 << " capacity=" << outcome.knapsack_capacity << "\n";
   if (outcome.schedule) {
-    render_gantt(std::cout, *outcome.schedule, instance);
+    render_gantt(std::cout, *outcome.schedule);
     std::cout << "makespan " << outcome.schedule->makespan() << " <= 1+lambda = " << kSqrt3
               << "\n\n";
   }
@@ -100,7 +100,7 @@ void figures3to5_two_shelf() {
   trivial_instance.add_task(sequential_profile(0.8, 8), "flat3");
   const auto trivial = two_shelf_schedule(trivial_instance, 1.0, options);
   if (trivial.schedule) {
-    render_gantt(std::cout, *trivial.schedule, trivial_instance);
+    render_gantt(std::cout, *trivial.schedule);
     std::cout << (trivial.used_trivial ? "(constructed by the trivial-solution scan)"
                                        : "(covered by the knapsack route)")
               << "\n\n";

@@ -56,6 +56,6 @@ int main() {
   const auto report = validate_schedule(result.schedule, instance);
   std::cout << "valid schedule  : " << (report.ok ? "yes" : report.str()) << "\n\n";
 
-  render_gantt(std::cout, result.schedule, instance);
+  render_gantt(std::cout, result.schedule);
   return report.ok ? 0 : 1;
 }

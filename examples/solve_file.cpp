@@ -169,6 +169,6 @@ int main(int argc, char** argv) {
   for (const auto& [key, value] : result->stats) {
     std::cout << "  " << key << " = " << value << "\n";
   }
-  if (gantt) render_gantt(std::cout, result->schedule, handle.instance());
+  if (gantt) render_gantt(std::cout, result->schedule);
   return 0;
 }

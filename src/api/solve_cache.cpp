@@ -99,7 +99,6 @@ void SolveCache::insert(const Key& key, const SolverResult& result) {
 
   entries_.push_front(Entry{key, std::move(memoized)});
   index_[key.fingerprint].push_back(entries_.begin());
-  ++stats_.insertions;
   while (entries_.size() > capacity_) {
     erase_locked(std::prev(entries_.end()));
     ++stats_.evictions;

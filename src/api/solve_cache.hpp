@@ -45,7 +45,6 @@ namespace malsched {
 struct SolveCacheStats {
   std::uint64_t hits{0};
   std::uint64_t misses{0};  ///< lookups that found nothing
-  std::uint64_t insertions{0};
   std::uint64_t evictions{0};  ///< pushed out by the entry budget
   std::size_t entries{0};      ///< current size
 };

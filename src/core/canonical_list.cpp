@@ -68,7 +68,7 @@ Schedule reallocation_schedule(const Instance& instance, std::span<const int> al
     cancel.tick();
     const int procs = allotment[static_cast<std::size_t>(task)];
     const double duration = times[static_cast<std::size_t>(task)];
-    const auto window = earliest_window(avail, procs, /*always_leftmost=*/false, scratch.window);
+    const auto window = earliest_window(avail, procs, scratch.window);
 
     if (!approx_eq(window.start, 0.0) && !reallocation_considered) {
       reallocation_considered = true;  // the rule applies only to the first such task

@@ -54,7 +54,7 @@ Partition make_partition(const Instance& instance, const CanonicalAllotment& can
   if (!scratch.s3.empty()) {
     scratch.sizes.clear();
     for (const int i : scratch.s3) scratch.sizes.push_back(instance.task(i).time(1));
-    part.q3 = first_fit_bin_count_reusing(scratch.sizes, lambda_d, scratch.ff_loads);
+    part.q3 = first_fit_bin_count(scratch.sizes, lambda_d, scratch.ff_loads);
   }
   return part;
 }
@@ -103,7 +103,8 @@ std::optional<Schedule> build_lambda_schedule(const Instance& instance,
   }
   if (!part.s3->empty()) {
     // scratch.sizes still holds the S3 sequential times from make_partition;
-    // the packing is rebuilt into reused storage (identical to first_fit()).
+    // the packing is rebuilt into reused storage, in the q3 bins
+    // first_fit_bin_count counted there.
     first_fit_into(scratch.sizes, lambda_d, scratch.ff_packing);
     const auto& packing = scratch.ff_packing;
     for (int b = 0; b < packing.bin_count(); ++b) {

@@ -70,12 +70,6 @@ void first_fit_into(std::span<const double> sizes, double capacity, BinPacking& 
   for (std::size_t b = used; b < out.bins.size(); ++b) out.bins[b].clear();
 }
 
-BinPacking first_fit(std::span<const double> sizes, double capacity) {
-  BinPacking packing;
-  first_fit_into(sizes, capacity, packing);
-  return packing;
-}
-
 BinPacking first_fit_decreasing(std::span<const double> sizes, double capacity) {
   std::vector<int> order(sizes.size());
   std::iota(order.begin(), order.end(), 0);
@@ -85,12 +79,8 @@ BinPacking first_fit_decreasing(std::span<const double> sizes, double capacity) 
   return pack_in_order(sizes, order, capacity);
 }
 
-int first_fit_bin_count(std::span<const double> sizes, double capacity) {
-  return first_fit(sizes, capacity).bin_count();
-}
-
-int first_fit_bin_count_reusing(std::span<const double> sizes, double capacity,
-                                std::vector<double>& loads) {
+int first_fit_bin_count(std::span<const double> sizes, double capacity,
+                        std::vector<double>& loads) {
   // Same placement rule and load accumulation order as first_fit_into (both
   // go through first_fit_bin_for), so the count is byte-identical; only the
   // bin membership lists are not materialized.

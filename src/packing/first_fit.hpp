@@ -26,29 +26,23 @@ struct BinPacking {
 };
 
 /// First Fit: items in the given order, each into the lowest-index bin that
-/// still has room. Throws std::invalid_argument if an item exceeds the
+/// still has room, packed into caller-owned storage. The bin and load
+/// vectors (and the inner per-bin vectors, up to shrinkage) retain their
+/// capacity across calls, so hot loops repack without fresh heap allocation
+/// after warm-up. Throws std::invalid_argument if an item exceeds the
 /// capacity (up to tolerance).
-[[nodiscard]] BinPacking first_fit(std::span<const double> sizes, double capacity);
-
-/// First Fit into caller-owned storage -- identical packing, but the bin and
-/// load vectors (and the inner per-bin vectors, up to shrinkage) retain
-/// their capacity across calls, so hot loops repack without fresh heap
-/// allocation after warm-up. This is the implementation first_fit()
-/// delegates to, so the two can never drift.
 void first_fit_into(std::span<const double> sizes, double capacity, BinPacking& out);
 
 /// First Fit Decreasing: sorts by non-increasing size first (the classical
 /// 11/9 OPT + 4 bound, Johnson et al. [11] in the paper's references).
 [[nodiscard]] BinPacking first_fit_decreasing(std::span<const double> sizes, double capacity);
 
-/// FF(S, d) of the paper: number of bins First Fit opens.
-[[nodiscard]] int first_fit_bin_count(std::span<const double> sizes, double capacity);
-
-/// Identical count, but the bin loads live in a caller-owned buffer so hot
+/// FF(S, d) of the paper: number of bins First Fit opens, the same count as
+/// first_fit_into's. The bin loads live in a caller-owned buffer so hot
 /// loops (the two-shelf partition recomputed at every dual guess) open no
 /// heap allocation after warm-up.
-[[nodiscard]] int first_fit_bin_count_reusing(std::span<const double> sizes, double capacity,
-                                              std::vector<double>& loads);
+[[nodiscard]] int first_fit_bin_count(std::span<const double> sizes, double capacity,
+                                      std::vector<double>& loads);
 
 /// The property the paper quotes: with k = FF(S, d) bins, total size
 /// > d * (k - 1) / 2 (all bins except possibly the last are pairwise

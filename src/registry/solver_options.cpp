@@ -103,7 +103,7 @@ std::string known_keys(const std::vector<OptionSpec>& specs) {
     if (!out.empty()) out += ", ";
     out += spec.name;
   }
-  return out;
+  return out.empty() ? "none" : out;
 }
 
 }  // namespace

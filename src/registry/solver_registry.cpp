@@ -203,24 +203,24 @@ SolverRegistry& SolverRegistry::global() {
 }
 
 void SolverRegistry::add(std::string name, std::string summary, SolverFn fn,
-                         std::vector<OptionSpec> options, bool contiguous) {
+                         std::vector<OptionSpec> options) {
   if (!fn) throw std::invalid_argument("SolverRegistry: null solver for '" + name + "'");
   add_with_context(
       std::move(name), std::move(summary),
       [fn = std::move(fn)](const Instance& instance, const SolverOptions& solver_options,
                            const SolveContext&) { return fn(instance, solver_options); },
-      std::move(options), contiguous);
+      std::move(options));
 }
 
 void SolverRegistry::add_with_context(std::string name, std::string summary, ContextSolverFn fn,
-                                      std::vector<OptionSpec> options, bool contiguous) {
+                                      std::vector<OptionSpec> options) {
   if (name.empty()) throw std::invalid_argument("SolverRegistry: empty solver name");
   if (!fn) throw std::invalid_argument("SolverRegistry: null solver for '" + name + "'");
   if (entries_.count(name) > 0) {
     throw std::invalid_argument("SolverRegistry: duplicate solver '" + name + "'");
   }
 
-  Entry entry{name, std::move(summary), "", std::move(fn), std::move(options), contiguous};
+  Entry entry{name, std::move(summary), "", std::move(fn), std::move(options)};
 
   // The option portion of the one-liner is derived, never hand-written, so
   // description() cannot drift from the declared schema.
@@ -303,9 +303,7 @@ SolverResult SolverRegistry::solve(const SolveRequest& request,
   const CancelCheck check(merged.cancel, merged.deadline_seconds);
   check.poll();
 
-  // Free-form solvers (empty declared table) skip schema validation -- the
-  // forward-compat path for custom registrations without a spec.
-  if (!solver.options.empty()) options.validate(solver.options);
+  options.validate(solver.options);
 
   SolverResult result = solver.fn(instance, options, merged);
   result.solver = solver.name;
@@ -317,9 +315,7 @@ SolverResult SolverRegistry::solve(const SolveRequest& request,
   result.makespan = result.schedule.makespan();
   result.ratio = result.lower_bound > 0.0 ? result.makespan / result.lower_bound : 1.0;
 
-  ValidationOptions validation;
-  validation.require_contiguous = solver.contiguous;
-  const auto report = validate_schedule(result.schedule, instance, validation);
+  const auto report = validate_schedule(result.schedule, instance);
   if (!report.ok) {
     throw std::runtime_error("SolverRegistry: solver '" + solver.name +
                              "' produced an invalid schedule:\n" + report.str());

@@ -33,9 +33,10 @@
 ///                     instance (no precedence edges)         ready-list
 ///
 /// Option bags are validated against the solver's declared OptionSpec table
-/// before dispatch, and the table is all a solver accepts: an undeclared key
-/// fails fast with a did-you-mean suggestion, a mistyped or out-of-range
-/// value with a readable error. solve() always validates the schedule before
+/// before dispatch, and the table is all a solver accepts (one registered
+/// without a table accepts only an empty bag): an undeclared key fails fast
+/// with a did-you-mean suggestion, a mistyped or out-of-range value with a
+/// readable error. solve() always validates the schedule before
 /// returning -- a result is never handed out unchecked -- and stamps the
 /// wall time of the whole dispatch.
 ///
@@ -85,13 +86,9 @@ class SolverRegistry {
     /// time, so the help text cannot drift from the declared specs.
     std::string description;
     ContextSolverFn fn;
-    /// Declared option schema. A non-empty table is validated strictly
-    /// (every key must be declared); an EMPTY table means free-form options
-    /// -- no validation, for custom solvers that have not declared a schema.
+    /// Declared option schema: every key of a bag must be declared, so a
+    /// solver registered without a table accepts only an empty bag.
     std::vector<OptionSpec> options;
-    /// Whether the solver guarantees contiguous processor intervals (the
-    /// paper's setting); validation enforces exactly what is promised.
-    bool contiguous{true};
   };
 
   /// The process-wide registry, pre-populated with the built-in solvers.
@@ -101,16 +98,14 @@ class SolverRegistry {
   SolverRegistry() = default;
 
   /// Registers a solver; throws std::invalid_argument on an empty or
-  /// duplicate name. `options` declares the solver's schema (empty =
-  /// free-form, see Entry::options). Pass contiguous=false only for solvers
-  /// that may place tasks on non-consecutive processors (their schedules are
-  /// then validated without the contiguity requirement).
+  /// duplicate name. `options` declares the solver's schema (see
+  /// Entry::options).
   void add(std::string name, std::string summary, SolverFn fn,
-           std::vector<OptionSpec> options = {}, bool contiguous = true);
+           std::vector<OptionSpec> options = {});
 
   /// As add(), for context-aware solvers (cancellation and deadlines).
   void add_with_context(std::string name, std::string summary, ContextSolverFn fn,
-                        std::vector<OptionSpec> options = {}, bool contiguous = true);
+                        std::vector<OptionSpec> options = {});
 
   [[nodiscard]] bool contains(const std::string& name) const;
 
@@ -121,12 +116,12 @@ class SolverRegistry {
   /// spec-derived option list; throws on unknown names.
   [[nodiscard]] const std::string& description(const std::string& name) const;
 
-  /// The declared option schema; empty for free-form solvers. Throws on
-  /// unknown names.
+  /// The declared option schema; empty for a solver that takes no options.
+  /// Throws on unknown names.
   [[nodiscard]] const std::vector<OptionSpec>& option_specs(const std::string& name) const;
 
   /// Rendered per-option help table (name, type/range, default, help line),
-  /// or "" for free-form solvers. Throws on unknown names.
+  /// or "" for a solver that takes no options. Throws on unknown names.
   [[nodiscard]] std::string option_help(const std::string& name,
                                         const std::string& indent = "  ") const;
 

@@ -50,23 +50,18 @@ Schedule compact_schedule(const Schedule& schedule, const Instance& instance) {
     const int task = ready.back();
     ready.pop_back();
     const auto& assignment = assignments[static_cast<std::size_t>(task)];
+    const auto first = static_cast<std::size_t>(assignment.first_proc);
+    const auto last = first + static_cast<std::size_t>(assignment.num_procs);
     double start = 0.0;
-    schedule.for_each_processor(
-        assignment, [&](int p) { start = std::max(start, avail[static_cast<std::size_t>(p)]); });
+    for (std::size_t p = first; p < last; ++p) start = std::max(start, avail[p]);
     const double end = start + assignment.duration;
-    schedule.for_each_processor(assignment, [&](int p) {
-      const auto processor = static_cast<std::size_t>(p);
-      avail[processor] = end;
-      ++cursor[processor];
-      head_arrives(processor);
-    });
-    if (assignment.contiguous()) {
-      compacted.assign(task, start, assignment.duration, assignment.first_proc,
-                       assignment.num_procs);
-    } else {
-      compacted.assign_scattered(task, start, assignment.duration,
-                                 schedule.processor_list(assignment));
+    for (std::size_t p = first; p < last; ++p) {
+      avail[p] = end;
+      ++cursor[p];
+      head_arrives(p);
     }
+    compacted.assign(task, start, assignment.duration, assignment.first_proc,
+                     assignment.num_procs);
   }
   // The instance parameter pins the schedule/instance pairing at the call
   // site (and allows future duration re-derivation); only geometry is used.

@@ -20,9 +20,8 @@ namespace malsched {
 /// task's new start is the latest new end of its predecessors on its
 /// chains, and it is placed once it heads every chain it lies on. That
 /// gives bit for bit the starts of one pass over all tasks in global start
-/// order, without sorting them all. Processor assignments (and hence
-/// contiguity) are unchanged. Throws std::logic_error when a task is
-/// unassigned.
+/// order, without sorting them all. Processor intervals are unchanged.
+/// Throws std::logic_error when a task is unassigned.
 [[nodiscard]] Schedule compact_schedule(const Schedule& schedule, const Instance& instance);
 
 }  // namespace malsched

@@ -17,8 +17,7 @@ char letter_for(int task) {
 
 }  // namespace
 
-void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& instance,
-                  const GanttOptions& options) {
+void render_gantt(std::ostream& out, const Schedule& schedule, const GanttOptions& options) {
   const double makespan = schedule.makespan();
   if (makespan <= 0.0) {
     out << "(empty schedule)\n";
@@ -37,12 +36,12 @@ void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& i
     int c1 = static_cast<int>(assignment.end() / makespan * width);
     c0 = std::clamp(c0, 0, width - 1);
     c1 = std::clamp(std::max(c1, c0 + 1), c0 + 1, width);
-    schedule.for_each_processor(assignment, [&](int p) {
-      if (p >= rows) return;
+    const int last = std::min(rows, assignment.first_proc + assignment.num_procs);
+    for (int p = assignment.first_proc; p < last; ++p) {
       for (int c = c0; c < c1; ++c) {
         grid[static_cast<std::size_t>(p)][static_cast<std::size_t>(c)] = letter_for(i);
       }
-    });
+    }
   }
 
   out << "time 0 " << std::string(static_cast<std::size_t>(std::max(0, width - 18)), '-') << " "
@@ -63,7 +62,6 @@ void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& i
   }
   if (schedule.num_tasks() > shown) out << " ...";
   out << "\n";
-  (void)instance;
 }
 
 }  // namespace malsched

@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "model/instance.hpp"
 #include "sched/schedule.hpp"
 
 /// ASCII Gantt rendering.
@@ -20,7 +19,6 @@ struct GanttOptions {
 /// Renders `schedule` to `out`. Idle cells print '.', task cells a letter
 /// cycling A..Z then a..z; a legend line maps the first 26 letters to their
 /// task and processor count.
-void render_gantt(std::ostream& out, const Schedule& schedule, const Instance& instance,
-                  const GanttOptions& options = {});
+void render_gantt(std::ostream& out, const Schedule& schedule, const GanttOptions& options = {});
 
 }  // namespace malsched

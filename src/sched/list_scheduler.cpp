@@ -29,48 +29,21 @@ void check_inputs(const Instance& instance, std::span<const int> allotment,
   }
 }
 
-/// The non-contiguous baseline: each task takes the p least-loaded
-/// processors and starts when the busiest of them frees up.
-Schedule scattered_schedule(const Instance& instance, std::span<const int> allotment,
-                            std::span<const int> order) {
-  const int machines = instance.machines();
-  Schedule schedule(machines, instance.size());
-  std::vector<double> avail(static_cast<std::size_t>(machines), 0.0);
-  for (const int task : order) {
-    const int procs = allotment[static_cast<std::size_t>(task)];
-    const double duration = instance.task(task).time(procs);
-    std::vector<int> by_avail(static_cast<std::size_t>(machines));
-    std::iota(by_avail.begin(), by_avail.end(), 0);
-    std::stable_sort(by_avail.begin(), by_avail.end(), [&](int a, int b) {
-      return avail[static_cast<std::size_t>(a)] < avail[static_cast<std::size_t>(b)];
-    });
-    std::vector<int> chosen(by_avail.begin(), by_avail.begin() + procs);
-    double start = 0.0;
-    for (const int p : chosen) start = std::max(start, avail[static_cast<std::size_t>(p)]);
-    for (const int p : chosen) avail[static_cast<std::size_t>(p)] = start + duration;
-    schedule.assign_scattered(task, start, duration, std::move(chosen));
-  }
-  return schedule;
-}
-
 }  // namespace
 
 Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
-                       std::span<const int> order, Placement placement) {
+                       std::span<const int> order) {
   check_inputs(instance, allotment, order);
-  if (placement == Placement::kScattered) return scattered_schedule(instance, allotment, order);
-
   const int machines = instance.machines();
   Schedule schedule(machines, instance.size());
   std::vector<double> tree(AvailabilityTree::storage_size(machines));
   AvailabilityTree avail(tree, machines);
   std::vector<double> window_buffer(static_cast<std::size_t>(machines));
-  const bool always_leftmost = placement == Placement::kContiguousLeftmost;
 
   for (const int task : order) {
     const int procs = allotment[static_cast<std::size_t>(task)];
     const double duration = instance.task(task).time(procs);
-    const auto window = earliest_window(avail, procs, always_leftmost, window_buffer);
+    const auto window = earliest_window(avail, procs, window_buffer);
     schedule.assign(task, window.start, duration, window.column, procs);
     avail.fill(window.column, procs, window.start + duration);
   }

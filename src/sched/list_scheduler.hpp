@@ -12,31 +12,24 @@
 /// tasks are taken in a priority order and each is started as early as the
 /// current schedule allows on its allotted number of processors.
 ///
-/// Contiguous placement follows the paper's §3.2 convention: among the
-/// earliest feasible windows the task goes to the *leftmost* processors when
-/// it can start at time 0 and to the *rightmost* ones otherwise ("this
-/// convention asserts the contiguous nature of the schedule").
+/// Placement follows the paper's §3.2 convention: among the earliest
+/// feasible windows of contiguous processors the task goes to the
+/// *leftmost* ones when it can start at time 0 and to the *rightmost* ones
+/// otherwise ("this convention asserts the contiguous nature of the
+/// schedule").
 ///
-/// Cost per task of a contiguous placement (sched/sliding.hpp): O(log m) to
-/// place a sequential task, read off a min tree over processor
-/// availability; O(m) for a wider one, through the window kernel; and
-/// O(width + log m) to record the placement in the tree. kScattered sorts
-/// the processors by availability for every task, O(m log m).
+/// Cost per task (sched/sliding.hpp): O(log m) to place a sequential task,
+/// read off a min tree over processor availability; O(m) for a wider one,
+/// through the window kernel; and O(width + log m) to record the placement
+/// in the tree.
 namespace malsched {
 
-/// Placement discipline for the generic list scheduler.
-enum class Placement {
-  kContiguousPaperRule,  ///< leftmost at t=0, rightmost later (paper §3.2)
-  kContiguousLeftmost,   ///< always leftmost earliest window
-  kScattered,            ///< p least-loaded processors (non-contiguous baseline)
-};
-
 /// Schedules every task of `instance` with `allotment[i]` processors in the
-/// given priority `order` (a permutation of task indices).
+/// given priority `order` (a permutation of task indices), under §3.2's
+/// placement rule.
 /// Throws std::invalid_argument on malformed allotments or order.
 [[nodiscard]] Schedule list_schedule(const Instance& instance, std::span<const int> allotment,
-                                     std::span<const int> order,
-                                     Placement placement = Placement::kContiguousPaperRule);
+                                     std::span<const int> order);
 
 /// Priority order sorting task indices by non-increasing key; ties keep the
 /// lower index first (deterministic runs).

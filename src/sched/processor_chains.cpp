@@ -35,8 +35,9 @@ ProcessorChains::ProcessorChains(const Schedule& schedule)
   // Count each processor's tasks one slot ahead, then prefix-sum: offsets_[p]
   // is where chain p begins.
   for (const auto& assignment : assignments) {
-    schedule.for_each_processor(
-        assignment, [&](int p) { ++offsets_[static_cast<std::size_t>(p) + 1]; });
+    const auto first = static_cast<std::size_t>(assignment.first_proc);
+    const auto last = first + static_cast<std::size_t>(assignment.num_procs);
+    for (std::size_t p = first; p < last; ++p) ++offsets_[p + 1];
   }
   const std::size_t machines = offsets_.size() - 1;
   for (std::size_t p = 0; p < machines; ++p) offsets_[p + 1] += offsets_[p];
@@ -46,8 +47,9 @@ ProcessorChains::ProcessorChains(const Schedule& schedule)
   // it holds where chain p + 1 begins, so shift the offsets back.
   for (const auto& assignment : assignments) {
     const ChainEntry entry{assignment.start, assignment.end(), assignment.task};
-    schedule.for_each_processor(
-        assignment, [&](int p) { entries_[offsets_[static_cast<std::size_t>(p)]++] = entry; });
+    const auto first = static_cast<std::size_t>(assignment.first_proc);
+    const auto last = first + static_cast<std::size_t>(assignment.num_procs);
+    for (std::size_t p = first; p < last; ++p) entries_[offsets_[p]++] = entry;
   }
   for (std::size_t p = machines; p > 0; --p) offsets_[p] = offsets_[p - 1];
   offsets_[0] = 0;

@@ -14,7 +14,7 @@ Schedule::Schedule(int machines, int num_tasks)
   if (num_tasks < 0) throw std::invalid_argument("Schedule: negative task count");
 }
 
-void Schedule::check_common(int task, double start, double duration) const {
+void Schedule::assign(int task, double start, double duration, int first_proc, int num_procs) {
   if (task < 0 || task >= num_tasks_) {
     throw std::logic_error("Schedule::assign: task index out of range");
   }
@@ -25,41 +25,14 @@ void Schedule::check_common(int task, double start, double duration) const {
   if (!(start >= 0.0) || !(duration > 0.0)) {
     throw std::logic_error("Schedule::assign: start must be >= 0 and duration positive");
   }
-}
-
-void Schedule::assign(int task, double start, double duration, int first_proc, int num_procs) {
-  check_common(task, start, duration);
-  if (num_procs < 1 || first_proc < 0 || first_proc + num_procs > machines_) {
+  // Written so no sum can overflow: first_proc >= 0 once the second test
+  // passes, so machines_ - first_proc cannot.
+  if (num_procs < 1 || first_proc < 0 || num_procs > machines_ - first_proc) {
     throw std::logic_error("Schedule::assign: processor interval outside the machine");
   }
   assignments_[static_cast<std::size_t>(task)] =
-      Assignment{start, duration, task, first_proc, num_procs, Assignment::kContiguous};
+      Assignment{start, duration, task, first_proc, num_procs};
   ++assigned_count_;
-}
-
-void Schedule::assign_scattered(int task, double start, double duration,
-                                std::vector<int> processors) {
-  check_common(task, start, duration);
-  if (processors.empty()) {
-    throw std::logic_error("Schedule::assign_scattered: empty processor set");
-  }
-  std::sort(processors.begin(), processors.end());
-  if (processors.front() < 0 || processors.back() >= machines_ ||
-      std::adjacent_find(processors.begin(), processors.end()) != processors.end()) {
-    throw std::logic_error("Schedule::assign_scattered: bad processor set");
-  }
-  assignments_[static_cast<std::size_t>(task)] =
-      Assignment{start, duration, task, processors.front(), static_cast<int>(processors.size()),
-                 static_cast<int>(scattered_procs_.size())};
-  scattered_procs_.insert(scattered_procs_.end(), processors.begin(), processors.end());
-  ++assigned_count_;
-}
-
-std::vector<int> Schedule::processor_list(const Assignment& assignment) const {
-  std::vector<int> procs;
-  procs.reserve(static_cast<std::size_t>(assignment.num_procs));
-  for_each_processor(assignment, [&](int p) { procs.push_back(p); });
-  return procs;
 }
 
 bool Schedule::is_assigned(int task) const {

@@ -208,20 +208,18 @@ struct ContiguousWindow {
 
 /// The window a contiguous list placement of `width` processors picks on
 /// `avail` under §3.2's rule: the earliest start, at the leftmost tied
-/// window when that start is 0 (or `always_leftmost`) and at the rightmost
-/// otherwise, which keeps the schedule contiguous. Width 1 reads the tree;
-/// wider windows run the window kernel over its leaves into `buffer`, which
-/// holds at least m doubles.
+/// window when that start is 0 and at the rightmost otherwise, which keeps
+/// the schedule contiguous. Width 1 reads the tree; wider windows run the
+/// window kernel over its leaves into `buffer`, which holds at least m
+/// doubles.
 [[nodiscard]] inline ContiguousWindow earliest_window(const AvailabilityTree& avail, int width,
-                                                      bool always_leftmost,
                                                       std::span<double> buffer) {
   if (width == 1) {
     const double start = avail.earliest();
-    return {start, avail.tied_leaf(always_leftmost || approx_eq(start, 0.0))};
+    return {start, avail.tied_leaf(approx_eq(start, 0.0))};
   }
   const auto windows = window_maxima(avail.leaves(), width, buffer);
-  return {windows.earliest,
-          tied_window(windows, always_leftmost || approx_eq(windows.earliest, 0.0))};
+  return {windows.earliest, tied_window(windows, approx_eq(windows.earliest, 0.0))};
 }
 
 }  // namespace malsched

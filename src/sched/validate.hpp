@@ -26,25 +26,22 @@ struct ValidationReport {
 };
 
 struct ValidationOptions {
-  /// Require contiguous processor intervals (the paper's setting).
-  bool require_contiguous{true};
   /// Reject schedules longer than this bound (<= 0 disables the check).
   double makespan_bound{0.0};
 };
 
 /// Checks that `schedule` is a complete, feasible schedule of `instance`:
-///   * every task placed exactly once on >= 1 processors of the machine,
+///   * every task placed; Schedule::assign admits nothing but an interval
+///     of >= 1 processors inside the machine, once per task, so neither
+///     contiguity nor processor bounds need a check here,
 ///   * recorded duration equals t_i(procs) from the instance's flat profile
 ///     array (t(1) from its dense t(1) array),
 ///   * no two tasks share a processor at the same time: adjacent pairs of
 ///     every processor chain (sched/processor_chains.hpp), the same chains
 ///     compaction propagates along,
-///   * contiguity when requested, makespan bound when requested.
+///   * the makespan bound when one is set.
 [[nodiscard]] ValidationReport validate_schedule(const Schedule& schedule,
                                                  const Instance& instance,
                                                  const ValidationOptions& options = {});
-
-/// Convenience: true iff fully valid (contiguous, no bound).
-[[nodiscard]] bool is_valid_schedule(const Schedule& schedule, const Instance& instance);
 
 }  // namespace malsched

@@ -38,17 +38,12 @@ std::string outcome_payload(const SolveOutcome& outcome) {
     out += "\nstat";
     append_field(out, key.c_str(), value);
   }
-  const Schedule& schedule = result.schedule;
-  for (const auto& assignment : schedule.assignments()) {
+  for (const auto& assignment : result.schedule.assignments()) {
     out += "\ntask=" + std::to_string(assignment.task);
     append_field(out, "start", assignment.start);
     append_field(out, "duration", assignment.duration);
     out += " procs=" + std::to_string(assignment.first_proc) + '+' +
            std::to_string(assignment.num_procs);
-    if (!assignment.contiguous()) {
-      out += " scattered=";
-      for (const int p : schedule.scattered(assignment)) out += std::to_string(p) + ',';
-    }
   }
   return out;
 }

@@ -11,7 +11,7 @@
 ///
 /// The payload is the status, the error code and detail, and for a result
 /// its solver, makespan, lower bound, ratio, every stat in order, and every
-/// assignment (start, duration, processors, scattered set included). Doubles
+/// assignment (start, duration, processor interval). Doubles
 /// render as their 64-bit patterns, so two payloads are equal exactly when
 /// every double matches bit for bit. Wall times and provenance (ticket,
 /// worker, shard, cache hit, dedup join, fast path, fallback) are left out:

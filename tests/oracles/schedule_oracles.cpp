@@ -18,27 +18,25 @@ bool bucket_sweep_valid(const Schedule& schedule, const Instance& instance,
   for (int i = 0; i < instance.size(); ++i) {
     const auto& assignment = assignments[static_cast<std::size_t>(i)];
     if (assignment.task == -1) return false;
-    const int procs = assignment.procs();
-    if (procs < 1 || procs > instance.machines()) return false;
-    if (options.require_contiguous && !assignment.contiguous()) return false;
-    if (!approx_eq(assignment.duration, instance.task(i).time(procs))) return false;
+    if (!approx_eq(assignment.duration, instance.task(i).time(assignment.procs()))) return false;
     if (assignment.start < -kAbsEps) return false;
-    const auto processors = schedule.processor_list(assignment);
-    if (processors.front() < 0 || processors.back() >= instance.machines()) return false;
   }
 
   const auto machines = static_cast<std::size_t>(instance.machines());
   std::vector<std::size_t> bucket_end(machines + 1, 0);
   for (const auto& assignment : assignments) {
-    schedule.for_each_processor(
-        assignment, [&](int p) { ++bucket_end[static_cast<std::size_t>(p) + 1]; });
+    for (int p = assignment.first_proc; p < assignment.first_proc + assignment.num_procs; ++p) {
+      ++bucket_end[static_cast<std::size_t>(p) + 1];
+    }
   }
   for (std::size_t p = 0; p < machines; ++p) bucket_end[p + 1] += bucket_end[p];
   std::vector<int> on_proc(bucket_end.back());
   std::vector<std::size_t> cursor(bucket_end.begin(), bucket_end.end() - 1);
   for (int i = 0; i < instance.size(); ++i) {
-    schedule.for_each_processor(assignments[static_cast<std::size_t>(i)],
-                                [&](int p) { on_proc[cursor[static_cast<std::size_t>(p)]++] = i; });
+    const auto& assignment = assignments[static_cast<std::size_t>(i)];
+    for (int p = assignment.first_proc; p < assignment.first_proc + assignment.num_procs; ++p) {
+      on_proc[cursor[static_cast<std::size_t>(p)]++] = i;
+    }
   }
   bool ok = true;
   for (std::size_t p = 0; p < machines; ++p) {
@@ -74,19 +72,13 @@ Schedule start_order_compaction(const Schedule& schedule) {
   std::vector<double> avail(static_cast<std::size_t>(schedule.machines()), 0.0);
   for (const auto& entry : by_start) {
     const auto& assignment = assignments[static_cast<std::size_t>(entry.index)];
+    const auto first = static_cast<std::size_t>(assignment.first_proc);
+    const auto last = first + static_cast<std::size_t>(assignment.num_procs);
     double start = 0.0;
-    schedule.for_each_processor(
-        assignment, [&](int p) { start = std::max(start, avail[static_cast<std::size_t>(p)]); });
-    schedule.for_each_processor(assignment, [&](int p) {
-      avail[static_cast<std::size_t>(p)] = start + assignment.duration;
-    });
-    if (assignment.contiguous()) {
-      compacted.assign(entry.index, start, assignment.duration, assignment.first_proc,
-                       assignment.num_procs);
-    } else {
-      compacted.assign_scattered(entry.index, start, assignment.duration,
-                                 schedule.processor_list(assignment));
-    }
+    for (std::size_t p = first; p < last; ++p) start = std::max(start, avail[p]);
+    for (std::size_t p = first; p < last; ++p) avail[p] = start + assignment.duration;
+    compacted.assign(entry.index, start, assignment.duration, assignment.first_proc,
+                     assignment.num_procs);
   }
   return compacted;
 }

@@ -253,26 +253,6 @@ TEST(SolverRegistry, RejectsDuplicateAndDegenerateRegistrations) {
   EXPECT_THROW(registry.add("null", "no fn", nullptr), std::invalid_argument);
 }
 
-TEST(SolverRegistry, ContiguityEnforcementMatchesRegistration) {
-  Instance tasks(3);
-  tasks.add_task(std::vector<double>{2.0, 1.5, 1.2});
-  const auto instance = InstanceHandle::intern(std::move(tasks));
-  // Feasible but scattered: processors {0, 2} of 3.
-  const auto scattered_fn = [](const Instance& inst, const SolverOptions&) {
-    Schedule schedule(inst.machines(), inst.size());
-    schedule.assign_scattered(0, 0.0, inst.task(0).time(2), {0, 2});
-    return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
-  };
-  SolverRegistry registry;
-  registry.add("strict", "scattered solver registered as contiguous", scattered_fn);
-  registry.add("relaxed", "scattered solver registered as such", scattered_fn,
-               /*options=*/{}, /*contiguous=*/false);
-  EXPECT_THROW(static_cast<void>(registry.solve(SolveRequest("strict", {}, instance))),
-               std::runtime_error);
-  const auto result = registry.solve(SolveRequest("relaxed", {}, instance));
-  EXPECT_TRUE(result.schedule.complete());
-}
-
 TEST(SolverRegistry, SolveRequestWithEmptyHandleThrows) {
   EXPECT_THROW(static_cast<void>(SolverRegistry::global().solve(SolveRequest{})),
                std::invalid_argument);
@@ -489,7 +469,7 @@ TEST(SolverRegistry, OptionHelpRendersTheSpecTable) {
   EXPECT_NE(help.find("0.01"), std::string::npos);  // default from MrtOptions
   // The dual search has one guess rule; no option selects another.
   EXPECT_EQ(help.find("snap"), std::string::npos);
-  // Free-form custom solvers render no table.
+  // A custom solver registered without a table renders none.
   SolverRegistry custom;
   custom.add("freeform", "no declared schema",
              [](const Instance& instance, const SolverOptions&) {
@@ -500,21 +480,37 @@ TEST(SolverRegistry, OptionHelpRendersTheSpecTable) {
   EXPECT_EQ(custom.description("freeform").find("(options:"), std::string::npos);
 }
 
-TEST(SolverRegistry, FreeFormSolversSkipValidation) {
+TEST(SolverRegistry, SolversWithoutATableAcceptOnlyAnEmptyBag) {
+  // A table is all a solver accepts, so one registered without a table
+  // refuses every key before dispatch and still solves an empty bag.
+  int dispatches = 0;
   SolverRegistry registry;
-  registry.add("echo", "accepts anything", [](const Instance& instance, const SolverOptions&) {
-    Schedule schedule(instance.machines(), instance.size());
-    double t = 0.0;
-    for (int i = 0; i < instance.size(); ++i) {
-      schedule.assign(i, t, instance.task(i).time(1), 0, 1);
-      t += instance.task(i).time(1);
-    }
-    return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
-  });
-  const auto result =
-      registry.solve(SolveRequest("echo", SolverOptions::from_string("whatever=really,epsilom=1"),
-                                  InstanceHandle::intern(small_instance())));
+  registry.add("sequential", "no declared options",
+               [&dispatches](const Instance& instance, const SolverOptions&) {
+                 ++dispatches;
+                 Schedule schedule(instance.machines(), instance.size());
+                 double t = 0.0;
+                 for (int i = 0; i < instance.size(); ++i) {
+                   schedule.assign(i, t, instance.task(i).time(1), 0, 1);
+                   t += instance.task(i).time(1);
+                 }
+                 return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
+               });
+  const auto instance = InstanceHandle::intern(small_instance());
+  try {
+    static_cast<void>(registry.solve(
+        SolveRequest("sequential", SolverOptions::from_string("whatever=really"), instance)));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    const std::string message = err.what();
+    EXPECT_NE(message.find("unknown option 'whatever'; declared options: none"),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(dispatches, 0);
+  const auto result = registry.solve(SolveRequest("sequential", {}, instance));
   EXPECT_TRUE(result.schedule.complete());
+  EXPECT_EQ(dispatches, 1);
 }
 
 TEST(SolverRegistry, ResultSummaryMentionsSolverAndNumbers) {

@@ -112,7 +112,7 @@ TEST(Naive, LptSequentialValid) {
   options.machines = 8;
   const auto instance = generate_instance(WorkloadFamily::kUniform, options, 3);
   const auto schedule = lpt_sequential_schedule(instance);
-  EXPECT_TRUE(is_valid_schedule(schedule, instance));
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
   for (int i = 0; i < instance.size(); ++i) EXPECT_EQ(schedule.of(i).procs(), 1);
 }
 
@@ -122,7 +122,7 @@ TEST(Naive, GangSerializesEverything) {
   options.machines = 8;
   const auto instance = generate_instance(WorkloadFamily::kUniform, options, 4);
   const auto schedule = gang_schedule(instance);
-  EXPECT_TRUE(is_valid_schedule(schedule, instance));
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
   double expected = 0.0;
   for (int i = 0; i < instance.size(); ++i) expected += instance.task(i).time(8);
   EXPECT_NEAR(schedule.makespan(), expected, 1e-9);
@@ -134,7 +134,7 @@ TEST(Naive, HalfMaxSpeedupValid) {
   options.machines = 16;
   const auto instance = generate_instance(WorkloadFamily::kBimodal, options, 5);
   const auto schedule = half_max_speedup_schedule(instance);
-  EXPECT_TRUE(is_valid_schedule(schedule, instance));
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
 }
 
 TEST(Naive, MrtBeatsOrMatchesNaiveOnAdversarialShapes) {
@@ -160,7 +160,7 @@ TEST(ThreeHalves, DualStepAcceptsOnlyValidatedSchedules) {
     const auto outcome = three_halves_dual_step(instance, 1.0);
     EXPECT_FALSE(outcome.certified_reject) << "OPT <= 1 by construction";
     if (outcome.schedule) {
-      EXPECT_TRUE(is_valid_schedule(*outcome.schedule, instance));
+      EXPECT_TRUE(validate_schedule(*outcome.schedule, instance).ok);
       EXPECT_TRUE(leq(outcome.schedule->makespan(), 1.5));
     }
   }
@@ -175,7 +175,7 @@ TEST(ThreeHalves, FullSolveStaysWithinSqrt3Envelope) {
     options.machines = 12;
     const auto instance = generate_instance(WorkloadFamily::kUniform, options, seed);
     const auto result = three_halves_schedule(instance, 0.02);
-    EXPECT_TRUE(is_valid_schedule(result.schedule, instance));
+    EXPECT_TRUE(validate_schedule(result.schedule, instance).ok);
     EXPECT_TRUE(geq(result.makespan, result.lower_bound));
     EXPECT_LT(result.ratio, 2.0);
   }

@@ -148,7 +148,7 @@ TEST(CanonicalList, WithoutReallocationStillValid) {
     const auto instance = packed_instance(12, seed);
     const auto outcome = canonical_list_schedule(instance, 1.0, options);
     ASSERT_TRUE(outcome.schedule.has_value());
-    EXPECT_TRUE(is_valid_schedule(*outcome.schedule, instance));
+    EXPECT_TRUE(validate_schedule(*outcome.schedule, instance).ok);
     EXPECT_FALSE(outcome.reallocated);
   }
 }
@@ -200,8 +200,7 @@ void mix_schedule(std::uint64_t& hash, const Schedule& schedule) {
 
 struct PlacementDigests {
   std::uint64_t canonical_list;  ///< canonical_list_schedule at both deadlines
-  std::uint64_t paper_rule;      ///< list_schedule, Placement::kContiguousPaperRule
-  std::uint64_t leftmost;        ///< list_schedule, Placement::kContiguousLeftmost
+  std::uint64_t paper_rule;      ///< list_schedule, under §3.2's placement rule
 };
 
 class PlacementScaleTest
@@ -217,16 +216,11 @@ TEST_P(PlacementScaleTest, SchedulesMatchRecordedDigests) {
   // placed too. Recorded before processor availability moved into a min
   // tree; a placement change at scale fails here.
   static const std::map<WorkloadFamily, PlacementDigests> kRecorded{
-      {WorkloadFamily::kSequentialOnly,
-       {0xc61a3157736d6a21ull, 0x418451f7b42ce8ceull, 0xb72c9074462f6059ull}},
-      {WorkloadFamily::kUniform,
-       {0x5dc040588608788dull, 0xec039c25659f2004ull, 0xfd0d260a9beecab8ull}},
-      {WorkloadFamily::kHeavyTail,
-       {0xd7e1b16882cccdb9ull, 0xa35c4bca0b27b441ull, 0xe13c1edd390c20edull}},
-      {WorkloadFamily::kBimodal,
-       {0x5998c5bcd5158548ull, 0x73225ccadf68bdd2ull, 0x5d8165db3e5a5c42ull}},
-      {WorkloadFamily::kStairs,
-       {0x1efe4250dc587186ull, 0x295619575ba39d1eull, 0x19c8aede4038cc07ull}},
+      {WorkloadFamily::kSequentialOnly, {0xc61a3157736d6a21ull, 0x418451f7b42ce8ceull}},
+      {WorkloadFamily::kUniform, {0x5dc040588608788dull, 0xec039c25659f2004ull}},
+      {WorkloadFamily::kHeavyTail, {0xd7e1b16882cccdb9ull, 0xa35c4bca0b27b441ull}},
+      {WorkloadFamily::kBimodal, {0x5998c5bcd5158548ull, 0x73225ccadf68bdd2ull}},
+      {WorkloadFamily::kStairs, {0x1efe4250dc587186ull, 0x295619575ba39d1eull}},
   };
   const auto [family, tasks, machines] = GetParam();
   GeneratorOptions options;
@@ -235,7 +229,7 @@ TEST_P(PlacementScaleTest, SchedulesMatchRecordedDigests) {
   const auto instance = generate_instance(family, options, 1);
   const double lb = makespan_lower_bound(instance);
 
-  PlacementDigests digests{fnv::kOffset, fnv::kOffset, fnv::kOffset};
+  PlacementDigests digests{fnv::kOffset, fnv::kOffset};
   for (const double factor : {1.2, 1.5}) {
     const auto outcome = canonical_list_schedule(instance, lb * factor);
     ASSERT_TRUE(outcome.schedule.has_value()) << to_string(family) << " x" << factor;
@@ -253,18 +247,14 @@ TEST_P(PlacementScaleTest, SchedulesMatchRecordedDigests) {
       {allotment, order_by_decreasing_alloted_time(instance, allotment)},
       {seeded_allotment, seeded_order}};
   for (const auto& [procs, order] : runs) {
-    const auto paper = list_schedule(instance, procs, order, Placement::kContiguousPaperRule);
-    const auto leftmost = list_schedule(instance, procs, order, Placement::kContiguousLeftmost);
-    ASSERT_TRUE(is_valid_schedule(paper, instance)) << to_string(family);
-    ASSERT_TRUE(is_valid_schedule(leftmost, instance)) << to_string(family);
+    const auto paper = list_schedule(instance, procs, order);
+    ASSERT_TRUE(validate_schedule(paper, instance).ok) << to_string(family);
     mix_schedule(digests.paper_rule, paper);
-    mix_schedule(digests.leftmost, leftmost);
   }
 
   const auto& recorded = kRecorded.at(family);
   EXPECT_EQ(digests.canonical_list, recorded.canonical_list) << to_string(family);
   EXPECT_EQ(digests.paper_rule, recorded.paper_rule) << to_string(family);
-  EXPECT_EQ(digests.leftmost, recorded.leftmost) << to_string(family);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -123,7 +123,7 @@ TEST(MrtScheduler, WorksOnOceanWorkload) {
   const auto result = mrt_schedule(instance);
   EXPECT_EQ(result.gaps, 0);
   EXPECT_TRUE(leq(result.ratio, kSqrt3 * 1.02 + 1e-9));
-  EXPECT_TRUE(is_valid_schedule(result.schedule, instance));
+  EXPECT_TRUE(validate_schedule(result.schedule, instance).ok);
 }
 
 TEST(MrtScheduler, WorksOnTraceWorkload) {

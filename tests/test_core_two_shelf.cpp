@@ -50,7 +50,7 @@ TEST(TwoShelf, PartitionCountsAndThresholds) {
   EXPECT_EQ(outcome.q2, 2);
   EXPECT_EQ(outcome.q3, 1);
   ASSERT_TRUE(outcome.schedule.has_value());
-  EXPECT_TRUE(is_valid_schedule(*outcome.schedule, instance));
+  EXPECT_TRUE(validate_schedule(*outcome.schedule, instance).ok);
 }
 
 TEST(TwoShelf, LambdaScheduleStructure) {
@@ -65,7 +65,7 @@ TEST(TwoShelf, LambdaScheduleStructure) {
   const auto outcome = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value()) << "q1=" << outcome.q1;
   const auto& schedule = *outcome.schedule;
-  EXPECT_TRUE(is_valid_schedule(schedule, instance));
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
   EXPECT_TRUE(leq(schedule.makespan(), kSqrt3));
   for (int i = 0; i < instance.size(); ++i) {
     const auto& assignment = schedule.of(i);
@@ -115,7 +115,7 @@ TEST(TwoShelf, HugeTaskPlusUnshrinkableFillers) {
   instance.add_task(sequential_profile(0.8, machines), "flat3");
   const auto outcome = two_shelf_schedule(instance, 1.0);
   ASSERT_TRUE(outcome.schedule.has_value());
-  EXPECT_TRUE(is_valid_schedule(*outcome.schedule, instance));
+  EXPECT_TRUE(validate_schedule(*outcome.schedule, instance).ok);
   EXPECT_TRUE(leq(outcome.schedule->makespan(), kSqrt3));
 }
 

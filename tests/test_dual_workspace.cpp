@@ -94,7 +94,6 @@ std::uint64_t solve_digest(const SolveFigures& figures, const Schedule& schedule
     mix_real(assignment.duration);
     mix_int(assignment.first_proc);
     mix_int(assignment.num_procs);
-    for (const int proc : schedule.scattered(assignment)) mix_int(proc);
   }
   return hash;
 }

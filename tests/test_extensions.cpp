@@ -83,7 +83,7 @@ TEST(EdgeCases, EmptyInstanceSolves) {
   const auto result = mrt_schedule(instance);
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
   EXPECT_EQ(result.gaps, 0);
-  EXPECT_TRUE(is_valid_schedule(result.schedule, instance));
+  EXPECT_TRUE(validate_schedule(result.schedule, instance).ok);
 }
 
 TEST(EdgeCases, SingleMachine) {

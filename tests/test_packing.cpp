@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -19,11 +20,18 @@ namespace {
 
 // ---------------------------------------------------------------- first fit
 
+/// First Fit into a fresh packing.
+BinPacking pack_first_fit(std::span<const double> sizes, double capacity) {
+  BinPacking packing;
+  first_fit_into(sizes, capacity, packing);
+  return packing;
+}
+
 TEST(FirstFit, PacksKnownExample) {
   // capacity 1: {0.6, 0.5, 0.4, 0.3} -> FF bins {0.6,0.4}, {0.5,0.3}? No:
   // FF puts 0.5 into a new bin, 0.4 joins 0.6's bin (1.0), 0.3 joins 0.5's.
   const std::vector<double> sizes{0.6, 0.5, 0.4, 0.3};
-  const auto packing = first_fit(sizes, 1.0);
+  const auto packing = pack_first_fit(sizes, 1.0);
   EXPECT_EQ(packing.bin_count(), 2);
   EXPECT_NEAR(packing.loads[0], 1.0, 1e-12);
   EXPECT_NEAR(packing.loads[1], 0.8, 1e-12);
@@ -35,7 +43,7 @@ TEST(FirstFit, RespectsCapacity) {
     const double capacity = rng.uniform(0.5, 2.0);
     std::vector<double> sizes(static_cast<std::size_t>(rng.uniform_int(1, 60)));
     for (auto& s : sizes) s = rng.uniform(0.01, capacity);
-    const auto packing = first_fit(sizes, capacity);
+    const auto packing = pack_first_fit(sizes, capacity);
     for (const double load : packing.loads) EXPECT_TRUE(leq(load, capacity));
     // Every item placed exactly once.
     std::size_t placed = 0;
@@ -45,8 +53,8 @@ TEST(FirstFit, RespectsCapacity) {
 }
 
 TEST(FirstFit, OversizedItemThrows) {
-  EXPECT_THROW(first_fit(std::vector<double>{1.5}, 1.0), std::invalid_argument);
-  EXPECT_THROW(first_fit(std::vector<double>{0.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(pack_first_fit(std::vector<double>{1.5}, 1.0), std::invalid_argument);
+  EXPECT_THROW(pack_first_fit(std::vector<double>{0.0}, 1.0), std::invalid_argument);
 }
 
 TEST(FirstFit, HalfFullPropertyThePaperReliesOn) {
@@ -55,7 +63,7 @@ TEST(FirstFit, HalfFullPropertyThePaperReliesOn) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<double> sizes(static_cast<std::size_t>(rng.uniform_int(1, 40)));
     for (auto& s : sizes) s = rng.uniform(0.05, 1.0);
-    const auto packing = first_fit(sizes, 1.0);
+    const auto packing = pack_first_fit(sizes, 1.0);
     EXPECT_TRUE(first_fit_half_full_bound(packing, 1.0));
   }
 }
@@ -79,7 +87,7 @@ TEST(FirstFitDecreasing, PacksKnownExampleInFewerBinsThanFirstFit) {
   // The sizes sum to 30 at capacity 10. In the given order First Fit opens
   // four bins; sorted decreasing (8 7 5 4 3 2 1) every bin fills exactly.
   const std::vector<double> sizes{2, 5, 4, 7, 1, 3, 8};
-  EXPECT_EQ(first_fit(sizes, 10.0).bin_count(), 4);
+  EXPECT_EQ(pack_first_fit(sizes, 10.0).bin_count(), 4);
   const auto packing = first_fit_decreasing(sizes, 10.0);
   ASSERT_EQ(packing.bin_count(), 3);
   EXPECT_EQ(packing.bins[0], (std::vector<int>{6, 0}));
@@ -114,8 +122,15 @@ TEST(FirstFitDecreasing, OversizedItemThrows) {
 }
 
 TEST(FirstFit, BinCountMatchesPacking) {
-  const std::vector<double> sizes{0.9, 0.9, 0.9};
-  EXPECT_EQ(first_fit_bin_count(sizes, 1.0), 3);
+  // One loads buffer serves every count, and each count is the packing's.
+  std::vector<double> loads;
+  EXPECT_EQ(first_fit_bin_count(std::vector<double>{0.9, 0.9, 0.9}, 1.0, loads), 3);
+  Rng rng(408);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<double> sizes(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (auto& s : sizes) s = rng.uniform(0.05, 1.0);
+    EXPECT_EQ(first_fit_bin_count(sizes, 1.0, loads), pack_first_fit(sizes, 1.0).bin_count());
+  }
 }
 
 // -------------------------------------------------------------------- shelf

@@ -116,7 +116,7 @@ TEST(Properties, PostPassesComposeMonotonically) {
     const auto result = mrt_schedule(instance);
     const auto compacted = compact_schedule(result.schedule, instance);
     EXPECT_TRUE(leq(compacted.makespan(), result.makespan));
-    EXPECT_TRUE(is_valid_schedule(compacted, instance));
+    EXPECT_TRUE(validate_schedule(compacted, instance).ok);
   }
 }
 

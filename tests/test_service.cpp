@@ -392,13 +392,12 @@ TEST(SchedulerService, CancellingAQueuedBatchCancelsEveryTicket) {
 // tests/oracles/outcome_payload is the reference every determinism test
 // above compares with; these pin what it compares and what it leaves out.
 
-/// A hand-built outcome with every payload field set: one contiguous and
-/// one scattered assignment, and two stats.
-SolveOutcome payload_fixture(double start = 1.5, double duration = 2.25,
-                             std::vector<int> scattered = {0, 3}) {
+/// A hand-built outcome with every payload field set: two assignments and
+/// two stats.
+SolveOutcome payload_fixture(double start = 1.5, double duration = 2.25, int first_proc = 2) {
   Schedule schedule(4, 2);
   schedule.assign(0, 0.0, 1.5, 0, 2);
-  schedule.assign_scattered(1, start, duration, std::move(scattered));
+  schedule.assign(1, start, duration, first_proc, 2);
   SolveOutcome outcome;
   outcome.status = SolveStatus::kOk;
   outcome.result = SolverResult{"fake", std::move(schedule), 3.75, 3.0, 1.25, 0.5,
@@ -448,7 +447,7 @@ TEST(OutcomePayload, EveryResultFieldCountsDownToOneUlp) {
   }
   EXPECT_NE(outcome_payload(payload_fixture(up(1.5))), reference);
   EXPECT_NE(outcome_payload(payload_fixture(1.5, up(2.25))), reference);
-  EXPECT_NE(outcome_payload(payload_fixture(1.5, 2.25, {1, 3})), reference);
+  EXPECT_NE(outcome_payload(payload_fixture(1.5, 2.25, 1)), reference);
 }
 
 TEST(OutcomePayload, SerialPayloadClassifiesThrowsAsTheServiceDoes) {
@@ -1136,7 +1135,6 @@ TEST(SolveCache, ContentAddressingSurvivesRegenerationAndCatchesDifferences) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.insertions, 1u);
 }
 
 TEST(SolveCache, KeyConstructionFromAHandleDoesNotRehashProfiles) {
@@ -1195,7 +1193,6 @@ TEST(SolveCache, LookupRefreshesRecencySoTheEntryBudgetEvictsTheLeastRecentlyUse
   ASSERT_NE(cache.lookup(key_c), nullptr);
   EXPECT_EQ(cache.lookup(key_c)->solver, "c");
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 3u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.misses, 1u);
@@ -1203,8 +1200,8 @@ TEST(SolveCache, LookupRefreshesRecencySoTheEntryBudgetEvictsTheLeastRecentlyUse
 
 TEST(SolveCache, ReinsertingAResidentKeyKeepsTheFirstCopyAndRefreshesItsRecency) {
   // Two workers that race the same miss both insert; the second insert
-  // neither duplicates the entry nor counts, and it moves the key to the
-  // front as a lookup would.
+  // neither duplicates the entry nor replaces its copy, and it moves the key
+  // to the front as a lookup would.
   const auto key = [](std::uint64_t seed) {
     return SolveCache::make_key("mrt", {}, InstanceHandle::intern(small_instance(seed)));
   };
@@ -1216,7 +1213,6 @@ TEST(SolveCache, ReinsertingAResidentKeyKeepsTheFirstCopyAndRefreshesItsRecency)
   cache.insert(key_b, labelled_result("b"));
   cache.insert(key_a, labelled_result("a second"));  // LRU order: a, b
   auto stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 2u);
   EXPECT_EQ(stats.entries, 2u);
   ASSERT_NE(cache.lookup(key_a), nullptr);
   EXPECT_EQ(cache.lookup(key_a)->solver, "a first");
@@ -1227,7 +1223,6 @@ TEST(SolveCache, ReinsertingAResidentKeyKeepsTheFirstCopyAndRefreshesItsRecency)
   ASSERT_NE(cache.lookup(key_b), nullptr);
   EXPECT_EQ(cache.lookup(key_b)->solver, "b");
   stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 3u);
   EXPECT_EQ(stats.evictions, 1u);
 }
 
@@ -1246,7 +1241,6 @@ TEST(SolveCache, FingerprintCollisionsShareABucketAndLeaveItOneByOne) {
   SolveCache cache(2);
   cache.insert(key_a, labelled_result("a"));
   cache.insert(key_b, labelled_result("b"));  // not a re-insert of a
-  EXPECT_EQ(cache.stats().insertions, 2u);
   ASSERT_NE(cache.lookup(key_a), nullptr);
   EXPECT_EQ(cache.lookup(key_a)->solver, "a");
   ASSERT_NE(cache.lookup(key_b), nullptr);  // LRU order: b, a
@@ -1264,7 +1258,6 @@ TEST(SolveCache, FingerprintCollisionsShareABucketAndLeaveItOneByOne) {
   ASSERT_NE(cache.lookup(key_a), nullptr);
   EXPECT_EQ(cache.lookup(key_a)->solver, "a again");
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 6u);
   EXPECT_EQ(stats.evictions, 4u);
   EXPECT_EQ(stats.entries, 2u);
 }
