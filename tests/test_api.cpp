@@ -270,6 +270,33 @@ TEST(SolverRegistry, IncompleteScheduleFromSolverIsRejected) {
                std::runtime_error);
 }
 
+TEST(SolverRegistry, OverlappingScheduleFromSolverIsRejected) {
+  // Every solver's schedule meets the default validation: two intervals
+  // that share processor 1 over [0.5, 1) fail the solve, naming the clash.
+  Instance tasks(3);
+  tasks.add_task(std::vector<double>{1.0, 1.0, 1.0});
+  tasks.add_task(std::vector<double>{1.0, 1.0, 1.0});
+  SolverRegistry registry;
+  registry.add("clash", "overlaps two intervals",
+               [](const Instance& instance, const SolverOptions&) {
+                 Schedule schedule(instance.machines(), instance.size());
+                 schedule.assign(0, 0.0, 1.0, 0, 2);
+                 schedule.assign(1, 0.5, 1.0, 1, 2);
+                 return SolverResult{"", std::move(schedule), 0, 0, 0, 0, {}};
+               });
+  try {
+    static_cast<void>(
+        registry.solve(SolveRequest("clash", {}, InstanceHandle::intern(std::move(tasks)))));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& err) {
+    const std::string message = err.what();
+    EXPECT_NE(message.find("solver 'clash' produced an invalid schedule"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("tasks 0 and 1 overlap on processor 1"), std::string::npos)
+        << message;
+  }
+}
+
 TEST(SolverRegistry, RequestSolveTakesTheStaticBoundFromTheHandle) {
   // A solver that certifies nothing still reports the area/critical-path
   // bound: the facade reads it off the handle, which computed it once at

@@ -31,6 +31,7 @@
 #include "sched/schedule.hpp"
 #include "sched/sliding.hpp"
 #include "sched/validate.hpp"
+#include "support/fnv.hpp"
 #include "support/math_utils.hpp"
 #include "support/radix_sort.hpp"
 #include "support/rng.hpp"
@@ -77,6 +78,40 @@ TEST(Schedule, RejectsBadGeometry) {
   EXPECT_THROW(schedule.assign(0, std::nan(""), 1.0, 0, 1), std::logic_error);  // NaN start
   EXPECT_THROW(schedule.assign(0, 0.0, 0.0, 0, 1), std::logic_error);   // zero duration
   EXPECT_THROW(schedule.assign(5, 0.0, 1.0, 0, 1), std::logic_error);   // bad task id
+}
+
+TEST(Schedule, AssignAcceptsExactlyTheIntervalsInsideTheMachine) {
+  // assign is the only bounds check a placement meets (the validator trusts
+  // it), so every (first_proc, num_procs) pair near the machine's edges and
+  // at the int extremes is tried: an interval is recorded iff it is
+  // nonempty and lies in 0 .. m - 1, and a refused one leaves nothing.
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (int m = 1; m <= 6; ++m) {
+    std::vector<int> values{kMin, kMin + 1, -m, -1, kMax - m, kMax - 1, kMax};
+    for (int v = 0; v <= m + 1; ++v) values.push_back(v);
+    for (const int first : values) {
+      for (const int count : values) {
+        const bool inside = first >= 0 && count >= 1 &&
+                            static_cast<long long>(first) + count <= static_cast<long long>(m);
+        const std::string label = "m " + std::to_string(m) + " first " +
+                                  std::to_string(first) + " count " + std::to_string(count);
+        Schedule schedule(m, 1);
+        if (inside) {
+          ASSERT_NO_THROW(schedule.assign(0, 0.0, 1.0, first, count)) << label;
+          EXPECT_EQ(schedule.of(0).first_proc, first) << label;
+          EXPECT_EQ(schedule.of(0).procs(), count) << label;
+          EXPECT_TRUE(schedule.complete()) << label;
+        } else {
+          ASSERT_THROW(schedule.assign(0, 0.0, 1.0, first, count), std::logic_error) << label;
+          EXPECT_FALSE(schedule.is_assigned(0)) << label;
+          EXPECT_FALSE(schedule.complete()) << label;
+          schedule.assign(0, 0.0, 1.0, 0, m);
+          EXPECT_EQ(schedule.of(0).procs(), m) << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(Schedule, AssignmentIsAFlatRecord) {
@@ -350,6 +385,28 @@ TEST(ListScheduler, PaperTieRuleLeftmostAtZeroRightmostLater) {
   EXPECT_EQ(schedule.of(3).first_proc, 2);
 }
 
+TEST(ListScheduler, WideTaskStartingLaterTakesTheRightmostTiedWindow) {
+  // The same rule on windows wider than one processor. Two 2-processor
+  // tasks fill 4 processors from the left at time 0; the third ties on all
+  // three windows at t=2 and takes the rightmost, so the 1-processor task
+  // after it ties on processors 0 and 1 at t=2 and takes processor 1.
+  Instance instance(4);
+  instance.add_task(sequential_profile(2.0, 4));
+  instance.add_task(sequential_profile(2.0, 4));
+  instance.add_task(sequential_profile(1.0, 4));
+  instance.add_task(sequential_profile(1.0, 4));
+  const std::vector<int> allotment{2, 2, 2, 1};
+  const std::vector<int> order{0, 1, 2, 3};
+  const auto schedule = list_schedule(instance, allotment, order);
+  EXPECT_EQ(schedule.of(0).first_proc, 0);
+  EXPECT_EQ(schedule.of(1).first_proc, 2);
+  EXPECT_DOUBLE_EQ(schedule.of(2).start, 2.0);
+  EXPECT_EQ(schedule.of(2).first_proc, 2);
+  EXPECT_DOUBLE_EQ(schedule.of(3).start, 2.0);
+  EXPECT_EQ(schedule.of(3).first_proc, 1);
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
+}
+
 TEST(ListScheduler, ValidatesInputs) {
   const auto instance = tiny_instance();
   const std::vector<int> bad_allotment{0, 1, 1};
@@ -472,6 +529,54 @@ TEST(Compaction, RejectsAnUnassignedTask) {
   partial.assign(0, 0.0, 2.0, 0, 2);
   partial.assign(2, 2.0, 1.0, 0, 1);
   EXPECT_THROW(static_cast<void>(compact_schedule(partial, instance)), std::logic_error);
+}
+
+/// FNV-1a over every placement of `schedule`: task, start and duration
+/// bits, first processor and processor count.
+std::uint64_t placement_digest(const Schedule& schedule) {
+  std::uint64_t hash = fnv::kOffset;
+  for (const auto& assignment : schedule.assignments()) {
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.task));
+    fnv::mix_bytes(hash, &assignment.start, sizeof assignment.start);
+    fnv::mix_bytes(hash, &assignment.duration, sizeof assignment.duration);
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.first_proc));
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(assignment.num_procs));
+  }
+  return hash;
+}
+
+TEST(Compaction, JitteredListScheduleMatchesRecordedDigests) {
+  // Digests recorded by running this test source against the library in
+  // which a schedule could also hold non-contiguous processor sets and
+  // every placement loop branched on the form. A list schedule is already
+  // compact, so compaction returns it unchanged; a copy with every start
+  // delayed by up to three durations, which overlaps and whose order
+  // differs on some processors, compacts to another feasible schedule.
+  GeneratorOptions options;
+  options.tasks = 60;
+  options.machines = 12;
+  const auto instance = generate_instance(WorkloadFamily::kBimodal, options, 31);
+  Rng rng(3131);
+  std::vector<int> allotment(static_cast<std::size_t>(instance.size()));
+  for (auto& p : allotment) p = static_cast<int>(rng.uniform_int(1, 5));
+  const auto perm = rng.permutation(allotment.size());
+  const std::vector<int> order(perm.begin(), perm.end());
+  const auto schedule = list_schedule(instance, allotment, order);
+  Schedule jittered(schedule.machines(), schedule.num_tasks());
+  for (const auto& assignment : schedule.assignments()) {
+    jittered.assign(assignment.task,
+                    assignment.start + rng.uniform(0.0, 3.0) * assignment.duration,
+                    assignment.duration, assignment.first_proc, assignment.num_procs);
+  }
+  const auto compacted = compact_schedule(schedule, instance);
+  const auto recompacted = compact_schedule(jittered, instance);
+
+  for (const Schedule* s : {&schedule, &compacted, &recompacted}) {
+    EXPECT_TRUE(validate_schedule(*s, instance).ok);
+  }
+  EXPECT_EQ(placement_digest(compacted), placement_digest(schedule));
+  EXPECT_EQ(placement_digest(schedule), 0xd72105d2dee97ed8ull);
+  EXPECT_EQ(placement_digest(recompacted), 0x511ab03c4b365671ull);
 }
 
 // --------------------------------------------------------- processor chains
@@ -617,6 +722,29 @@ TEST(Gantt, RendersGridAndLegend) {
   EXPECT_NE(text.find("P0"), std::string::npos);
   EXPECT_NE(text.find("legend:"), std::string::npos);
   EXPECT_NE(text.find('A'), std::string::npos);
+}
+
+TEST(Gantt, PaintsEachIntervalAndElidesRowsPastTheLimit) {
+  // Exact output: each task paints its own processors' rows over its time
+  // cells; with max_rows = 3 on 5 processors, task 1 shows on its one
+  // visible row and task 3, wholly past the cut, only in the legend.
+  Schedule schedule(5, 4);
+  schedule.assign(0, 0.0, 2.0, 0, 2);
+  schedule.assign(1, 0.0, 4.0, 2, 2);
+  schedule.assign(2, 2.0, 2.0, 0, 1);
+  schedule.assign(3, 0.0, 1.0, 4, 1);
+  GanttOptions options;
+  options.width = 8;
+  options.max_rows = 3;
+  std::ostringstream out;
+  render_gantt(out, schedule, options);
+  EXPECT_EQ(out.str(),
+            "time 0  4.000\n"
+            "P0   |AAAACCCC|\n"
+            "P1   |AAAA....|\n"
+            "P2   |BBBBBBBB|\n"
+            "     (2 more processors elided)\n"
+            "legend: A=t0(p2) B=t1(p2) C=t2(p1) D=t3(p1)\n");
 }
 
 TEST(Gantt, EmptyScheduleDoesNotCrash) {
