@@ -18,7 +18,7 @@
 //           shrinks, no gaps, every ratio below sqrt(3)(1+eps).
 //   EXP-T5  every baseline against the sqrt(3) scheduler, through the
 //           SolverRegistry, including the ocean and batch-trace workloads.
-//   EXP-T6  ablations of compaction, reallocation, branch choice, FPTAS.
+//   EXP-T6  ablations of compaction, reallocation and branch choice.
 //   EXP-T7  precedence graphs: layered sqrt(3) against the ready list.
 //
 // Across experiments: every mrt solve that runs the whole dual step ends with
@@ -224,12 +224,10 @@ void guarantee(Claims& claims) {
       WorkloadFamily::kUniform,   WorkloadFamily::kBimodal,     WorkloadFamily::kHeavyTail,
       WorkloadFamily::kStairs,    WorkloadFamily::kPackedOpt1,  WorkloadFamily::kSequentialOnly};
 
-  const std::vector<std::string> algos{"mrt",       "mrt-fptas", "2phase-ffdh",
-                                       "2phase-list", "3/2-shelves", "lpt-seq", "gang"};
+  const std::vector<std::string> algos{"mrt",         "2phase-ffdh", "2phase-list",
+                                       "3/2-shelves", "lpt-seq",     "gang"};
 
-  MrtOptions exact;
-  MrtOptions fptas;
-  fptas.two_shelf.knapsack = KnapsackMode::kFptas;
+  const MrtOptions exact;
   TwoPhaseOptions ffdh;
   ffdh.rigid = RigidAlgo::kFfdh;
   TwoPhaseOptions list;
@@ -245,12 +243,9 @@ void guarantee(Claims& claims) {
       const double lb = makespan_lower_bound(instance);
 
       const auto exact_result = mrt_schedule(instance, exact);
-      const auto fptas_result = mrt_schedule(instance, fptas);
       mrt.add(exact_result, exact.search.epsilon);
-      mrt.add(fptas_result, fptas.search.epsilon);
-      const std::array<double, 7> makespans{
+      const std::array<double, 6> makespans{
           exact_result.makespan,
-          fptas_result.makespan,
           two_phase_schedule(instance, ffdh).makespan,
           two_phase_schedule(instance, list).makespan,
           three_halves_schedule(instance).makespan,
@@ -280,8 +275,8 @@ void guarantee(Claims& claims) {
 
 // Runtime of the algorithm's pieces, matching the complexity claims of
 // Theorems 2 and 3: the canonical list step O(n log n + n m), the two-shelf
-// step dominated by the knapsack (exact DP O(n m) per guess against the
-// FPTAS), and the full solve O(log(1/eps)) dual steps. One run per row.
+// step dominated by the exact knapsack DP, O(n m) per guess, and the full
+// solve O(log(1/eps)) dual steps. One run per row.
 void runtime() {
   std::cout << "EXP-T2: single-shot wall time of the algorithm's pieces (Theorems 2, 3)\n";
   std::cout << "(one run per row, not checked: perfbench measures time)\n\n";
@@ -291,12 +286,12 @@ void runtime() {
     body();
     return stopwatch.millis();
   };
-  const auto items = [](int count, std::int64_t max_profit, std::uint64_t seed) {
+  const auto items = [](int count, std::uint64_t seed) {
     Rng rng(seed);
     std::vector<KnapsackItem> drawn(static_cast<std::size_t>(count));
     for (auto& item : drawn) {
       item.weight = rng.uniform_int(1, 64);
-      item.profit = rng.uniform_int(1, max_profit);
+      item.profit = rng.uniform_int(1, 64);
     }
     return drawn;
   };
@@ -319,31 +314,18 @@ void runtime() {
                      static_cast<void>(canonical_list_schedule(instance, guess));
                    }), 3)});
   }
-  for (const auto mode : {KnapsackMode::kExact, KnapsackMode::kFptas}) {
-    TwoShelfOptions options;
-    options.knapsack = mode;
-    options.fptas_eps = 0.1;
-    for (const int m : {8, 32, 128, 512}) {
-      const auto instance = generated(WorkloadFamily::kUniform, 128, m, 45);
-      const double guess = 1.2 * makespan_lower_bound(instance);
-      table.add_row({mode == KnapsackMode::kExact ? "two-shelf step, exact knapsack"
-                                                  : "two-shelf step, fptas eps=0.1",
-                     label("n=128 m=", m), cell(timed([&] {
-                       static_cast<void>(two_shelf_schedule(instance, guess, options));
-                     }), 3)});
-    }
+  for (const int m : {8, 32, 128, 512}) {
+    const auto instance = generated(WorkloadFamily::kUniform, 128, m, 45);
+    const double guess = 1.2 * makespan_lower_bound(instance);
+    table.add_row({"two-shelf step, exact knapsack", label("n=128 m=", m), cell(timed([&] {
+                     static_cast<void>(two_shelf_schedule(instance, guess));
+                   }), 3)});
   }
   for (const int n : {16, 64, 256, 1024}) {
-    const auto drawn = items(n, 64, 46);
+    const auto drawn = items(n, 46);
     table.add_row({"knapsack exact", label("items=", n, " capacity=", 8 * n), cell(timed([&] {
                      static_cast<void>(knapsack_exact(drawn, 8LL * n));
                    }), 3)});
-  }
-  for (const int n : {16, 64, 256}) {
-    const auto drawn = items(n, 1 << 20, 47);  // large profits: the DP is infeasible
-    table.add_row({"knapsack fptas eps=0.25", label("items=", n, " capacity=", 8 * n),
-                   cell(timed([&] { static_cast<void>(knapsack_fptas(drawn, 8LL * n, 0.25)); }),
-                        3)});
   }
   table.print(std::cout);
   std::cout << "\ncomplexity: canonical list step O(n log n + n m); exact knapsack\n"
@@ -574,10 +556,10 @@ void baselines(Claims& claims) {
 
 // ------------------------------------------------------------------ EXP-T6
 
-// Ablations of the design choices DESIGN.md calls out: compaction, the
-// appendix's reallocation rule, picking the best branch instead of the
-// first guaranteed one, and the FPTAS epsilon of the knapsack backend. Each
-// feature should be neutral-or-better on makespan. The last two variants
+// Ablations of the design choices: compaction, the appendix's reallocation
+// rule, and picking the best branch instead of the
+// first guaranteed one. Each feature should be neutral-or-better on
+// makespan. The last two variants
 // switch constructions off, so Theorem 3's case split no longer covers every
 // guess; their gaps are what the ablation measures and they are exempt from
 // the guarantee claim.
@@ -597,16 +579,6 @@ void ablation(Claims& claims) {
       {"no reallocation rule",
        [](MrtOptions& options) { options.canonical_list.use_reallocation = false; }},
       {"pick best branch", [](MrtOptions& options) { options.pick_best_branch = true; }},
-      {"fptas eps=0.05",
-       [](MrtOptions& options) {
-         options.two_shelf.knapsack = KnapsackMode::kFptas;
-         options.two_shelf.fptas_eps = 0.05;
-       }},
-      {"fptas eps=0.30",
-       [](MrtOptions& options) {
-         options.two_shelf.knapsack = KnapsackMode::kFptas;
-         options.two_shelf.fptas_eps = 0.30;
-       }},
       {"two-shelf disabled", [](MrtOptions& options) { options.enable_two_shelf = false; }},
       {"lists disabled",
        [](MrtOptions& options) {

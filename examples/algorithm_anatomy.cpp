@@ -78,8 +78,7 @@ void figures3to5_two_shelf() {
   instance.add_task(sequential_profile(0.6, 8), "mid");
   instance.add_task(sequential_profile(0.3, 8), "small1");
   instance.add_task(sequential_profile(0.25, 8), "small2");
-  TwoShelfOptions options;
-  const auto outcome = two_shelf_schedule(instance, 1.0, options);
+  const auto outcome = two_shelf_schedule(instance, 1.0);
   std::cout << "partition: |S1|=" << outcome.s1_count << " |S2|=" << outcome.s2_count
             << " |S3|=" << outcome.s3_count << "  q1=" << outcome.q1 << " q2=" << outcome.q2
             << " q3=" << outcome.q3 << " capacity=" << outcome.knapsack_capacity << "\n";
@@ -98,7 +97,7 @@ void figures3to5_two_shelf() {
   trivial_instance.add_task(sequential_profile(0.8, 8), "flat1");
   trivial_instance.add_task(sequential_profile(0.8, 8), "flat2");
   trivial_instance.add_task(sequential_profile(0.8, 8), "flat3");
-  const auto trivial = two_shelf_schedule(trivial_instance, 1.0, options);
+  const auto trivial = two_shelf_schedule(trivial_instance, 1.0);
   if (trivial.schedule) {
     render_gantt(std::cout, *trivial.schedule);
     std::cout << (trivial.used_trivial ? "(constructed by the trivial-solution scan)"

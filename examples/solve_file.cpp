@@ -111,8 +111,14 @@ int main(int argc, char** argv) {
     options.tasks = 8;
     options.machines = 8;
     const auto sample = generate_instance(WorkloadFamily::kUniform, options, 7);
+    // A stream that did not open ignores the write and fails the close.
     std::ofstream out(emit_path);
     write_instance(out, sample);
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write " << emit_path << "\n";
+      return 1;
+    }
     std::cout << "wrote sample instance (" << sample.size() << " tasks, "
               << sample.machines() << " machines) to " << emit_path << "\n";
     return 0;

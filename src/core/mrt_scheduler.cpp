@@ -112,7 +112,7 @@ MrtDualOutcome mrt_dual_step(DualWorkspace& workspace, double deadline,
   // the other, then to the small-m malleable list algorithm.
   const auto try_two_shelf = [&] {
     if (!options.enable_two_shelf || done()) return;
-    auto result = two_shelf_schedule(workspace, deadline, options.two_shelf);
+    auto result = two_shelf_schedule(workspace, deadline);
     if (result.schedule) {
       const auto branch = result.used_trivial ? DualBranch::kTwoShelfTrivial
                                               : DualBranch::kTwoShelfKnapsack;

@@ -48,6 +48,8 @@ inline constexpr int kDualBranchCount = 7;
 [[nodiscard]] std::string to_string(DualBranch branch);
 
 struct MrtOptions {
+  /// Empty, and read by no library code: kept for perfbench's traced replay,
+  /// which passes it to two_shelf_schedule (see TwoShelfOptions).
   TwoShelfOptions two_shelf{};
   CanonicalListOptions canonical_list{};
   /// Termination, step budget and cancellation of the one dual search

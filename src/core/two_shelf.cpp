@@ -174,8 +174,7 @@ std::optional<Schedule> build_trivial_schedule(const Instance& instance,
 /// The Section-4 case analysis. `canonical` must already have survived the
 /// Property-2 test.
 TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment& canonical,
-                              double deadline, const TwoShelfOptions& options,
-                              TwoShelfScratch& scratch) {
+                              double deadline, TwoShelfScratch& scratch) {
   TwoShelfOutcome outcome;
   const auto part = make_partition(instance, canonical, deadline, scratch);
   outcome.s1_count = static_cast<int>(part.s1->size());
@@ -211,8 +210,8 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
   };
 
   if (capacity >= 0) {
-    // Fast path shared by both modes: a single candidate already covering q1
-    // (the paper folds these into the trivial set 4_lambda).
+    // Fast path: a single candidate already covering q1 (the paper folds
+    // these into the trivial set 4_lambda).
     for (std::size_t idx = 0; idx < items.size(); ++idx) {
       if (items[idx].profit >= part.q1 && items[idx].weight <= capacity) {
         KnapsackSelection single;
@@ -227,23 +226,7 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
       }
     }
 
-    KnapsackSelection selection;
-    if (options.knapsack == KnapsackMode::kExact) {
-      // knapsack_exact_auto degrades to branch and bound instead of
-      // std::length_error when the DP table would blow the memory guard.
-      selection = knapsack_exact_auto(items, capacity, scratch.knapsack, &options.cancel);
-    } else {
-      selection = knapsack_fptas(items, capacity, options.fptas_eps);
-      if (selection.profit < part.q1 && part.q1 > 0) {
-        // Lemma 2's dual route: approximate (P') and accept when its weight
-        // still fits the second shelf.
-        if (const auto dual = min_knapsack_approx(items, part.q1, options.fptas_eps);
-            dual && dual->weight <= capacity) {
-          selection = *dual;
-          outcome.used_dual_knapsack = true;
-        }
-      }
-    }
+    const auto selection = knapsack_exact(items, capacity, scratch.knapsack);
     outcome.knapsack_profit = selection.profit;
     if (selection.profit >= part.q1) {
       if (auto schedule = select_to_schedule(selection)) {
@@ -270,14 +253,13 @@ TwoShelfOutcome two_shelf_run(const Instance& instance, const CanonicalAllotment
 
 }  // namespace
 
-TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
-                                   const TwoShelfOptions& options) {
+TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline) {
   DualWorkspace workspace(instance);
-  return two_shelf_schedule(workspace, deadline, options);
+  return two_shelf_schedule(workspace, deadline);
 }
 
 TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
-                                   const TwoShelfOptions& options) {
+                                   const TwoShelfOptions&) {
   const Instance& instance = workspace.instance();
   const auto& canonical = workspace.canonical(deadline);
   if (certified_infeasible(instance, canonical)) {
@@ -300,7 +282,7 @@ TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
     return fingerprint;
   };
   const std::size_t before = capacity_fingerprint();
-  auto outcome = two_shelf_run(instance, canonical, deadline, options, scratch);
+  auto outcome = two_shelf_run(instance, canonical, deadline, scratch);
   if (capacity_fingerprint() != before) ++scratch.alloc_events;
   return outcome;
 }

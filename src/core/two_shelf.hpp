@@ -7,7 +7,6 @@
 #include "model/instance.hpp"
 #include "packing/first_fit.hpp"
 #include "sched/schedule.hpp"
-#include "support/cancellation.hpp"
 
 /// The knapsack-based two-shelf construction of Section 4.
 ///
@@ -34,7 +33,7 @@
 /// which is exactly the knapsack problem (P): maximize sum gamma_i subject
 /// to sum gamma^lambda_i <= m - q2 - q3. The paper proves (Lemma 2-4) that
 /// whenever OPT <= d and the canonical area W exceeds mu*m*d, either the
-/// knapsack (exactly, or via its FPTAS together with the dual (P')) or a
+/// knapsack, solved exactly by the O(|S1| * m) DP of Section 4.3, or a
 /// linear-time "trivial solution" (one huge task alone on shelf 2) yields a
 /// feasible lambda-schedule -- total length (1 + lambda)*d = sqrt(3)*d.
 namespace malsched {
@@ -72,25 +71,13 @@ struct TwoShelfScratch {
   long long alloc_events{0};
 };
 
-/// Knapsack backend for the allotment selection.
-enum class KnapsackMode {
-  kExact,  ///< pseudo-polynomial DP, O(|S1| * m) -- exact (Section 4.3)
-  kFptas,  ///< approximation scheme on (P) with fallback to (P') (Section 4.4)
-};
-
-/// The second shelf is kLambda * d long (support/math_utils.hpp), the
-/// paper's lambda = sqrt(3) - 1, and the Section 4.5 scan for trivial
-/// solutions always runs after the knapsack.
-struct TwoShelfOptions {
-  KnapsackMode knapsack{KnapsackMode::kExact};
-  /// Epsilon for the FPTAS backend (ignored in exact mode).
-  double fptas_eps{0.05};
-  /// Cooperative cancellation/deadline probe, forwarded into the knapsack
-  /// branch-and-bound (ticked per explored node, strided) -- the one
-  /// potentially exponential corner of the construction. Unarmed by default
-  /// (byte-identical selections).
-  CancelCheck cancel;
-};
+/// The two-shelf step has no setting: the second shelf is kLambda * d long
+/// (support/math_utils.hpp), the paper's lambda = sqrt(3) - 1, the knapsack
+/// is the exact DP, and the Section 4.5 scan for trivial solutions always
+/// runs after it. The empty struct remains only because perfbench's traced
+/// replay passes MrtOptions::two_shelf to two_shelf_schedule; it goes when
+/// the replay does.
+struct TwoShelfOptions {};
 
 /// Diagnostics of a two-shelf attempt.
 struct TwoShelfOutcome {
@@ -100,7 +87,6 @@ struct TwoShelfOutcome {
 
   bool certified_reject{false};  ///< Property-2 certificate fired
   bool used_trivial{false};      ///< solved by a trivial solution of 4_lambda
-  bool used_dual_knapsack{false};///< (P') provided the subset (FPTAS mode)
 
   // Partition snapshot.
   int s1_count{0};
@@ -117,12 +103,11 @@ struct TwoShelfOutcome {
 /// allotment comes from the workspace's per-step cache and every
 /// intermediate container (partition, candidates, knapsack DP tables, First
 /// Fit loads) lives in its reused scratch -- only an accepted Schedule
-/// allocates.
+/// allocates. The TwoShelfOptions argument is read by nothing (see above).
 [[nodiscard]] TwoShelfOutcome two_shelf_schedule(DualWorkspace& workspace, double deadline,
-                                                 const TwoShelfOptions& options = {});
+                                                 const TwoShelfOptions& = {});
 
 /// One-shot form: builds a DualWorkspace for `instance` and forwards.
-[[nodiscard]] TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline,
-                                                 const TwoShelfOptions& options = {});
+[[nodiscard]] TwoShelfOutcome two_shelf_schedule(const Instance& instance, double deadline);
 
 }  // namespace malsched

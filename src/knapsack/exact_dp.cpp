@@ -6,7 +6,7 @@
 
 namespace malsched {
 
-namespace detail {
+namespace {
 
 void validate_items(std::span<const KnapsackItem> items) {
   for (const auto& item : items) {
@@ -17,25 +17,21 @@ void validate_items(std::span<const KnapsackItem> items) {
 }
 
 // Memory guard for DP choice tables (bytes).
-inline constexpr std::size_t kDpCellGuard = std::size_t{1} << 29;  // 512 MB
+constexpr std::size_t kDpCellGuard = std::size_t{1} << 29;  // 512 MB
 
-}  // namespace detail
-
-bool knapsack_exact_exceeds_guard(std::span<const KnapsackItem> items, long long capacity) {
-  if (capacity < 0 || items.empty()) return false;
-  return items.size() * (static_cast<std::size_t>(capacity) + 1) > detail::kDpCellGuard;
-}
+}  // namespace
 
 KnapsackSelection knapsack_exact(std::span<const KnapsackItem> items, long long capacity,
                                  KnapsackScratch& scratch) {
-  detail::validate_items(items);
+  validate_items(items);
   KnapsackSelection result;
   if (capacity < 0 || items.empty()) return result;
 
   const auto n = items.size();
   const auto cap = static_cast<std::size_t>(capacity);
-  if (knapsack_exact_exceeds_guard(items, capacity)) {
-    throw std::length_error("knapsack_exact: DP table exceeds memory guard; use knapsack_fptas");
+  // Divided, not multiplied: n * (cap + 1) can wrap around size_t.
+  if (cap + 1 > kDpCellGuard / n) {
+    throw std::length_error("knapsack_exact: DP table exceeds memory guard");
   }
 
   // best[c] = max profit using a prefix of items within capacity c;
@@ -77,23 +73,6 @@ KnapsackSelection knapsack_exact(std::span<const KnapsackItem> items, long long 
 KnapsackSelection knapsack_exact(std::span<const KnapsackItem> items, long long capacity) {
   KnapsackScratch scratch;
   return knapsack_exact(items, capacity, scratch);
-}
-
-KnapsackSelection knapsack_exact_auto(std::span<const KnapsackItem> items, long long capacity,
-                                      KnapsackScratch& scratch, const CancelCheck* cancel) {
-  if (knapsack_exact_exceeds_guard(items, capacity)) {
-    // Same optimum, O(n) memory; only the tie-broken subset may differ from
-    // the DP's choice, and only on inputs the DP would have refused. The
-    // cancel probe matters exactly here -- the branch-and-bound fallback is
-    // the unbounded-time corner; the in-guard DP below is memory-capped.
-    return knapsack_branch_and_bound(items, capacity, 50'000'000, cancel);
-  }
-  return knapsack_exact(items, capacity, scratch);
-}
-
-KnapsackSelection knapsack_exact_auto(std::span<const KnapsackItem> items, long long capacity) {
-  KnapsackScratch scratch;
-  return knapsack_exact_auto(items, capacity, scratch);
 }
 
 }  // namespace malsched

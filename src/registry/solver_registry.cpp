@@ -28,15 +28,15 @@ SolverResult solve_mrt(const Instance& instance, const SolverOptions& options,
   mrt.enable_canonical_list = options.get_bool("canonical_list", mrt.enable_canonical_list);
   mrt.enable_malleable_list = options.get_bool("malleable_list", mrt.enable_malleable_list);
 
-  // One CancelCheck copied into every branch's options: the dual loop polls
-  // per guess, the canonical-list placement and knapsack branch-and-bound
-  // tick per task/node, so cancel() and deadline expiry stop a running mrt
-  // solve within one check stride. Unarmed (the default) every check is a
-  // no-op and the solve is byte-identical to the pre-deadline tree.
+  // One CancelCheck copied into the loops that carry one: the dual loop
+  // polls once per guess and the canonical-list placement ticks once per
+  // task, so cancel() and deadline expiry stop a running mrt solve within one
+  // check stride. A two-shelf step between two polls costs O(|S1| * m),
+  // which the input bounds. Unarmed (the default) every check is a no-op and
+  // the solve is byte-identical to the pre-deadline tree.
   const CancelCheck check(context.cancel, context.deadline_seconds);
   mrt.search.cancel = check;
   mrt.canonical_list.cancel = check;
-  mrt.two_shelf.cancel = check;
   auto result = mrt_schedule(instance, mrt);
 
   SolverResult out{"", std::move(result.schedule), 0.0, result.lower_bound, 0.0, 0.0, {}};

@@ -83,8 +83,8 @@ class DeadlineExceededError : public std::runtime_error {
 }
 
 /// The probe a hot loop carries by value. tick() is the per-iteration call:
-/// it strides the expensive poll() so a tight loop (knapsack nodes,
-/// placement steps) pays one increment + one mask per iteration. poll() is
+/// it strides the expensive poll() so a tight loop (placement steps) pays
+/// one increment + one mask per iteration. poll() is
 /// the immediate check, for loops whose iterations are already expensive
 /// (dual steps). Both are const so the check threads through const option
 /// structs; the stride counter is mutable state with no observable effect on

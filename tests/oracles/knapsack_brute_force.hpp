@@ -4,9 +4,9 @@
 
 #include "knapsack/knapsack.hpp"
 
-/// Exhaustive 0/1 knapsack search: the reference optimum the exact DP, the
-/// FPTAS and the branch and bound are checked against. Test oracle, built
-/// only with the tests.
+/// Exhaustive 0/1 knapsack search: the reference optimum the exact DP and
+/// the two-shelf step's migration sets are checked against. Test oracle,
+/// built only with the tests.
 namespace malsched {
 
 /// Best-profit subset within `capacity` over all 2^n subsets, for n <= 24.

@@ -1,15 +1,22 @@
 // Tests for src/core/two_shelf: the Section 4 partition, the knapsack-based
-// lambda-schedule, trivial solutions, and the FPTAS backend.
+// lambda-schedule, its migration set against brute force, and trivial
+// solutions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/canonical.hpp"
 #include "core/two_shelf.hpp"
+#include "knapsack/knapsack.hpp"
 #include "model/speedup_models.hpp"
+#include "oracles/knapsack_brute_force.hpp"
 #include "sched/validate.hpp"
 #include "support/math_utils.hpp"
+#include "support/rng.hpp"
 #include "workload/generators.hpp"
 #include "support/strings.hpp"
 
@@ -119,15 +126,12 @@ TEST(TwoShelf, HugeTaskPlusUnshrinkableFillers) {
   EXPECT_TRUE(leq(outcome.schedule->makespan(), kSqrt3));
 }
 
-class TwoShelfPackedTest
-    : public ::testing::TestWithParam<std::tuple<int, int, KnapsackMode>> {};
+class TwoShelfPackedTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(TwoShelfPackedTest, AcceptedSchedulesMeetTheSqrt3Bound) {
-  const auto [machines, seed, mode] = GetParam();
+  const auto [machines, seed] = GetParam();
   const auto instance = packed_instance(machines, static_cast<std::uint64_t>(seed));
-  TwoShelfOptions options;
-  options.knapsack = mode;
-  const auto outcome = two_shelf_schedule(instance, 1.0, options);
+  const auto outcome = two_shelf_schedule(instance, 1.0);
   EXPECT_FALSE(outcome.certified_reject) << "OPT <= 1 by construction";
   EXPECT_EQ(outcome.s1_count + outcome.s2_count + outcome.s3_count, instance.size());
   if (outcome.schedule) {
@@ -137,27 +141,81 @@ TEST_P(TwoShelfPackedTest, AcceptedSchedulesMeetTheSqrt3Bound) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TwoShelfPackedTest,
-    ::testing::Combine(::testing::Values(4, 8, 16, 32),
-                       ::testing::Values(1, 2, 3, 4, 5),
-                       ::testing::Values(KnapsackMode::kExact, KnapsackMode::kFptas)));
+INSTANTIATE_TEST_SUITE_P(Sweep, TwoShelfPackedTest,
+                         ::testing::Combine(::testing::Values(4, 8, 16, 32),
+                                            ::testing::Values(1, 2, 3, 4, 5)));
 
-TEST(TwoShelf, ExactKnapsackNeverWorseThanFptasOnProfit) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto instance = packed_instance(16, seed);
-    TwoShelfOptions exact;
-    exact.knapsack = KnapsackMode::kExact;
-    TwoShelfOptions fptas;
-    fptas.knapsack = KnapsackMode::kFptas;
-    fptas.fptas_eps = 0.3;
-    const auto exact_outcome = two_shelf_schedule(instance, 1.0, exact);
-    const auto fptas_outcome = two_shelf_schedule(instance, 1.0, fptas);
-    if (exact_outcome.knapsack_capacity >= 0 && !exact_outcome.used_trivial &&
-        !fptas_outcome.used_trivial && !fptas_outcome.used_dual_knapsack) {
-      EXPECT_GE(exact_outcome.knapsack_profit, fptas_outcome.knapsack_profit);
+/// Tall tasks of canonical width w <= max(1, m/8) at d = 1 with t(w) just
+/// above lambda (constant work, so gamma = w), plus a few short sequential
+/// ones, filled to a total work of at most 0.97 m. Their widths overflow the
+/// first shelf (q1 > 0), often by more than any one task's width, so the
+/// migration set needs two or more tasks. The packed sweep below never does:
+/// wherever its knapsack is feasible, q1 <= 0 or one task covers it.
+Instance narrow_tall_instance(int machines, std::uint64_t seed) {
+  Rng rng(seed);
+  Instance instance(machines);
+  double work = 0.0;
+  for (int attempt = 0; attempt < 8 * machines; ++attempt) {
+    if (rng.bernoulli(0.1)) {
+      const double time = rng.uniform(0.05, 0.45);
+      if (work + time > 0.97 * machines) continue;
+      instance.add_task(sequential_profile(time, machines));
+      work += time;
+      continue;
+    }
+    const int width = static_cast<int>(rng.uniform_int(1, std::max(1, machines / 8)));
+    const double low = std::max(kLambda, 1.0 - 1.0 / width) + 0.01;
+    const double height = rng.uniform(low, low + 0.1);
+    if (work + height * width > 0.97 * machines) continue;
+    instance.add_task(width_profile(width, height, machines));
+    work += height * width;
+  }
+  return instance;
+}
+
+TEST(TwoShelf, FindsAMigrationSetWheneverOneExists) {
+  // Rebuilds the knapsack's ground set -- the S1 tasks (t_i(gamma_i) >
+  // lambda*d) that can meet lambda*d on at most m processors -- and asks
+  // brute force for a migration set covering q1 within the second shelf's
+  // capacity. Whenever one exists the step must deliver a lambda-schedule,
+  // not fall back to a trivial solution.
+  int multi_task_sets = 0;  // q1 > 0 and no single candidate covers it
+  const auto check = [&](const Instance& instance, double deadline, const std::string& where) {
+    const auto outcome = two_shelf_schedule(instance, deadline);
+    if (outcome.certified_reject || outcome.knapsack_capacity < 0) return;
+    const auto canonical = canonical_allotment(instance, deadline);
+    const double lambda_d = kLambda * deadline;
+    std::vector<KnapsackItem> items;
+    for (int i = 0; i < instance.size(); ++i) {
+      const int gamma = canonical.procs[static_cast<std::size_t>(i)];
+      if (leq(instance.task(i).time(gamma), lambda_d)) continue;
+      const auto gamma_lambda = instance.task(i).min_procs_for(lambda_d);
+      if (!gamma_lambda || *gamma_lambda > instance.machines()) continue;
+      items.push_back({*gamma_lambda, gamma});
+    }
+    if (knapsack_brute_force(items, outcome.knapsack_capacity).profit < outcome.q1) return;
+    const bool one_covers = std::any_of(items.begin(), items.end(), [&](const KnapsackItem& item) {
+      return item.profit >= outcome.q1 && item.weight <= outcome.knapsack_capacity;
+    });
+    if (outcome.q1 > 0 && !one_covers) ++multi_task_sets;
+    ASSERT_TRUE(outcome.schedule.has_value()) << where;
+    EXPECT_FALSE(outcome.used_trivial) << where;
+    EXPECT_GE(outcome.knapsack_profit, outcome.q1) << where;
+    EXPECT_TRUE(validate_schedule(*outcome.schedule, instance).ok) << where;
+  };
+  for (const int machines : {4, 8, 16, 32}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      const auto packed = packed_instance(machines, seed);
+      for (const double deadline : {1.0, 1.05, 1.1, 1.2}) {
+        check(packed, deadline, label("packed m=", machines, " seed=", seed, " d=", deadline));
+      }
+      check(narrow_tall_instance(machines, seed), 1.0,
+            label("narrow-tall m=", machines, " seed=", seed));
     }
   }
+  // The sweep must reach the DP with q1 > 0, not only the single-candidate
+  // fast path or an empty migration set.
+  EXPECT_GT(multi_task_sets, 0);
 }
 
 TEST(TwoShelf, ScalesWithDeadline) {
