@@ -1,6 +1,7 @@
 // Tests for src/core/two_shelf: the Section 4 partition, the knapsack-based
-// lambda-schedule, its migration set against brute force, and trivial
-// solutions.
+// lambda-schedule and its allotments, its migration set against brute force,
+// trivial solutions, the no-schedule outcome, and the workspace's reused
+// scratch across guesses.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/canonical.hpp"
+#include "core/dual_workspace.hpp"
 #include "core/two_shelf.hpp"
 #include "knapsack/knapsack.hpp"
 #include "model/speedup_models.hpp"
@@ -32,6 +34,32 @@ std::vector<double> width_profile(int width, double height, int machines) {
         height * static_cast<double>(width) / static_cast<double>(p);
   }
   return profile;
+}
+
+/// Every field of two outcomes, and every placement of their schedules, bit
+/// for bit.
+void expect_same_outcome(const TwoShelfOutcome& a, const TwoShelfOutcome& b, int tasks,
+                         const std::string& where) {
+  EXPECT_EQ(a.certified_reject, b.certified_reject) << where;
+  EXPECT_EQ(a.used_trivial, b.used_trivial) << where;
+  EXPECT_EQ(a.s1_count, b.s1_count) << where;
+  EXPECT_EQ(a.s2_count, b.s2_count) << where;
+  EXPECT_EQ(a.s3_count, b.s3_count) << where;
+  EXPECT_EQ(a.q1, b.q1) << where;
+  EXPECT_EQ(a.q2, b.q2) << where;
+  EXPECT_EQ(a.q3, b.q3) << where;
+  EXPECT_EQ(a.knapsack_capacity, b.knapsack_capacity) << where;
+  EXPECT_EQ(a.knapsack_profit, b.knapsack_profit) << where;
+  ASSERT_EQ(a.schedule.has_value(), b.schedule.has_value()) << where;
+  if (!a.schedule) return;
+  for (int i = 0; i < tasks; ++i) {
+    const auto& x = a.schedule->of(i);
+    const auto& y = b.schedule->of(i);
+    EXPECT_EQ(x.start, y.start) << where << " task " << i;
+    EXPECT_EQ(x.duration, y.duration) << where << " task " << i;
+    EXPECT_EQ(x.first_proc, y.first_proc) << where << " task " << i;
+    EXPECT_EQ(x.num_procs, y.num_procs) << where << " task " << i;
+  }
 }
 
 TEST(TwoShelf, CertifiedRejectOnImpossibleGuess) {
@@ -141,6 +169,22 @@ TEST_P(TwoShelfPackedTest, AcceptedSchedulesMeetTheSqrt3Bound) {
   }
 }
 
+TEST_P(TwoShelfPackedTest, ReusedWorkspaceMatchesAFreshOneAtEveryGuess) {
+  // The dual search runs all its guesses through one DualWorkspace, whose
+  // two-shelf scratch (partition, candidates, knapsack table, First Fit
+  // packing) carries over from the guess before. Tight and loose guesses
+  // alternate so every buffer both grows and shrinks; each outcome must
+  // equal the one-shot form's on a fresh workspace.
+  const auto [machines, seed] = GetParam();
+  const auto instance = packed_instance(machines, static_cast<std::uint64_t>(seed));
+  DualWorkspace workspace(instance);
+  for (const double deadline : {1.0, 0.6, 1.4, 0.9, 1.0, 2.0, 0.75, 1.1}) {
+    const auto reused = two_shelf_schedule(workspace, deadline);
+    const auto fresh = two_shelf_schedule(instance, deadline);
+    expect_same_outcome(reused, fresh, instance.size(), label("d=", deadline));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, TwoShelfPackedTest,
                          ::testing::Combine(::testing::Values(4, 8, 16, 32),
                                             ::testing::Values(1, 2, 3, 4, 5)));
@@ -216,6 +260,175 @@ TEST(TwoShelf, FindsAMigrationSetWheneverOneExists) {
   // The sweep must reach the DP with q1 > 0, not only the single-candidate
   // fast path or an empty migration set.
   EXPECT_GT(multi_task_sets, 0);
+}
+
+TEST(TwoShelf, PartitionMatchesTheSection4Definition) {
+  // Recomputes S1, S2, S3, q1 and q2 from the canonical allotment, and q3
+  // with a First Fit written out here, for every guess Property 2 lets
+  // through. Property 1 makes every S3 task sequential.
+  int checked = 0;
+  for (const int machines : {4, 8, 16, 32}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const auto instance = packed_instance(machines, seed);
+      for (const double deadline : {0.8, 1.0, 1.2, 1.5}) {
+        const auto where = label("m=", machines, " seed=", seed, " d=", deadline);
+        const auto outcome = two_shelf_schedule(instance, deadline);
+        if (outcome.certified_reject) continue;
+        ++checked;
+        const auto canonical = canonical_allotment(instance, deadline);
+        const double lambda_d = kLambda * deadline;
+        int s1 = 0;
+        int s2 = 0;
+        int s3 = 0;
+        long long s1_procs = 0;
+        long long q2 = 0;
+        std::vector<double> bins;  // First Fit loads at capacity lambda*d
+        for (int i = 0; i < instance.size(); ++i) {
+          const int gamma = canonical.procs[static_cast<std::size_t>(i)];
+          const double time = instance.task(i).time(gamma);
+          if (!leq(time, lambda_d)) {
+            ++s1;
+            s1_procs += gamma;
+          } else if (leq(time, deadline / 2.0)) {
+            ++s3;
+            EXPECT_EQ(gamma, 1) << where << " task " << i;
+            const double size = instance.task(i).time(1);
+            auto bin = std::find_if(bins.begin(), bins.end(),
+                                    [&](double load) { return leq(load + size, lambda_d); });
+            if (bin == bins.end()) {
+              bins.push_back(size);
+            } else {
+              *bin += size;
+            }
+          } else {
+            ++s2;
+            q2 += gamma;
+          }
+        }
+        EXPECT_EQ(outcome.s1_count, s1) << where;
+        EXPECT_EQ(outcome.s2_count, s2) << where;
+        EXPECT_EQ(outcome.s3_count, s3) << where;
+        EXPECT_EQ(outcome.q1, s1_procs - machines) << where;
+        EXPECT_EQ(outcome.q2, q2) << where;
+        EXPECT_EQ(outcome.q3, static_cast<long long>(bins.size())) << where;
+        EXPECT_EQ(outcome.knapsack_capacity, machines - q2 - outcome.q3) << where;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(TwoShelf, LambdaSchedulesAllotAsSection4Prescribes) {
+  // In every knapsack lambda-schedule, an S1 task either stays on shelf 1
+  // (start 0, gamma_i processors) or migrates to shelf 2 (start d,
+  // gamma^lambda_i processors, done by d + lambda*d); S2 tasks run on shelf 2
+  // at gamma_i and S3 tasks sequentially within it. The migrants' gamma_i
+  // sum to the reported knapsack profit, which covers q1.
+  int schedules = 0;
+  int migrants = 0;
+  const auto check = [&](const Instance& instance, double deadline, const std::string& where) {
+    const auto outcome = two_shelf_schedule(instance, deadline);
+    if (!outcome.schedule || outcome.used_trivial) return;
+    ++schedules;
+    const auto canonical = canonical_allotment(instance, deadline);
+    const double lambda_d = kLambda * deadline;
+    long long migrated_profit = 0;
+    for (int i = 0; i < instance.size(); ++i) {
+      const auto& task = instance.task(i);
+      const auto& placed = outcome.schedule->of(i);
+      const int gamma = canonical.procs[static_cast<std::size_t>(i)];
+      const double time = task.time(gamma);
+      if (!leq(time, lambda_d)) {
+        if (placed.start == 0.0) {
+          EXPECT_EQ(placed.num_procs, gamma) << where << " task " << i;
+          continue;
+        }
+        ++migrants;
+        migrated_profit += gamma;
+        EXPECT_EQ(placed.start, deadline) << where << " task " << i;
+        const auto gamma_lambda = task.min_procs_for(lambda_d);
+        ASSERT_TRUE(gamma_lambda.has_value()) << where << " task " << i;
+        EXPECT_EQ(placed.num_procs, *gamma_lambda) << where << " task " << i;
+        EXPECT_TRUE(leq(placed.end(), deadline + lambda_d)) << where << " task " << i;
+      } else if (leq(time, deadline / 2.0)) {
+        EXPECT_EQ(placed.num_procs, 1) << where << " task " << i;
+        EXPECT_TRUE(geq(placed.start, deadline)) << where << " task " << i;
+        EXPECT_TRUE(leq(placed.end(), deadline + lambda_d)) << where << " task " << i;
+      } else {
+        EXPECT_EQ(placed.start, deadline) << where << " task " << i;
+        EXPECT_EQ(placed.num_procs, gamma) << where << " task " << i;
+      }
+    }
+    EXPECT_EQ(migrated_profit, outcome.knapsack_profit) << where;
+    EXPECT_GE(migrated_profit, outcome.q1) << where;
+  };
+  for (const int machines : {4, 8, 16, 32}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      for (const double deadline : {1.0, 1.1}) {
+        check(packed_instance(machines, seed), deadline,
+              label("packed m=", machines, " seed=", seed, " d=", deadline));
+      }
+      check(narrow_tall_instance(machines, seed), 1.0,
+            label("narrow-tall m=", machines, " seed=", seed));
+    }
+  }
+  EXPECT_GT(schedules, 0);
+  EXPECT_GT(migrants, 0);
+}
+
+TEST(TwoShelf, TrivialSolutionWhenTheOnlyMigrantOutgrowsTheKnapsack) {
+  // m = 8, d = 1. "huge" (t(p) = 4.4/p) has gamma = 5 and gamma^lambda = 7;
+  // four flat tasks of 0.74 > lambda can never meet lambda*d, so q1 =
+  // 5 + 4 - 8 = 1 and huge is the only candidate. A medium task (q2 = 1) and
+  // a tiny one (q3 = 1) leave a knapsack capacity of 6 < 7, so no migration
+  // set exists; but gamma = 5 >= q1 + q2 + q3 = 3, so Section 4.5's trivial
+  // solution applies: huge alone on shelf 2, everything else on shelf 1.
+  // The canonical work, 4.4 + 4 * 0.74 + 0.51 + 0.01 = 7.88, passes
+  // Property 2.
+  const int machines = 8;
+  Instance instance(machines);
+  std::vector<double> huge(static_cast<std::size_t>(machines));
+  for (int p = 1; p <= machines; ++p) {
+    huge[static_cast<std::size_t>(p) - 1] = 4.4 / static_cast<double>(p);
+  }
+  instance.add_task(huge, "huge");
+  for (int i = 0; i < 4; ++i) instance.add_task(sequential_profile(0.74, machines));
+  instance.add_task(sequential_profile(0.51, machines), "medium");
+  instance.add_task(sequential_profile(0.01, machines), "tiny");
+  const auto outcome = two_shelf_schedule(instance, 1.0);
+  EXPECT_FALSE(outcome.certified_reject);
+  EXPECT_EQ(outcome.q1, 1);
+  EXPECT_EQ(outcome.q2, 1);
+  EXPECT_EQ(outcome.q3, 1);
+  EXPECT_EQ(outcome.knapsack_capacity, 6);
+  EXPECT_LT(outcome.knapsack_profit, outcome.q1);
+  ASSERT_TRUE(outcome.schedule.has_value());
+  EXPECT_TRUE(outcome.used_trivial);
+  const auto& schedule = *outcome.schedule;
+  EXPECT_TRUE(validate_schedule(schedule, instance).ok);
+  EXPECT_TRUE(leq(schedule.makespan(), kSqrt3));
+  EXPECT_EQ(schedule.of(0).start, 1.0);
+  EXPECT_EQ(schedule.of(0).num_procs, 7);
+  for (int i = 1; i < instance.size(); ++i) {
+    EXPECT_TRUE(leq(schedule.of(i).end(), 1.0)) << "task " << i;
+  }
+}
+
+TEST(TwoShelf, NoScheduleWhenNoTallTaskCanMigrate) {
+  // Five flat tasks of 0.75 on m = 4: the work, 3.75, passes Property 2,
+  // but all five are tall (0.75 > lambda), q1 = 1, and none can shrink to
+  // lambda*d. No migration set and no trivial solution exist, so the step
+  // returns no schedule without a certificate, and the dual search moves on.
+  Instance instance(4);
+  for (int i = 0; i < 5; ++i) instance.add_task(sequential_profile(0.75, 4));
+  const auto outcome = two_shelf_schedule(instance, 1.0);
+  EXPECT_FALSE(outcome.certified_reject);
+  EXPECT_FALSE(outcome.schedule.has_value());
+  EXPECT_FALSE(outcome.used_trivial);
+  EXPECT_EQ(outcome.s1_count, 5);
+  EXPECT_EQ(outcome.q1, 1);
+  EXPECT_EQ(outcome.knapsack_capacity, 4);
+  EXPECT_EQ(outcome.knapsack_profit, 0);
 }
 
 TEST(TwoShelf, ScalesWithDeadline) {
